@@ -5,7 +5,8 @@ JSON is the machine contract; text renders the same data for reading.
 Identical configurations produce byte-identical output: all randomness
 is seed-derived and every iteration order is fixed.  The QCODE_THREADS
 environment variable caps the worker count of commands that can
-parallelize internally (currently the lemma sweep).
+parallelize internally (currently the lemma sweep); the pool never
+exceeds the task count or the machine's CPU count.
 
 Exit codes: 0 success (for verify: prediction matches brute force),
 1 verify mismatch, 2 configuration or computation error.
@@ -190,6 +191,8 @@ def cmd_verify(args) -> int:
 def cmd_lemmas(args) -> int:
     if args.seed is None or args.trials is None:
         raise QCodeError("--seed and --trials are required for lemmas")
+    if args.trials < 1:
+        raise QCodeError(f"--trials must be positive, got {args.trials}")
     ids = (args.lemma,) if args.lemma else IDENTITY_IDS
     if args.lemma and args.lemma not in IDENTITY_IDS:
         raise QCodeError(f"--lemma must be one of {list(IDENTITY_IDS)}")
@@ -282,6 +285,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format == "csv" and args.fn is not cmd_build:
+            raise QCodeError("--format csv is only available for build")
         return args.fn(args)
     except (QCodeError, ZeroDivisionError, ValueError) as exc:
         # machine-readable failure channel; exit code 2 is the contract

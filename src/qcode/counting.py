@@ -3,10 +3,19 @@
 Every counting or phase-sum identity used by the weight-distribution
 predictor lives in a registry keyed by a stable integer id (5..19,
 excluding 12 whose content is the shifted-image search in quadform).
-Each entry evaluates the closed form exactly (rationals, or cyclotomic
-numbers for phase sums) alongside an independent exhaustive computation
-and reports per-branch equality, so any transcription error surfaces as
-a flagged mismatch instead of silently propagating.
+Each entry pairs a cheap closed form (rationals, or cyclotomic numbers
+for phase sums) with an independent exhaustive computation, and the
+oracle reports per-branch equality, so any transcription error surfaces
+as a flagged mismatch instead of silently propagating.
+
+Each closed form has one case tree; a count that follows from a phase
+sum is derived from that sum's tree, not written out again:
+  * id 15, and the analytic weight route through
+    predict_hyperplane_root_count, take p^(m-2) + S5/p^2 from the S5
+    tree of id 14;
+  * id 11 takes p^(m-2) + S3/p^2 from the S3 tree of id 10;
+  * id 9, predict_root_count and the predictor's predict_length (N - 1)
+    read the root-count tree N, keyed on the class data of alpha.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -22,6 +31,7 @@ labels those branches as derived.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -32,6 +42,7 @@ import numpy as np
 from .cyclotomic import (
     CycNum,
     gauss_sum_prime,
+    pstar,
     pstar_fraction_power,
     pstar_half_power,
     sigma_unit_sum,
@@ -77,106 +88,128 @@ def _as_int(value: Fraction) -> int:
 # --- closed-form counts feeding the code predictor --------------------------
 
 
-def predict_root_count(an: FormAnalysis, alpha: int) -> int:
-    """Number of x with f(x) - Tr(alpha x) = 0, in closed form.
+def root_count_closed(p: int, m: int, rank: int, sign: int, in_image: bool,
+                      eta: int) -> tuple[int, str]:
+    """Number of x with f(x) - Tr(alpha x) = 0, and its id-9 branch.
 
-    Odd rank with nonzero special value: the printed formula's extra +1
-    is dropped; brute force (and the code-length identity n = count - 1)
-    confirm the form without it.
+    Keyed on the class data of alpha: whether it lies in Im(L), and
+    eta = eta_bar(-f(x_alpha)), 0 when f(x_alpha) = 0.  Odd rank with
+    nonzero special value: the printed formula's extra +1 is dropped;
+    brute force (and the code-length identity n = count - 1) confirm the
+    form without it.
     """
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
     base = Fraction(p) ** (m - 1)
-    if not an.in_image(alpha):
-        return _as_int(base)
+    if not in_image:
+        return _as_int(base), "outside_image"
+    if rank % 2 == 0:
+        w = sign * base * pstar_fraction_power(p, -(rank // 2))
+        if eta == 0:
+            return _as_int(base + (p - 1) * w), "even_zero"
+        return _as_int(base - w), "even_nonzero"
+    if eta == 0:
+        return _as_int(base), "odd_zero"
+    w = sign * base * pstar_fraction_power(p, -((rank - 1) // 2))
+    return _as_int(base + eta * w), "odd_nonzero"
+
+
+def _root_count(an: FormAnalysis, alpha: int) -> tuple[int, str]:
+    p = an.ctx.p
     fa = an.f_at_xb(alpha)
-    if r % 2 == 0:
-        w = pstar_fraction_power(p, -(r // 2))
-        if fa == 0:
-            return _as_int(base + s * (p - 1) * base * w)
-        return _as_int(base - s * base * w)
-    if fa == 0:
-        return _as_int(base)
-    w = pstar_fraction_power(p, -((r - 1) // 2))
-    return _as_int(base + s * eta_bar(-fa, p) * base * w)
+    return root_count_closed(p, an.ctx.m, an.rank, an.sign, fa is not None,
+                             eta_bar(-fa, p) if fa else 0)
+
+
+def predict_root_count(an: FormAnalysis, alpha: int) -> int:
+    """Number of x with f(x) - Tr(alpha x) = 0, in closed form."""
+    return _root_count(an, alpha)[0]
 
 
 def predict_hyperplane_root_count(an: FormAnalysis, alpha: int, beta: int) -> int:
-    """Number of x with f(x) - Tr(alpha x) = 0 and Tr(beta x) = 0."""
-    count, _ = _hyperplane_count_with_branch(an, alpha, beta)
-    return count
+    """Number of x with f(x) - Tr(alpha x) = 0 and Tr(beta x) = 0:
+    p^(m-2) + S5/p^2, with S5 from the id-14 tree."""
+    return _count_from_sum(an.ctx.p, an.ctx.m, _s5_closed(an, alpha, beta)[0])
 
 
-def _hyperplane_count_with_branch(an: FormAnalysis, alpha: int, beta: int):
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
+def _count_from_sum(p: int, m: int, total: Fraction) -> int:
+    """p^(m-2) + total/p^2: a count on the hyperplane Tr(beta x) = 0 from
+    the Galois-unit sum (S3 or S5) of its phase sums."""
+    return _as_int((total + p**m) / p**2)
+
+
+def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
+    """S5, the Galois-unit sum of S4, by its case tree.
+
+    Rational on every branch: every power of p* it takes is whole.  The
+    labels are the finest that ids 14 and 15 need; each id coarsens them
+    through _S5_LABELS.
+    """
     if beta == 0:
         raise PreconditionViolatedError("beta must be nonzero")
-    if m < 2:
-        raise PreconditionViolatedError("hyperplane counts need degree >= 2")
-    base = Fraction(p) ** (m - 2)
-    weven = pstar_fraction_power(p, -(r // 2)) if r % 2 == 0 else None
-    wodd = pstar_fraction_power(p, -((r - 1) // 2)) if r % 2 == 1 else None
-
-    if an.in_image(alpha):
-        fa = an.f_at_xb(alpha)
-        if an.in_image(beta):
-            xb = an.solve_xb(beta)
-            fb = an.f.evaluate(xb)
-            tab = ctx.trace(ctx.mul(alpha, xb))
-            if r % 2 == 0 and fa == 0:
-                if fb == 0 and tab == 0:
-                    return _as_int(base + s * (p - 1) * p * base * weven), "I:ez:zz"
-                if fb == 0 or tab == 0:
-                    return _as_int(base), "I:ez:mixed"
-                wm2 = pstar_fraction_power(p, -((r - 2) // 2))
-                return _as_int(base + s * eta_bar(-1, p) * base * wm2), "I:ez:nznz"
-            if r % 2 == 0:
-                e = _aux_e(p, fa, fb, tab)
-                if fb == 0 and tab == 0:
-                    return _as_int(base - s * p * base * weven), "I:en:zz"
-                if fb == 0 or e == 0:
-                    return _as_int(base), "I:en:zeros"
-                wm2 = pstar_fraction_power(p, -((r - 2) // 2))
-                return (_as_int(base + s * eta_bar(-fb * e, p) * base * wm2),
-                        "I:en:Enz")
-            if fa == 0:
-                if fb == 0:
-                    return _as_int(base), "I:oz:fb0"
-                if tab == 0:
-                    return (_as_int(base + s * eta_bar(-fb, p) * (p - 1) * base * wodd),
-                            "I:oz:tr0")
-                return (_as_int(base - s * eta_bar(-fb, p) * base * wodd),
-                        "I:oz:trnz")
-            e = _aux_e(p, fa, fb, tab)
-            ea = eta_bar(-fa, p)
-            if fb == 0 and tab == 0:
-                return _as_int(base + s * ea * p * base * wodd), "I:on:zz"
-            if fb == 0:
-                return _as_int(base), "I:on:znz"
-            if e == 0:
-                return _as_int(base + s * ea * (p - 1) * base * wodd), "I:on:E0"
-            return _as_int(base - s * eta_bar(-fb, p) * base * wodd), "I:on:Enz"
-        # beta outside the image
-        if r % 2 == 0 and fa == 0:
-            return _as_int(base + s * (p - 1) * base * weven), "I:ez:bout"
-        if r % 2 == 0:
-            return _as_int(base - s * base * weven), "I:en:bout"
-        if fa == 0:
-            return _as_int(base), "I:oz:bout"
-        return (_as_int(base + s * eta_bar(-fa, p) * base * wodd), "I:on:bout")
-
-    z0 = an.in_shifted_image(alpha, beta)
-    if z0 is None:
-        return _as_int(base), "II:outside_union"
-    fprime = an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
-    if r % 2 == 0:
+    ctx = an.ctx
+    p, r = ctx.p, an.rank
+    even = r % 2 == 0
+    u = an.sign * p**ctx.m * pstar_fraction_power(
+        p, -(r // 2) if even else -((r - 1) // 2))
+    zero = Fraction(0)
+    fa = an.f_at_xb(alpha)
+    if fa is None:
+        z0 = an.in_shifted_image(alpha, beta)
+        if z0 is None:
+            return zero, "II:even:out" if even else "II:odd:out"
+        fprime = an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
+        if even:
+            if fprime == 0:
+                return (p - 1) * u, "II:even:f0"
+            return -u, "II:even:fnz"
         if fprime == 0:
-            return _as_int(base + (p - 1) * s * base * weven), "II:even:f0"
-        return _as_int(base - s * base * weven), "II:even:fnz"
-    if fprime == 0:
-        return _as_int(base), "II:odd:f0"
-    return _as_int(base + s * eta_bar(-fprime, p) * base * wodd), "II:odd:fnz"
+            return zero, "II:odd:f0"
+        return eta_bar(-fprime, p) * u, "II:odd:fnz"
+    xb = an.solve_xb(beta)
+    if xb is not None:
+        fb = an.f.evaluate(xb)
+        tab = ctx.trace(ctx.mul(alpha, xb))
+        e = _aux_e(p, fa, fb, tab) if fb else 0
+    if even and fa == 0:
+        if xb is None:
+            return (p - 1) * u, "I:ez:bout"
+        if fb == 0 and tab == 0:
+            return (p - 1) * p * u, "I:ez:zz"
+        if fb == 0 or tab == 0:
+            return zero, "I:ez:mixed"
+        return eta_bar(-1, p) * pstar(p) * u, "I:ez:nznz"
+    if even:
+        if xb is None:
+            return -u, "I:en:bout"
+        if fb == 0 and tab == 0:
+            return -p * u, "I:en:zz"
+        if e == 0:
+            return zero, "I:en:zeros"
+        return eta_bar(-fb * e, p) * pstar(p) * u, "I:en:Enz"
+    if fa == 0:
+        if xb is None:
+            return zero, "I:oz:bout"
+        if fb == 0:
+            return zero, "I:oz:fb0"
+        if tab == 0:
+            return eta_bar(-fb, p) * (p - 1) * u, "I:oz:tr0"
+        return -eta_bar(-fb, p) * u, "I:oz:trnz"
+    ea = eta_bar(-fa, p)
+    if xb is None:
+        return ea * u, "I:on:bout"
+    if fb == 0 and tab == 0:
+        return ea * p * u, "I:on:zz"
+    if fb == 0:
+        return zero, "I:on:znz"
+    if e == 0:
+        return ea * (p - 1) * u, "I:on:E0"
+    return -eta_bar(-fb, p) * u, "I:on:Enz"
+
+
+# id -> {finest S5 label: the label that id reports}
+_S5_LABELS = {
+    14: {"I:oz:fb0": "I:oz:fb0_or_bout", "I:oz:bout": "I:oz:fb0_or_bout"},
+    15: {"II:even:out": "II:outside_union", "II:odd:out": "II:outside_union"},
+}
 
 
 def _aux_e(p: int, fa: int, fb: int, tab: int) -> int:
@@ -284,202 +317,195 @@ def _need(params: LemmaParams, *names) -> None:
             raise MissingParamError(f"parameter {name!r} is required")
 
 
-# --- the checks, one per registry id -----------------------------------------
+# --- the registry: a cheap closed form and a brute oracle per id ------------
+#
+# closed(params) validates the parameters and returns (branch, value, note)
+# rows; brute(params) returns the exhaustively computed values in the same
+# order.  A brute value may come as (value, note) when the brute reading
+# itself has something to report.
 
 
-def _check_5(params: LemmaParams) -> list[CheckResult]:
+def _closed_5(params: LemmaParams) -> list:
     """Full-space phase sums of f and of f - Tr(bx)."""
     _need(params, "analysis", "beta")
-    an, b = params.analysis, params.beta
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    fv = an.f.values()
+    an = params.analysis
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
     full = pstar_half_power(p, -r).scale(s * p**m)
-    out = [_result(5, "I", full, _cyc_of(p, fv), params)]
-    brute = _cyc_of(p, fv - ctx.trace_mul_all(b))
-    if an.in_image(b):
-        fb = an.f_at_xb(b)
-        closed = full * CycNum.zeta_pow(p, -fb)
-        out.append(_result(5, "II:in_image", closed, brute, params))
-    else:
-        out.append(_result(5, "II:outside_image", CycNum.zero(p), brute, params))
-    return out
+    fb = an.f_at_xb(params.beta)
+    if fb is None:
+        return [("I", full, None), ("II:outside_image", CycNum.zero(p), None)]
+    return [("I", full, None),
+            ("II:in_image", full * CycNum.zeta_pow(p, -fb), None)]
 
 
-def _check_6(params: LemmaParams) -> list[CheckResult]:
+def _brute_5(params: LemmaParams) -> list:
+    an = params.analysis
+    ctx = an.ctx
+    fv = an.f.values()
+    return [_cyc_of(ctx.p, fv), _cyc_of(ctx.p, fv - ctx.trace_mul_all(params.beta))]
+
+
+def _closed_6(params: LemmaParams) -> list:
     """Two-variable quadratic phase sum over GF(p) x GF(p)."""
     _need(params, "p", "abc")
+    p = params.p
+    a, b, c = params.abc
+    det = (a * c - b * b) % p
+    if det != 0:
+        return [("nondegenerate",
+                 eta_bar(det, p) * p * p * pstar_fraction_power(p, -1), None)]
+    if a % p == 0:
+        raise PreconditionViolatedError("degenerate case requires a != 0")
+    return [("degenerate", gauss_sum_prime(p).scale(eta_bar(a, p) * p), None)]
+
+
+def _brute_6(params: LemmaParams) -> list:
     p = params.p
     a, b, c = params.abc
     counts = [0] * p
     for z in range(p):
         for w in range(p):
             counts[(a * z * z + 2 * b * z * w + c * w * w) % p] += 1
-    brute = CycNum.from_exponent_counts(p, counts)
-    det = (a * c - b * b) % p
-    if det != 0:
-        closed = CycNum.from_rational(
-            p, eta_bar(det, p) * p * p * pstar_fraction_power(p, -1))
-        return [_result(6, "nondegenerate", closed, brute, params)]
-    if a % p == 0:
-        raise PreconditionViolatedError("degenerate case requires a != 0")
-    closed = gauss_sum_prime(p).scale(eta_bar(a, p) * p)
-    return [_result(6, "degenerate", closed, brute, params)]
+    return [CycNum.from_exponent_counts(p, counts)]
 
 
-def _check_7(params: LemmaParams) -> list[CheckResult]:
+def _closed_7(params: LemmaParams) -> list:
     """Level-set count of a homogeneous quadratic at a nonzero level."""
     _need(params, "analysis", "t")
     an, t = params.analysis, params.t
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
     if t % p == 0:
         raise PreconditionViolatedError("level t must be nonzero")
-    brute = int(np.count_nonzero(an.f.values() == t % p))
     base = Fraction(p) ** (m - 1)
     if r % 2 == 0:
-        closed = _as_int(base - s * base * pstar_fraction_power(p, -(r // 2)))
-        return [_result(7, "even", closed, brute, params)]
-    closed = _as_int(base + s * eta_bar(-t, p) * base
-                     * pstar_fraction_power(p, -((r - 1) // 2)))
-    return [_result(7, "odd", closed, brute, params)]
+        count = base - s * base * pstar_fraction_power(p, -(r // 2))
+        return [("even", _as_int(count), None)]
+    count = (base + s * eta_bar(-t, p) * base
+             * pstar_fraction_power(p, -((r - 1) // 2)))
+    return [("odd", _as_int(count), None)]
 
 
-def _check_8(params: LemmaParams) -> list[CheckResult]:
+def _brute_7(params: LemmaParams) -> list:
+    an = params.analysis
+    return [int(np.count_nonzero(an.f.values() == params.t % an.ctx.p))]
+
+
+def _closed_8(params: LemmaParams) -> list:
     """Count of f(x) = a on the hyperplane Tr(alpha x) = 0, given
     alpha in Im(L) with vanishing special value."""
     _need(params, "analysis", "alpha", "t")
-    an, alpha, a = params.analysis, params.alpha, params.t
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
+    an, a = params.analysis, params.t
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
     if a % p == 0:
         raise PreconditionViolatedError("level a must be nonzero")
-    if alpha == 0 or not an.in_image(alpha) or an.f_at_xb(alpha) != 0:
-        raise PreconditionViolatedError(
-            "requires nonzero alpha in Im(L) with vanishing special value")
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(alpha)
-    brute = int(np.count_nonzero((fv == a % p) & (tra == 0)))
+    _require_vanishing_special_value(an, params.alpha)
     base = Fraction(p) ** (m - 2)
     if r % 2 == 1:
-        closed = _as_int(base + s * eta_bar(-a, p) * Fraction(p) ** (m - 1)
-                         * pstar_fraction_power(p, -((r - 1) // 2)))
-        return [_result(8, "odd_rank", closed, brute, params)]
-    closed = _as_int(base - s * Fraction(p) ** (m - 1)
-                     * pstar_fraction_power(p, -(r // 2)))
-    return [_result(8, "even_rank_derived_variant", closed, brute, params,
-                    note="printed closed form is irrational for even rank; "
-                         "verified the Galois-sum variant instead")]
+        return [("odd_rank",
+                 _as_int(base + s * eta_bar(-a, p) * Fraction(p) ** (m - 1)
+                         * pstar_fraction_power(p, -((r - 1) // 2))), None)]
+    return [("even_rank_derived_variant",
+             _as_int(base - s * Fraction(p) ** (m - 1)
+                     * pstar_fraction_power(p, -(r // 2))),
+             "printed closed form is irrational for even rank; "
+             "verified the Galois-sum variant instead")]
 
 
-def _check_9(params: LemmaParams) -> list[CheckResult]:
+def _brute_8(params: LemmaParams) -> list:
+    an = params.analysis
+    ctx = an.ctx
+    hits = (an.f.values() == params.t % ctx.p) & (ctx.trace_mul_all(params.alpha) == 0)
+    return [int(np.count_nonzero(hits))]
+
+
+def _closed_9(params: LemmaParams) -> list:
     """Solution count of f(x) - Tr(alpha x) = 0."""
     _need(params, "analysis", "alpha")
-    an, alpha = params.analysis, params.alpha
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    fv = an.f.values()
-    brute = int(np.count_nonzero((fv - ctx.trace_mul_all(alpha)) % p == 0))
-    closed = predict_root_count(an, alpha)
-    if not an.in_image(alpha):
-        branch, note = "outside_image", None
-    else:
-        fa = an.f_at_xb(alpha)
-        if r % 2 == 0:
-            branch, note = ("even_zero" if fa == 0 else "even_nonzero"), None
-        elif fa == 0:
-            branch, note = "odd_zero", None
-        else:
-            branch = "odd_nonzero"
-            note = (f"printed form gives {closed + 1} (spurious +1); "
-                    f"implemented form matches brute force")
-    return [_result(9, branch, closed, brute, params, note)]
+    count, branch = _root_count(params.analysis, params.alpha)
+    note = None
+    if branch == "odd_nonzero":
+        note = (f"printed form gives {count + 1} (spurious +1); "
+                f"implemented form matches brute force")
+    return [(branch, count, note)]
 
 
-def _check_10(params: LemmaParams) -> list[CheckResult]:
-    """The three sums S1, S2, S3 over scalar multiples of Tr(beta x)."""
-    _need(params, "analysis", "beta")
-    an, beta = params.analysis, params.beta
+def _brute_9(params: LemmaParams) -> list:
+    an = params.analysis
     ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
+    roots = (an.f.values() - ctx.trace_mul_all(params.alpha)) % ctx.p == 0
+    return [int(np.count_nonzero(roots))]
+
+
+def _s3_closed(an: FormAnalysis, beta: int) -> tuple[Fraction, str]:
+    """S3, the Galois-unit sum of S2, by its case tree; rational on every
+    branch."""
     if beta == 0:
         raise PreconditionViolatedError("beta must be nonzero")
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    fb = an.f_at_xb(beta)
+    if r % 2 == 0:
+        u = s * (p - 1) * p**m * pstar_fraction_power(p, -(r // 2))
+        if fb is None:
+            return u, "S3:even:outside"
+        if fb == 0:
+            return p * u, "S3:even:in_zero"
+        return Fraction(0), "S3:even:in_nonzero"
+    if fb is None:
+        return Fraction(0), "S3:odd:outside"
+    if fb == 0:
+        return Fraction(0), "S3:odd:in_zero"
+    return (s * eta_bar(-fb, p) * (p - 1) * p**m
+            * pstar_fraction_power(p, -((r - 1) // 2)), "S3:odd:in_nonzero")
+
+
+def _closed_10(params: LemmaParams) -> list:
+    """The three sums S1, S2, S3 over scalar multiples of Tr(beta x)."""
+    _need(params, "analysis", "beta")
+    an = params.analysis
+    ctx = an.ctx
+    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
+    s3, s3_branch = _s3_closed(an, params.beta)
+    fb = an.f_at_xb(params.beta)
+    if fb is None:
+        s2, s2_branch = pstar_half_power(p, -r).scale(s * p**m), "S2:outside"
+    elif fb == 0:
+        s2, s2_branch = pstar_half_power(p, -r).scale(s * p**(m + 1)), "S2:in_zero"
+    else:
+        s2 = pstar_half_power(p, -(r - 1)).scale(s * eta_bar(-fb, p) * p**m)
+        s2_branch = "S2:in_nonzero"
+    return [("S1", ctx.q, None), (s2_branch, s2, None), (s3_branch, s3, None)]
+
+
+def _brute_10(params: LemmaParams) -> list:
+    an = params.analysis
+    ctx = an.ctx
+    p = ctx.p
     fv = an.f.values()
-    trb = ctx.trace_mul_all(beta)
+    trb = ctx.trace_mul_all(params.beta)
     s1_counts = np.zeros(p, dtype=np.int64)
     s2_counts = np.zeros(p, dtype=np.int64)
     for z in range(p):
         s1_counts += np.bincount((-z * trb) % p, minlength=p)
         s2_counts += np.bincount((fv - z * trb) % p, minlength=p)
-    s1_brute = CycNum.from_exponent_counts(p, s1_counts.tolist())
-    s2_brute = CycNum.from_exponent_counts(p, s2_counts.tolist())
-    s3_brute = sigma_unit_sum(s2_brute)
-
-    out = [_result(10, "S1", CycNum.from_rational(p, ctx.q), s1_brute, params)]
-    in_im = an.in_image(beta)
-    fb = an.f_at_xb(beta) if in_im else None
-    even = r % 2 == 0
-    if in_im and fb == 0:
-        s2_closed = pstar_half_power(p, -r).scale(s * p**(m + 1))
-        s2_branch = "S2:in_zero"
-        s3_closed = (pstar_half_power(p, -r).scale(s * (p - 1) * p**(m + 1))
-                     if even else CycNum.zero(p))
-        s3_branch = "S3:even:in_zero" if even else "S3:odd:in_zero"
-    elif in_im:
-        s2_closed = pstar_half_power(p, -(r - 1)).scale(
-            s * eta_bar(-fb, p) * p**m)
-        s2_branch = "S2:in_nonzero"
-        if even:
-            s3_closed = CycNum.zero(p)
-            s3_branch = "S3:even:in_nonzero"
-        else:
-            s3_closed = pstar_half_power(p, -(r - 1)).scale(
-                s * eta_bar(-fb, p) * (p - 1) * p**m)
-            s3_branch = "S3:odd:in_nonzero"
-    else:
-        s2_closed = pstar_half_power(p, -r).scale(s * p**m)
-        s2_branch = "S2:outside"
-        s3_closed = (pstar_half_power(p, -r).scale(s * (p - 1) * p**m)
-                     if even else CycNum.zero(p))
-        s3_branch = "S3:even:outside" if even else "S3:odd:outside"
-    out.append(_result(10, s2_branch, s2_closed, s2_brute, params))
-    out.append(_result(10, s3_branch, s3_closed, s3_brute, params))
-    return out
+    s2 = CycNum.from_exponent_counts(p, s2_counts.tolist())
+    return [CycNum.from_exponent_counts(p, s1_counts.tolist()), s2,
+            sigma_unit_sum(s2)]
 
 
-def _check_11(params: LemmaParams) -> list[CheckResult]:
-    """Count of f(x) = 0 on the hyperplane Tr(beta x) = 0."""
+def _closed_11(params: LemmaParams) -> list:
+    """Count of f(x) = 0 on the hyperplane Tr(beta x) = 0:
+    p^(m-2) + S3/p^2, with S3 from the id-10 tree."""
     _need(params, "analysis", "beta")
-    an, beta = params.analysis, params.beta
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    if beta == 0:
-        raise PreconditionViolatedError("beta must be nonzero")
-    fv = an.f.values()
-    trb = ctx.trace_mul_all(beta)
-    brute = int(np.count_nonzero((fv == 0) & (trb == 0)))
-    base = Fraction(p) ** (m - 2)
-    in_im = an.in_image(beta)
-    fb = an.f_at_xb(beta) if in_im else None
-    even = r % 2 == 0
-    if even:
-        w = pstar_fraction_power(p, -(r // 2))
-        if in_im and fb == 0:
-            closed, branch = base + s * (p - 1) * base * p * w, "even:in_zero"
-        elif in_im:
-            closed, branch = base, "even:in_nonzero"
-        else:
-            closed, branch = base + s * (p - 1) * base * w, "even:outside"
-    else:
-        w = pstar_fraction_power(p, -((r - 1) // 2))
-        if in_im and fb == 0:
-            closed, branch = base, "odd:in_zero"
-        elif in_im:
-            closed = base + s * eta_bar(-fb, p) * (p - 1) * base * w
-            branch = "odd:in_nonzero"
-        else:
-            closed, branch = base, "odd:outside"
-    return [_result(11, branch, _as_int(closed), brute, params)]
+    an = params.analysis
+    s3, branch = _s3_closed(an, params.beta)
+    return [(branch.removeprefix("S3:"),
+             _count_from_sum(an.ctx.p, an.ctx.m, s3), None)]
+
+
+def _brute_11(params: LemmaParams) -> list:
+    an = params.analysis
+    hits = (an.f.values() == 0) & (an.ctx.trace_mul_all(params.beta) == 0)
+    return [int(np.count_nonzero(hits))]
 
 
 def _s4_brute(an: FormAnalysis, alpha: int, beta: int) -> CycNum:
@@ -496,6 +522,8 @@ def _s4_brute(an: FormAnalysis, alpha: int, beta: int) -> CycNum:
 
 def _s4_closed(an: FormAnalysis, alpha: int, beta: int):
     """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x))."""
+    if beta == 0:
+        raise PreconditionViolatedError("beta must be nonzero")
     ctx = an.ctx
     p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
     if an.in_image(alpha):
@@ -524,214 +552,176 @@ def _s4_closed(an: FormAnalysis, alpha: int, beta: int):
     return closed * CycNum.zeta_pow(p, -fprime), "II:in_union"
 
 
-def _check_13(params: LemmaParams) -> list[CheckResult]:
+def _closed_13(params: LemmaParams) -> list:
     """The sum S4 over the pencil of shifts alpha - beta z."""
     _need(params, "analysis", "alpha", "beta")
-    an, alpha, beta = params.analysis, params.alpha, params.beta
-    if beta == 0:
-        raise PreconditionViolatedError("beta must be nonzero")
-    closed, branch = _s4_closed(an, alpha, beta)
-    brute = _s4_brute(an, alpha, beta)
+    closed, branch = _s4_closed(params.analysis, params.alpha, params.beta)
     note = None
     if branch == "II:in_union":
         note = ("x' read as the solution of L(x') = -(alpha - beta z0)/2; "
                 "this reading matches brute force")
-    return [_result(13, branch, closed, brute, params, note)]
+    return [(branch, closed, note)]
 
 
-def _s5_closed(an: FormAnalysis, alpha: int, beta: int):
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    even = r % 2 == 0
-    if an.in_image(alpha):
-        fa = an.f_at_xb(alpha)
-        in_b = an.in_image(beta)
-        fb = an.f_at_xb(beta) if in_b else None
-        tab = (ctx.trace(ctx.mul(alpha, an.solve_xb(beta))) if in_b else None)
-        if even and fa == 0:
-            if not in_b:
-                return (pstar_half_power(p, -r).scale(s * (p - 1) * p**m),
-                        "I:ez:bout")
-            if fb == 0 and tab == 0:
-                return (pstar_half_power(p, -r).scale(s * (p - 1) * p**(m + 1)),
-                        "I:ez:zz")
-            if fb == 0 or tab == 0:
-                return CycNum.zero(p), "I:ez:mixed"
-            return (pstar_half_power(p, -(r - 2)).scale(
-                s * eta_bar(-1, p) * p**m), "I:ez:nznz")
-        if even:
-            if not in_b:
-                return (pstar_half_power(p, -r).scale(-s * p**m), "I:en:bout")
-            e = _aux_e(p, fa, fb, tab) if fb != 0 else None
-            if fb == 0 and tab == 0:
-                return (pstar_half_power(p, -r).scale(-s * p**(m + 1)), "I:en:zz")
-            if fb == 0 or e == 0:
-                return CycNum.zero(p), "I:en:zeros"
-            return (pstar_half_power(p, -(r - 2)).scale(
-                s * eta_bar((-fb * e) % p, p) * p**m), "I:en:Enz")
-        if fa == 0:
-            if not in_b or fb == 0:
-                return CycNum.zero(p), "I:oz:fb0_or_bout"
-            if tab == 0:
-                return (pstar_half_power(p, -(r - 1)).scale(
-                    s * eta_bar(-fb, p) * (p - 1) * p**m), "I:oz:tr0")
-            return (pstar_half_power(p, -(r - 1)).scale(
-                -s * eta_bar(-fb, p) * p**m), "I:oz:trnz")
-        ea = eta_bar(-fa, p)
-        if not in_b:
-            return (pstar_half_power(p, -(r - 1)).scale(s * ea * p**m),
-                    "I:on:bout")
-        e = _aux_e(p, fa, fb, tab) if fb != 0 else None
-        if fb == 0 and tab == 0:
-            return (pstar_half_power(p, -(r - 1)).scale(s * ea * p**(m + 1)),
-                    "I:on:zz")
-        if fb == 0:
-            return CycNum.zero(p), "I:on:znz"
-        if e == 0:
-            return (pstar_half_power(p, -(r - 1)).scale(s * ea * (p - 1) * p**m),
-                    "I:on:E0")
-        return (pstar_half_power(p, -(r - 1)).scale(
-            -s * eta_bar(-fb, p) * p**m), "I:on:Enz")
-    z0 = an.in_shifted_image(alpha, beta)
-    if even:
-        if z0 is None:
-            return CycNum.zero(p), "II:even:out"
-        fprime = an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
-        if fprime == 0:
-            return (pstar_half_power(p, -r).scale(s * (p - 1) * p**m),
-                    "II:even:f0")
-        return pstar_half_power(p, -r).scale(-s * p**m), "II:even:fnz"
-    if z0 is None:
-        return CycNum.zero(p), "II:odd:out"
-    fprime = an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
-    if fprime == 0:
-        return CycNum.zero(p), "II:odd:f0"
-    return (pstar_half_power(p, -(r - 1)).scale(
-        s * eta_bar(-fprime, p) * p**m), "II:odd:fnz")
+def _brute_13(params: LemmaParams) -> list:
+    return [_s4_brute(params.analysis, params.alpha, params.beta)]
 
 
-def _check_14(params: LemmaParams) -> list[CheckResult]:
+def _closed_14(params: LemmaParams) -> list:
     """S5: the Galois-unit sum of S4."""
     _need(params, "analysis", "alpha", "beta")
-    an, alpha, beta = params.analysis, params.alpha, params.beta
-    if beta == 0:
-        raise PreconditionViolatedError("beta must be nonzero")
-    closed, branch = _s5_closed(an, alpha, beta)
-    brute = sigma_unit_sum(_s4_brute(an, alpha, beta))
-    return [_result(14, branch, closed, brute, params)]
+    s5, branch = _s5_closed(params.analysis, params.alpha, params.beta)
+    return [(_S5_LABELS[14].get(branch, branch), s5, None)]
 
 
-def _check_15(params: LemmaParams) -> list[CheckResult]:
-    """Hyperplane-restricted solution counts of f(x) - Tr(alpha x) = 0."""
+def _brute_14(params: LemmaParams) -> list:
+    return [sigma_unit_sum(_s4_brute(params.analysis, params.alpha, params.beta))]
+
+
+def _closed_15(params: LemmaParams) -> list:
+    """Hyperplane-restricted solution counts of f(x) - Tr(alpha x) = 0:
+    p^(m-2) + S5/p^2, with S5 from the id-14 tree."""
     _need(params, "analysis", "alpha", "beta")
-    an, alpha, beta = params.analysis, params.alpha, params.beta
-    ctx = an.ctx
-    p = ctx.p
-    closed, branch = _hyperplane_count_with_branch(an, alpha, beta)
-    fv = an.f.values()
-    brute = int(np.count_nonzero(
-        ((fv - ctx.trace_mul_all(alpha)) % p == 0)
-        & (ctx.trace_mul_all(beta) == 0)))
-    return [_result(15, branch, closed, brute, params)]
+    an = params.analysis
+    s5, branch = _s5_closed(an, params.alpha, params.beta)
+    return [(_S5_LABELS[15].get(branch, branch),
+             _count_from_sum(an.ctx.p, an.ctx.m, s5), None)]
 
 
-def _check_16(params: LemmaParams) -> list[CheckResult]:
-    """Triple phase sum S6, its Galois-unit sum, and the count N_E."""
-    _need(params, "analysis", "alpha")
-    an, alpha = params.analysis, params.alpha
+def _brute_15(params: LemmaParams) -> list:
+    an = params.analysis
     ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    if not an.in_image(alpha):
-        raise PreconditionViolatedError("alpha must lie in Im(L)")
+    hits = (((an.f.values() - ctx.trace_mul_all(params.alpha)) % ctx.p == 0)
+            & (ctx.trace_mul_all(params.beta) == 0))
+    return [int(np.count_nonzero(hits))]
+
+
+def _require_vanishing_special_value(an: FormAnalysis, alpha: int) -> None:
+    if alpha == 0 or an.f_at_xb(alpha) != 0:
+        raise PreconditionViolatedError(
+            "requires nonzero alpha in Im(L) with vanishing special value")
+
+
+def _nonzero_special_value(an: FormAnalysis, alpha: int) -> int:
+    """f(x_alpha), required to exist and be nonzero."""
     fa = an.f_at_xb(alpha)
+    if fa is None:
+        raise PreconditionViolatedError("alpha must lie in Im(L)")
     if fa == 0:
         raise PreconditionViolatedError("special value must be nonzero")
-    inv4fa = pow(4 * fa % p, p - 2, p)
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(alpha)
+    return fa
 
-    ew = [_cyc_of(p, fv - w * tra) for w in range(p)]
-    s6_brute = CycNum.zero(p)
+
+def _closed_16(params: LemmaParams) -> list:
+    """Triple phase sum S6, its Galois-unit sum, and the count N_E."""
+    _need(params, "analysis", "alpha")
+    an = params.analysis
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    ea = eta_bar(-_nonzero_special_value(an, params.alpha), p)
+    s6 = pstar_half_power(p, -(r - 1)).scale(s * ea * p**(m + 1))
+    base = Fraction(p) ** (m - 1)
+    if r % 2 == 0:
+        return [("S6", s6, None), ("sigma:even", CycNum.zero(p), None),
+                ("NE:even", _as_int(base), None)]
+    ne = _as_int(base + s * ea * (p - 1) * base
+                 * pstar_fraction_power(p, -((r - 1) // 2)))
+    return [("S6", s6, None),
+            ("sigma:odd", pstar_half_power(p, -(r - 1)).scale(
+                s * ea * (p - 1) * p**(m + 1)), None),
+            ("NE:odd", ne, None)]
+
+
+def _brute_16(params: LemmaParams) -> list:
+    an = params.analysis
+    ctx = an.ctx
+    p = ctx.p
+    inv4fa = pow(4 * an.f_at_xb(params.alpha) % p, p - 2, p)
+    fv = an.f.values()
+    tra = ctx.trace_mul_all(params.alpha)
+    s6 = CycNum.zero(p)
     for w in range(p):
         zcounts = [0] * p
         for z in range(p):
             zcounts[(-inv4fa * z * z + w * z) % p] += 1
-        s6_brute = s6_brute + ew[w] * CycNum.from_exponent_counts(p, zcounts)
-
-    ea = eta_bar(-fa, p)
-    s6_closed = pstar_half_power(p, -(r - 1)).scale(s * ea * p**(m + 1))
-    out = [_result(16, "S6", s6_closed, s6_brute, params)]
-
-    sig_brute = sigma_unit_sum(s6_brute)
-    if r % 2 == 0:
-        out.append(_result(16, "sigma:even", CycNum.zero(p), sig_brute, params))
-    else:
-        sig_closed = pstar_half_power(p, -(r - 1)).scale(
-            s * ea * (p - 1) * p**(m + 1))
-        out.append(_result(16, "sigma:odd", sig_closed, sig_brute, params))
-
-    ne_brute = int(np.count_nonzero((fv - inv4fa * tra * tra) % p == 0))
-    base = Fraction(p) ** (m - 1)
-    if r % 2 == 0:
-        out.append(_result(16, "NE:even", _as_int(base), ne_brute, params))
-    else:
-        ne_closed = _as_int(base + s * ea * (p - 1) * base
-                            * pstar_fraction_power(p, -((r - 1) // 2)))
-        out.append(_result(16, "NE:odd", ne_closed, ne_brute, params))
-    return out
+        s6 = s6 + _cyc_of(p, fv - w * tra) * CycNum.from_exponent_counts(p, zcounts)
+    ne = int(np.count_nonzero((fv - inv4fa * tra * tra) % p == 0))
+    return [s6, sigma_unit_sum(s6), ne]
 
 
-def _check_17(params: LemmaParams) -> list[CheckResult]:
+def _closed_17(params: LemmaParams) -> list:
     """The deflated form g = f - Tr(alpha x)^2/(4 f(x_alpha)): its phase
     sum and level-set counts."""
     _need(params, "analysis", "alpha", "t")
-    an, alpha, t = params.analysis, params.alpha, params.t
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    if not an.in_image(alpha):
-        raise PreconditionViolatedError("alpha must lie in Im(L)")
-    fa = an.f_at_xb(alpha)
-    if fa == 0:
-        raise PreconditionViolatedError("special value must be nonzero")
-    inv4fa = pow(4 * fa % p, p - 2, p)
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(alpha)
-    gv = (fv - inv4fa * tra * tra) % p
-
-    ea = eta_bar(-fa, p)
-    gsum_closed = pstar_half_power(p, -(r - 1)).scale(s * ea * p**m)
-    out = [_result(17, "gsum", gsum_closed, _cyc_of(p, gv), params)]
-
-    brute = int(np.count_nonzero(gv == t % p))
+    an, t = params.analysis, params.t
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    ea = eta_bar(-_nonzero_special_value(an, params.alpha), p)
+    gsum = pstar_half_power(p, -(r - 1)).scale(s * ea * p**m)
     base = Fraction(p) ** (m - 1)
     if r % 2 == 0:
         if t % p == 0:
-            closed, branch = base, "even:t0"
+            level, branch = base, "even:t0"
         else:
-            closed = base + s * eta_bar(-t, p) * ea * base \
+            level = base + s * eta_bar(-t, p) * ea * base \
                 * pstar_fraction_power(p, -((r - 2) // 2))
             branch = "even:tnz"
     else:
         w = pstar_fraction_power(p, -((r - 1) // 2))
         if t % p == 0:
-            closed, branch = base + s * ea * (p - 1) * base * w, "odd:t0"
+            level, branch = base + s * ea * (p - 1) * base * w, "odd:t0"
         else:
-            closed, branch = base - s * ea * base * w, "odd:tnz"
-    out.append(_result(17, branch, _as_int(closed), brute, params))
-    return out
+            level, branch = base - s * ea * base * w, "odd:tnz"
+    return [("gsum", gsum, None), (branch, _as_int(level), None)]
 
 
-def _check_18(params: LemmaParams) -> list[CheckResult]:
+def _brute_17(params: LemmaParams) -> list:
+    an = params.analysis
+    ctx = an.ctx
+    p = ctx.p
+    inv4fa = pow(4 * an.f_at_xb(params.alpha) % p, p - 2, p)
+    tra = ctx.trace_mul_all(params.alpha)
+    gv = (an.f.values() - inv4fa * tra * tra) % p
+    return [_cyc_of(p, gv), int(np.count_nonzero(gv == params.t % p))]
+
+
+def _closed_18(params: LemmaParams) -> list:
     """Partition counts of GF(q) by f, Tr(alpha x), and the auxiliary E."""
     _need(params, "analysis", "alpha")
+    an = params.analysis
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    ea = eta_bar(-_nonzero_special_value(an, params.alpha), p)
+    base = Fraction(p) ** (m - 2)
+    if r % 2 == 0:
+        x = s * p * pstar_fraction_power(p, -(r // 2))
+        closed = {
+            "I1": base,
+            "I2": (p - 1) * base * (2 + x),
+            "I3": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - x),
+            "I4": Fraction((p - 1) * (p - 2), 2) * base * (1 + x),
+        }
+    else:
+        w = s * ea * pstar_fraction_power(p, -((r - 1) // 2))
+        closed = {
+            "J1": (p - 1) * base * (1 + (p - 1) * w),
+            "J2": Fraction((p - 1) * (p - 2), 2) * base * (1 - w),
+            "J3": base + ea * s * (p - 1) * base
+                  * pstar_fraction_power(p, -((r - 1) // 2)),
+            "J4": (p - 1) * base * (1 - w),
+            "J5": (p - 1) * base * (1 + (p - 1) * w),
+            "J6": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - w),
+        }
+    return [(key, _as_int(val),
+             "definition restricted to E != 0 (the closed form excludes "
+             "the E = 0 slice)" if key == "J2" else None)
+            for key, val in closed.items()]
+
+
+def _brute_18(params: LemmaParams) -> list:
+    """The partition counts under the plus-sign E, each with a note when
+    the printed minus sign counts differently."""
     an, alpha = params.analysis, params.alpha
     ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    if not an.in_image(alpha):
-        raise PreconditionViolatedError("alpha must lie in Im(L)")
+    p, r = ctx.p, an.rank
     fa = an.f_at_xb(alpha)
-    if fa == 0:
-        raise PreconditionViolatedError("special value must be nonzero")
     fv = an.f.values()
     tra = ctx.trace_mul_all(alpha)
     inv = _inv_table(p)
@@ -752,7 +742,7 @@ def _check_18(params: LemmaParams) -> list[CheckResult]:
             fe = etab[fv * e % p]
             i3 = int(np.count_nonzero(nz & (e != 0) & (fe == -1)))
             i4 = int(np.count_nonzero(nz & (e != 0) & (fe == 1)))
-            return {"I1": i1, "I2": i2, "I3": i3, "I4": i4}
+            return [i1, i2, i3, i4]
         same = etab[fv % p] == eta_bar(fa, p)
         j1 = int(np.count_nonzero(nz & same & (e == 0)))
         j2 = int(np.count_nonzero(nz & same & (e != 0)))
@@ -760,105 +750,81 @@ def _check_18(params: LemmaParams) -> list[CheckResult]:
         j4 = int(np.count_nonzero(~nz & (tra != 0)))
         j5 = int(np.count_nonzero(nz & (e == 0)))
         j6 = int(np.count_nonzero(nz & (e != 0) & ~same))
-        return {"J1": j1, "J2": j2, "J3": j3, "J4": j4, "J5": j5, "J6": j6}
+        return [j1, j2, j3, j4, j5, j6]
 
-    plus, minus = counts_with(e_plus), counts_with(e_minus)
-    base = Fraction(p) ** (m - 2)
-    ea = eta_bar(-fa, p)
-    if r % 2 == 0:
-        x = s * p * pstar_fraction_power(p, -(r // 2))
-        closed = {
-            "I1": base,
-            "I2": (p - 1) * base * (2 + x),
-            "I3": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - x),
-            "I4": Fraction((p - 1) * (p - 2), 2) * base * (1 + x),
-        }
-    else:
-        w = s * ea * pstar_fraction_power(p, -((r - 1) // 2))
-        closed = {
-            "J1": (p - 1) * base * (1 + (p - 1) * w),
-            "J2": Fraction((p - 1) * (p - 2), 2) * base * (1 - w),
-            "J3": base + ea * s * (p - 1) * base
-                  * pstar_fraction_power(p, -((r - 1) // 2)),
-            "J4": (p - 1) * base * (1 - w),
-            "J5": (p - 1) * base * (1 + (p - 1) * w),
-            "J6": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - w),
-        }
     out = []
-    for key, val in closed.items():
-        want = _as_int(val)
+    for (_, want, _), plus, minus in zip(_closed_18(params), counts_with(e_plus),
+                                         counts_with(e_minus)):
         note = None
-        if minus[key] != plus[key]:
-            verdict = "matches" if minus[key] == want else "fails"
-            note = (f"E with the printed minus sign gives {minus[key]}, "
-                    f"which {verdict}; the plus-sign reading gives {plus[key]}")
-        if key == "J2":
-            extra = ("definition restricted to E != 0 (the closed form "
-                     "excludes the E = 0 slice)")
-            note = f"{note}; {extra}" if note else extra
-        out.append(_result(18, key, want, plus[key], params, note))
+        if minus != plus:
+            verdict = "matches" if minus == want else "fails"
+            note = (f"E with the printed minus sign gives {minus}, "
+                    f"which {verdict}; the plus-sign reading gives {plus}")
+        out.append((plus, note))
     return out
 
 
-def _check_19(params: LemmaParams) -> list[CheckResult]:
+def _closed_19(params: LemmaParams) -> list:
     """Square-class counts of -f on and off the hyperplane Tr(alpha x)=0,
     given alpha in Im(L) with vanishing special value."""
     _need(params, "analysis", "alpha")
-    an, alpha = params.analysis, params.alpha
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    if alpha == 0 or not an.in_image(alpha) or an.f_at_xb(alpha) != 0:
-        raise PreconditionViolatedError(
-            "requires nonzero alpha in Im(L) with vanishing special value")
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(alpha)
-    etab = _eta_bar_table(p)
-    negf = etab[(-fv) % p]
-    nz = fv != 0
-    c_sq_tr0 = int(np.count_nonzero(nz & (tra == 0) & (negf == 1)))
-    c_nsq_tr0 = int(np.count_nonzero(nz & (tra == 0) & (negf == -1)))
-    c_sq_trnz = int(np.count_nonzero(nz & (tra != 0) & (negf == 1)))
-    c_nsq_trnz = int(np.count_nonzero(nz & (tra != 0) & (negf == -1)))
+    an = params.analysis
+    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    _require_vanishing_special_value(an, params.alpha)
     half = Fraction(p - 1, 2)
     base = Fraction(p) ** (m - 2)
     offplane = _as_int(Fraction((p - 1) ** 2, 2) * base)
     if r % 2 == 1:
         x = s * p * pstar_fraction_power(p, -((r - 1) // 2))
-        rows = [
-            ("sq_tr0", _as_int(half * base * (1 + x)), c_sq_tr0, None),
-            ("nsq_tr0", _as_int(half * base * (1 - x)), c_nsq_tr0, None),
-            ("sq_trnz", offplane, c_sq_trnz, None),
-            ("nsq_trnz", offplane, c_nsq_trnz, None),
-        ]
-    else:
-        onplane = _as_int(half * (base - s * Fraction(p) ** (m - 1)
-                                  * pstar_fraction_power(p, -(r // 2))))
-        note = ("printed closed forms are irrational for even rank; "
-                "verified the Galois-sum variants instead")
-        rows = [
-            ("even:sq_tr0", onplane, c_sq_tr0, note),
-            ("even:nsq_tr0", onplane, c_nsq_tr0, note),
-            ("even:sq_trnz", offplane, c_sq_trnz, note),
-            ("even:nsq_trnz", offplane, c_nsq_trnz, note),
-        ]
-    return [_result(19, b, c, v, params, n) for b, c, v, n in rows]
+        return [("sq_tr0", _as_int(half * base * (1 + x)), None),
+                ("nsq_tr0", _as_int(half * base * (1 - x)), None),
+                ("sq_trnz", offplane, None),
+                ("nsq_trnz", offplane, None)]
+    onplane = _as_int(half * (base - s * Fraction(p) ** (m - 1)
+                              * pstar_fraction_power(p, -(r // 2))))
+    note = ("printed closed forms are irrational for even rank; "
+            "verified the Galois-sum variants instead")
+    return [("even:sq_tr0", onplane, note), ("even:nsq_tr0", onplane, note),
+            ("even:sq_trnz", offplane, note), ("even:nsq_trnz", offplane, note)]
 
 
-_CHECKS = {
-    5: _check_5, 6: _check_6, 7: _check_7, 8: _check_8, 9: _check_9,
-    10: _check_10, 11: _check_11, 13: _check_13, 14: _check_14,
-    15: _check_15, 16: _check_16, 17: _check_17, 18: _check_18,
-    19: _check_19,
+def _brute_19(params: LemmaParams) -> list:
+    an = params.analysis
+    ctx = an.ctx
+    fv = an.f.values()
+    tra = ctx.trace_mul_all(params.alpha)
+    negf = _eta_bar_table(ctx.p)[(-fv) % ctx.p]
+    nz = fv != 0
+    return [int(np.count_nonzero(nz & on & (negf == sq)))
+            for on in (tra == 0, tra != 0) for sq in (1, -1)]
+
+
+_REGISTRY = {
+    5: (_closed_5, _brute_5), 6: (_closed_6, _brute_6),
+    7: (_closed_7, _brute_7), 8: (_closed_8, _brute_8),
+    9: (_closed_9, _brute_9), 10: (_closed_10, _brute_10),
+    11: (_closed_11, _brute_11), 13: (_closed_13, _brute_13),
+    14: (_closed_14, _brute_14), 15: (_closed_15, _brute_15),
+    16: (_closed_16, _brute_16), 17: (_closed_17, _brute_17),
+    18: (_closed_18, _brute_18), 19: (_closed_19, _brute_19),
 }
 
 
 def lemma_oracle(lemma_id: int, params: LemmaParams) -> list[CheckResult]:
     """Evaluate one registry identity head-to-head on given parameters."""
-    if lemma_id not in _CHECKS:
+    if lemma_id not in _REGISTRY:
         raise MissingParamError(f"unknown registry id {lemma_id}")
     if params.analysis is not None:
         check_brute_cap(params.analysis.ctx)
-    return _CHECKS[lemma_id](params)
+    closed, brute = _REGISTRY[lemma_id]
+    rows = closed(params)
+    out = []
+    for (branch, value, note), seen in zip(rows, brute(params), strict=True):
+        if isinstance(seen, tuple):
+            seen, reading = seen
+            note = "; ".join(n for n in (reading, note) if n) or None
+        out.append(_result(lemma_id, branch, value, seen, params, note))
+    return out
 
 
 # --- sweep machinery ----------------------------------------------------------
@@ -942,74 +908,6 @@ def sample_params(lemma_id: int, pool, rng: random.Random) -> LemmaParams | None
         t = rng.randrange(p) if lemma_id == 17 else None
         return LemmaParams(analysis=an, alpha=alpha, t=t)
     raise MissingParamError(f"unknown registry id {lemma_id}")
-
-
-def _branch_probe(lemma_id: int, params: LemmaParams) -> list[str]:
-    """Branch labels the full check would produce, without brute force."""
-    an = params.analysis
-    if lemma_id == 5:
-        return ["I", "II:in_image" if an.in_image(params.beta)
-                else "II:outside_image"]
-    if lemma_id == 6:
-        a, b, c = params.abc
-        return ["nondegenerate" if (a * c - b * b) % params.p else "degenerate"]
-    if lemma_id == 7:
-        return ["even" if an.rank % 2 == 0 else "odd"]
-    if lemma_id == 8:
-        return ["odd_rank" if an.rank % 2 else "even_rank_derived_variant"]
-    if lemma_id == 9:
-        if not an.in_image(params.alpha):
-            return ["outside_image"]
-        fa = an.f_at_xb(params.alpha)
-        parity = "even" if an.rank % 2 == 0 else "odd"
-        return [f"{parity}_{'zero' if fa == 0 else 'nonzero'}"]
-    if lemma_id == 10:
-        return _probe_10(params)
-    if lemma_id == 11:
-        parity = "even" if an.rank % 2 == 0 else "odd"
-        if not an.in_image(params.beta):
-            return [f"{parity}:outside"]
-        fb = an.f_at_xb(params.beta)
-        return [f"{parity}:in_{'zero' if fb == 0 else 'nonzero'}"]
-    if lemma_id == 13:
-        return [_s4_closed(an, params.alpha, params.beta)[1]]
-    if lemma_id == 14:
-        return [_s5_closed(an, params.alpha, params.beta)[1]]
-    if lemma_id == 15:
-        return [_hyperplane_count_with_branch(an, params.alpha, params.beta)[1]]
-    if lemma_id == 16:
-        parity = "even" if an.rank % 2 == 0 else "odd"
-        return ["S6", f"sigma:{parity}", f"NE:{parity}"]
-    if lemma_id == 17:
-        parity = "even" if an.rank % 2 == 0 else "odd"
-        tz = "t0" if params.t % an.ctx.p == 0 else "tnz"
-        return ["gsum", f"{parity}:{tz}"]
-    if lemma_id == 18:
-        if an.rank % 2 == 0:
-            return ["I1", "I2", "I3", "I4"]
-        return ["J1", "J2", "J3", "J4", "J5", "J6"]
-    if lemma_id == 19:
-        if an.rank % 2 == 1:
-            return ["sq_tr0", "nsq_tr0", "sq_trnz", "nsq_trnz"]
-        return ["even:sq_tr0", "even:nsq_tr0", "even:sq_trnz", "even:nsq_trnz"]
-    raise MissingParamError(f"unknown registry id {lemma_id}")
-
-
-def _probe_10(params: LemmaParams) -> list[str]:
-    an = params.analysis
-    even = an.rank % 2 == 0
-    in_b = an.in_image(params.beta)
-    fb = an.f_at_xb(params.beta) if in_b else None
-    if in_b and fb == 0:
-        b2 = "S2:in_zero"
-        b3 = "S3:even:in_zero" if even else "S3:odd:in_zero"
-    elif in_b:
-        b2 = "S2:in_nonzero"
-        b3 = "S3:even:in_nonzero" if even else "S3:odd:in_nonzero"
-    else:
-        b2 = "S2:outside"
-        b3 = "S3:even:outside" if even else "S3:odd:outside"
-    return ["S1", b2, b3]
 
 
 # Branch labels a sweep is expected to reach on the default field mix;
@@ -1107,7 +1005,8 @@ def lemma_sweep(field_specs, trials: int, seed: int,
     """
     ids = tuple(lemma_ids) if lemma_ids else IDENTITY_IDS
     field_specs = [tuple(fs) for fs in field_specs]
-    if workers > 1 and len(ids) > 1:
+    workers = pool_size(workers, len(ids), os.cpu_count())
+    if workers > 1:
         import concurrent.futures
 
         payload = [(lemma_id, field_specs, trials, seed, min_branch)
@@ -1127,6 +1026,12 @@ def lemma_sweep(field_specs, trials: int, seed: int,
         "lemmas": {str(k): reports[k] for k in ids},
         "all_equal": all(v["all_equal"] for v in reports.values()),
     }
+
+
+def pool_size(workers: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes worth starting: no more than were asked for, than
+    there are tasks to share out, or than the machine has CPUs."""
+    return max(1, min(workers, tasks, cpus or 1))
 
 
 def _sweep_lemma_payload(payload) -> dict:
@@ -1155,8 +1060,9 @@ def _fill_missing_branches(rep: LemmaSweepReport, lemma_id: int,
     todo = missing()
     if not todo:
         return
+    closed = _REGISTRY[lemma_id][0]
     for params in _param_scan(lemma_id, pool):
-        if not set(_branch_probe(lemma_id, params)) & todo:
+        if not {branch for branch, _, _ in closed(params)} & todo:
             continue
         _run_check(rep, lemma_id, params)
         rep.trials += 1

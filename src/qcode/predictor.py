@@ -13,6 +13,7 @@ reference constructions and adjudicates the three with known misprints.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,17 +26,16 @@ from .codes import (
     parse_enumerator,
     weight_distribution,
 )
-from .counting import analysis_pool, get_field
+from .counting import _as_int, analysis_pool, get_field, pool_size, root_count_closed
 from .errors import (
     DegenerateFormError,
     DimensionCollapseError,
     NegativeMultiplicityError,
-    NonIntegralPredictionError,
     PreconditionViolatedError,
 )
-from .field import ExtField, eta_bar
+from .field import eta_bar
 from .cyclotomic import pstar_fraction_power
-from .quadform import FormAnalysis, analyze, parse_preset
+from .quadform import FormAnalysis, QuadraticFunction, analyze, parse_preset
 
 SWEEP_BRANCHES = ("T1:even_nonzero", "T1:even_zero", "T1:odd_nonzero",
                   "T1:odd_zero", "T2:even", "T2:odd")
@@ -88,27 +88,11 @@ def classify(an: FormAnalysis, alpha: int) -> CaseLabel:
     return CaseLabel(2, False, parity, None, None, an.rank, an.sign)
 
 
-def _as_int(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise NonIntegralPredictionError(f"table entry resolved to {value}")
-    return int(value)
-
-
 def predict_length(an: FormAnalysis, case: CaseLabel) -> int:
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    lead = Fraction(p) ** (m - 1)
-    if case.theorem == 2:
-        return _as_int(lead - 1)
-    w_even = pstar_fraction_power(p, -(r // 2)) if r % 2 == 0 else None
-    if case.r_parity == "even" and case.f_xalpha_class == "nonzero":
-        return _as_int(lead * (1 - s * w_even) - 1)
-    if case.r_parity == "even":
-        return _as_int(lead * (1 + s * (p - 1) * w_even) - 1)
-    if case.f_xalpha_class == "nonzero":
-        t = s * case.eta_bar_neg_fxa * pstar_fraction_power(p, -((r - 1) // 2))
-        return _as_int(lead * (1 + t) - 1)
-    return _as_int(lead - 1)
+    """n = N - 1, with N the root count of the case's class data."""
+    count, _ = root_count_closed(an.ctx.p, an.ctx.m, case.rank, case.sign,
+                                 case.alpha_in_image, case.eta_bar_neg_fxa or 0)
+    return count - 1
 
 
 def _table_rows(an: FormAnalysis, case: CaseLabel) -> list[tuple[Fraction, Fraction]]:
@@ -332,6 +316,7 @@ def theorem_sweep(trials: int = 300, seed: int = 20240601,
 
 
 def _run_instances(instances, mode: str, workers: int) -> list[dict]:
+    workers = pool_size(workers, len(instances), os.cpu_count())
     if workers > 1:
         import concurrent.futures
 
@@ -348,25 +333,13 @@ def _verify_payload(payload, an: FormAnalysis | None = None) -> dict:
     p, m, modulus, coeffs, alpha, branch, mode = payload
     if an is None:
         ctx = get_field(p, m, tuple(modulus))
-        an = _cached_analysis(ctx, tuple(coeffs))
+        an = analyze(QuadraticFunction(ctx, coeffs))
     report, _, _ = verify(an, alpha, mode)
     out = {"p": p, "m": m, "coeffs": list(coeffs), "alpha": alpha,
            "branch": branch, "match": report.match}
     if not report.match:
         out["witnesses"] = report.witnesses
     return out
-
-
-_analysis_cache: dict = {}
-
-
-def _cached_analysis(ctx: ExtField, coeffs: tuple) -> FormAnalysis:
-    key = (ctx.p, ctx.m, ctx.modulus, coeffs)
-    if key not in _analysis_cache:
-        from .quadform import QuadraticFunction
-
-        _analysis_cache[key] = analyze(QuadraticFunction(ctx, coeffs))
-    return _analysis_cache[key]
 
 
 # --- the reference example battery -------------------------------------------
@@ -420,7 +393,7 @@ def _build_entry(p: int, m: int, preset: str, alpha_text: str,
                  modulus=None, mode: str = "both"):
     ctx = get_field(p, m, tuple(modulus) if modulus else None)
     f = parse_preset(ctx, preset)
-    an = _cached_analysis(ctx, f.coeffs)
+    an = analyze(f)
     alpha = ctx.parse_element(alpha_text)
     report, ds, wd = verify(an, alpha, mode)
     return ctx, an, alpha, report, ds, wd

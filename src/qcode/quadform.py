@@ -14,13 +14,13 @@ exactly, and it reproduces (-1)^(m-1) eta(-u) for f = Tr(u x^2).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import AlphaInImageError, PreconditionViolatedError, QCodeError
 from .field import ExtField, eta_bar
 from .linalg import LinearSolver, mat_copy, mat_transpose, nullspace, rank, rref
-
-_checked_pairs: set = set()
 
 
 class QuadraticFunction:
@@ -250,12 +250,9 @@ class FormAnalysis:
                 f"coeffs={list(self.f.coeffs)})")
 
     def _spot_check(self) -> None:
-        """One-time identity checks per (field, coeffs): the matrix
-        reproduces f and the bilinear identity holds on sampled pairs."""
-        key = (self.ctx.p, self.ctx.m, self.ctx.modulus, self.f.coeffs)
-        if key in _checked_pairs:
-            return
-        _checked_pairs.add(key)
+        """Identity checks, once per (field, coeffs) since analyze() is
+        memoised: the matrix reproduces f and the bilinear identity holds
+        on sampled pairs."""
         ctx = self.ctx
         rng = np.random.default_rng(0xC0DE)
         if ctx.q <= 81:
@@ -287,7 +284,9 @@ def _column_space(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int
     return [red[i] for i in range(len(pivots))], pivots
 
 
+@lru_cache(maxsize=None)
 def analyze(f: QuadraticFunction) -> FormAnalysis:
+    """The form's analysis, shared by every equal QuadraticFunction."""
     return FormAnalysis(f)
 
 

@@ -12,6 +12,7 @@ import time
 
 import qcode.counting as counting_mod
 import qcode.predictor as predictor_mod
+import qcode.quadform as quadform_mod
 from qcode.cli import main
 from qcode.codes import defining_set, generator_matrix, weight_distribution
 from qcode.counting import (
@@ -49,7 +50,7 @@ EXACT_EXPECTATIONS = {
 
 def _fresh_caches():
     counting_mod.get_field.cache_clear()
-    predictor_mod._analysis_cache.clear()
+    quadform_mod.analyze.cache_clear()
 
 
 def test_criterion_1_reference_examples_reproduce_exactly():

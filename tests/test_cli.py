@@ -72,6 +72,16 @@ def test_build_csv_generator_matrix(capsys):
     assert all(len(row.split()) == 8 for row in lines)
 
 
+def test_build_degree_one_default_mode_matches_naive(capsys):
+    args = ("build", "--p", "3", "--m", "1", "--preset", "cor1:u=1",
+            "--alpha", "1")
+    code, both, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, naive, _ = run_cli(capsys, *args, "--mode", "naive")
+    assert code == 0
+    assert both == naive
+
+
 def test_predict_matches_build(capsys):
     _, pred_out, _ = run_cli(capsys, "predict", "--p", "3", "--m", "4",
                              "--preset", "cor1:u=1", "--alpha", "1")
@@ -124,6 +134,15 @@ def test_verify_exit_codes(capsys, monkeypatch):
      "--lemma", "12"),
     ("lemmas", "--p", "3", "--m", "3", "--trials", "5"),
     ("verify", "--p", "3", "--m", "4", "--preset", "cor1:u=1", "--alpha", "0"),
+    ("lemmas", "--p", "3", "--m", "3", "--trials", "-5", "--seed", "1"),
+    ("analyze", "--p", "3", "--m", "2", "--coeffs", "1,0", "--format", "csv"),
+    ("predict", "--p", "3", "--m", "4", "--preset", "cor1:u=1", "--alpha", "1",
+     "--format", "csv"),
+    ("verify", "--p", "3", "--m", "4", "--preset", "cor1:u=1", "--alpha", "1",
+     "--format", "csv"),
+    ("lemmas", "--p", "3", "--m", "3", "--trials", "5", "--seed", "1",
+     "--format", "csv"),
+    ("paper-examples", "--format", "csv"),
 ])
 def test_bad_configs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcode.counting import (
@@ -12,6 +13,7 @@ from qcode.counting import (
     get_field,
     lemma_oracle,
     lemma_sweep,
+    pool_size,
     predict_hyperplane_root_count,
     predict_root_count,
 )
@@ -83,19 +85,27 @@ def test_root_count_matches_brute_randomized():
 
 
 def test_hyperplane_count_matches_brute_randomized():
+    # every (alpha, beta) of small fields, degree 1 included, so that the
+    # derived count meets every id-15 branch; I:en:zz (x_beta isotropic,
+    # orthogonal to x_alpha, outside Ker(L)) needs even rank >= 4
     rng = random.Random(23)
-    for p, m in [(3, 3), (3, 4), (5, 2)]:
-        pool = analysis_pool(p, m, rng, extra=3)
-        F = get_field(p, m)
-        for an in pool:
-            for _ in range(8):
-                alpha = rng.randrange(F.q)
-                beta = rng.randrange(1, F.q)
-                want = brute_count(
-                    F, lambda x: (an.f.evaluate(x)
-                                  - F.trace(F.mul(alpha, x))) % F.p == 0
-                    and F.trace(F.mul(beta, x)) == 0)
+    pool = [an for p, m in [(3, 1), (5, 1), (7, 1), (3, 3), (5, 2)]
+            for an in analysis_pool(p, m, rng, extra=3)]
+    pool.append(analyze(preset_cor1(get_field(3, 4), 1)))
+    seen = set()
+    for an in pool:
+        F = an.ctx
+        fv = an.f.values()
+        for alpha in F.elements():
+            roots = (fv - F.trace_mul_all(alpha)) % F.p == 0
+            for beta in F.nonzero_elements():
+                want = int(np.count_nonzero(roots & (F.trace_mul_all(beta) == 0)))
                 assert predict_hyperplane_root_count(an, alpha, beta) == want
+                res, = lemma_oracle(15, LemmaParams(analysis=an, alpha=alpha,
+                                                    beta=beta))
+                assert res.equal and res.closed == str(want)
+                seen.add(res.branch)
+    assert seen >= set(REQUIRED_BRANCHES[15])
 
 
 def test_hyperplane_count_requires_nonzero_beta():
@@ -289,6 +299,14 @@ def test_sweep_covers_required_branches():
     for b in REQUIRED_BRANCHES[9]:
         assert branches.get(b, 0) >= 3
     assert rep["all_equal"]
+
+
+def test_pool_size_clamps_to_tasks_and_cpus():
+    assert pool_size(8, 14, 2) == 2
+    assert pool_size(8, 1, 4) == 1
+    assert pool_size(3, 14, 16) == 3
+    assert pool_size(0, 14, 4) == 1
+    assert pool_size(4, 14, None) == 1
 
 
 def test_identity_ids_are_stable():
