@@ -8,8 +8,9 @@ environment variable caps the worker count of commands that can
 parallelize internally (currently the lemma sweep); the pool never
 exceeds the task count or the machine's CPU count.
 
-Exit codes: 0 success (for verify: prediction matches brute force),
-1 verify mismatch, 2 configuration or computation error.
+Exit codes: 0 success (for verify: prediction matches brute force; for
+lemmas: every identity ran checks and all agreed), 1 verify mismatch or a
+lemmas sweep that is not all_equal, 2 configuration or computation error.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def cmd_lemmas(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_dump(report), args.out)
-    return 0
+    return 0 if report["all_equal"] else 1
 
 
 def cmd_paper_examples(args) -> int:

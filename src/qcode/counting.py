@@ -166,7 +166,7 @@ def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
         return eta_bar(-fprime, p) * u, "II:odd:fnz"
     xb = an.solve_xb(beta)
     if xb is not None:
-        fb = an.f.evaluate(xb)
+        fb = an.f_at_xb(beta)
         tab = ctx.trace(ctx.mul(alpha, xb))
         e = _aux_e(p, fa, fb, tab) if fb else 0
     if even and fa == 0:
@@ -530,7 +530,7 @@ def _s4_closed(an: FormAnalysis, alpha: int, beta: int):
         fa = an.f_at_xb(alpha)
         if an.in_image(beta):
             xb = an.solve_xb(beta)
-            fb = an.f.evaluate(xb)
+            fb = an.f_at_xb(beta)
             tab = ctx.trace(ctx.mul(alpha, xb))
             if fb == 0 and tab == 0:
                 closed = pstar_half_power(p, -r).scale(s * p**(m + 1))
@@ -955,7 +955,9 @@ class LemmaSweepReport:
 
     @property
     def all_equal(self) -> bool:
-        return not self.failures
+        """True when checks ran and none failed; a sweep of no checks
+        shows nothing, so it is not reported as agreement."""
+        return self.trials > 0 and not self.failures
 
     def to_json(self) -> dict:
         return {"lemma": self.lemma_id, "trials": self.trials,
@@ -991,6 +993,8 @@ def sweep_one_lemma(lemma_id: int, pool_all, trials: int, seed: int,
         draws += 1
     rep.trials = draws
     _fill_missing_branches(rep, lemma_id, pool_all, min_branch)
+    if not rep.trials:
+        rep.notes.append("no parameters were drawn, so nothing was checked")
     return rep
 
 

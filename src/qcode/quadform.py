@@ -46,12 +46,23 @@ class QuadraticFunction:
         return acc
 
     def values(self) -> np.ndarray:
-        """(q,) int64 array of f(x) for every element; cached."""
+        """(q,) int64 array of f(x) for every element; cached.
+
+        The formula of evaluate, on whole log-table arrays: for x = g^k,
+        a_i x^(p^i+1) = g^(log a_i + k (p^i+1)).
+        """
         if self._values is None:
             ctx = self.ctx
+            order = ctx.q - 1
+            exp = np.asarray(ctx._exp, dtype=np.int64)
+            logs = np.asarray(ctx._log[1:], dtype=np.int64)
+            acc = np.zeros(order, dtype=np.int64)
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    power = (ctx.p**i + 1) % order
+                    acc += ctx.trace_table()[exp[(ctx._log[a] + logs * power) % order]]
             out = np.zeros(ctx.q, dtype=np.int64)
-            for x in ctx.elements():
-                out[x] = self.evaluate(x)
+            out[1:] = acc % ctx.p
             self._values = out
         return self._values
 
@@ -171,6 +182,7 @@ class FormAnalysis:
         self._kernel_elements: tuple[int, ...] | None = None
         self._neg_half = ctx.neg(ctx.embed_scalar((p + 1) // 2))
         self._xb_cache: dict[int, int | None] = {}
+        self._f_xb_cache: dict[int, int | None] = {}
         if _spot_check_enabled(ctx):
             self._spot_check()
 
@@ -225,8 +237,11 @@ class FormAnalysis:
         return result
 
     def f_at_xb(self, b: int) -> int | None:
-        xb = self.solve_xb(b)
-        return None if xb is None else self.f.evaluate(xb)
+        """f(solve_xb(b)), or None when b lies outside Im(L); cached."""
+        if b not in self._f_xb_cache:
+            xb = self.solve_xb(b)
+            self._f_xb_cache[b] = None if xb is None else self.f.evaluate(xb)
+        return self._f_xb_cache[b]
 
     def in_shifted_image(self, alpha: int, beta: int) -> int | None:
         """The unique z in GF(p)* with alpha - z*beta in Im(L), if any.

@@ -164,6 +164,21 @@ def test_lemmas_single_id(capsys):
     assert set(payload["lemmas"]) == {"9"}
 
 
+def test_lemmas_without_draws_is_not_all_equal(capsys):
+    # at degree 1 no nonzero alpha in Im(L) has f(x_alpha) = 0, so ids 8
+    # and 19 draw nothing; a sweep that checked nothing must not pass
+    code, out, _ = run_cli(capsys, "lemmas", "--p", "3", "--m", "1",
+                           "--trials", "3", "--seed", "1")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_equal"] is False
+    for key, sub in payload["lemmas"].items():
+        empty = key in ("8", "19")
+        assert (sub["trials"] == 0) == empty, key
+        assert sub["all_equal"] is not empty, key
+        assert any("no parameters were drawn" in n for n in sub["notes"]) == empty
+
+
 def test_paper_examples_text(capsys):
     code, out, _ = run_cli(capsys, "paper-examples", "--format", "text")
     assert code == 0

@@ -19,6 +19,7 @@ from qcode.errors import (
     DimensionCollapseError,
     EmptyDefiningSetError,
     PreconditionViolatedError,
+    QCodeError,
 )
 from qcode.quadform import analyze, preset_cor1, preset_trace_square_minus
 
@@ -161,11 +162,51 @@ def test_distribution_structural_invariants_sweep():
     assert checked >= 20
 
 
-def test_naive_chunking_agrees(monkeypatch):
-    ds = example1_set()
-    full = weight_distribution(ds, "naive")
-    monkeypatch.setattr(codes_mod, "_SCAN_CHUNK", 7)
-    assert weight_distribution(ds, "naive") == full
+SMALL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
+
+
+def small_forms(F):
+    """cor1 with u = 1 and u = g, and trmv with the first v that has
+    Tr(v^2) != 0."""
+    v = next(v for v in F.nonzero_elements() if F.trace(F.mul(v, v)))
+    return [preset_cor1(F, 1), preset_cor1(F, F.generator),
+            preset_trace_square_minus(F, v)]
+
+
+def test_naive_transform_matches_weight_of():
+    # every beta, for every alpha with a nonempty defining set
+    alpha_zero = collapses = 0
+    for p, m in SMALL_FIELDS:
+        F = get_field(p, m)
+        for f in small_forms(F):
+            an = analyze(f)
+            for alpha in F.elements():
+                try:
+                    ds = defining_set(an, alpha)
+                except EmptyDefiningSetError:
+                    continue
+                weights = codes_mod._weights_naive(ds)
+                assert weights.tolist() == [weight_of(b, ds) for b in F.elements()], \
+                    (p, m, f.coeffs, alpha)
+                alpha_zero += alpha == 0
+                if (p, m, f.coeffs, alpha) == (3, 2, (1, 0), 1):
+                    # the dimension-collapse case: two nonzero betas give 0
+                    collapses += 1
+                    assert np.count_nonzero(weights[1:] == 0) == 2
+    assert alpha_zero and collapses == 1
+
+
+def test_both_mode_raises_on_disagreement(monkeypatch):
+    analytic = codes_mod._weights_analytic
+
+    def off_by_one(ds):
+        weights = analytic(ds)
+        weights[5] += 1
+        return weights
+
+    monkeypatch.setattr(codes_mod, "_weights_analytic", off_by_one)
+    with pytest.raises(QCodeError, match="disagree at beta=5"):
+        weight_distribution(example1_set(), "both")
 
 
 def test_dimension_collapse_detected_with_witness():

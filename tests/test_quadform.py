@@ -46,6 +46,16 @@ def test_evaluate_zero_and_scaling():
             assert f.evaluate(F.scalar_mul(c, x)) == c * c * f.evaluate(x) % F.p
 
 
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 4),
+                                 (5, 2), (5, 3), (7, 2)])
+def test_values_matches_evaluate(p, m):
+    F = get_field(p, m)
+    v = next(v for v in F.nonzero_elements() if F.trace(F.mul(v, v)))
+    for f in (preset_cor1(F, 1), preset_cor1(F, F.generator),
+              preset_trace_square_minus(F, v)):
+        assert f.values().tolist() == [f.evaluate(x) for x in F.elements()]
+
+
 # ---------------------------------------------------------------------------
 # coordinate matrix
 # ---------------------------------------------------------------------------
