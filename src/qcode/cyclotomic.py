@@ -166,6 +166,7 @@ def pstar(p: int) -> int:
     return (-1) ** ((p - 1) // 2) * p
 
 
+@lru_cache(maxsize=None)
 def pstar_fraction_power(p: int, e: int) -> Fraction:
     """(p*)^e as an exact rational, e any integer."""
     return Fraction(pstar(p)) ** e

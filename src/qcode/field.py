@@ -6,11 +6,14 @@ polynomial basis {1, x, ..., x^(m-1)} of GF(p)[x] modulo the field
 modulus.  The encoding round-trips through text as a decimal integer,
 so every CLI value is bit-exact.
 
-ExtField is immutable after construction and safe to share between
-workers; every operation is a pure function of its arguments.
+ExtField is immutable after construction, apart from the digit matrix it
+fills on first use, and safe to share between workers; every operation is
+a pure function of its arguments.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,7 +24,10 @@ from .errors import (
     ReducibleModulusError,
 )
 
-# Table construction is O(q); keep q at desk scale (covers 5^7 and 7^6).
+# The exp/log tables are 2q Python ints and the trace table q int64s, filled
+# by O(sqrt q) Python multiplications and O(q m) numpy work; the cap keeps
+# q at desk scale (covers 5^7, 7^6 and 3^11).  counting.BRUTE_CAP is a
+# second, smaller cap for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
 
@@ -163,20 +169,30 @@ class ExtField:
         two constructions with the same (p, m) are identical.
 
     Elements are ints in [0, p^m).  Multiplication, inversion, powers and
-    Frobenius run on discrete-log tables built once at construction.
+    Frobenius run on discrete-log tables built once at construction, with
+    g the smallest primitive element and B = isqrt(q - 1) + 1: g^0..g^(B-1)
+    come from polynomial multiplication, and every later block of B powers
+    is that block's digit rows times a power of the m x m GF(p)-matrix of
+    multiplication by g^B.  The trace table is also built at construction;
+    the (q, m) digit matrix is built on the first digits_matrix() call.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
+        if p > _MAX_FIELD_SIZE:
+            # before is_prime, whose trial division is unbounded in p
+            raise PreconditionViolatedError(
+                f"characteristic {p} exceeds the field-size cap {_MAX_FIELD_SIZE}")
         if not is_prime(p):
             raise NonPrimeError(f"characteristic {p} is not prime")
         if p == 2:
             raise EvenPrimeError("characteristic must be odd")
         if m < 1:
             raise PreconditionViolatedError(f"extension degree must be >= 1, got {m}")
-        q = p**m
-        if q > _MAX_FIELD_SIZE:
+        # p >= 3, so the degree bound keeps p**m small whatever m is given
+        if m >= _MAX_FIELD_SIZE.bit_length() or p**m > _MAX_FIELD_SIZE:
             raise PreconditionViolatedError(
-                f"field size {q} exceeds the desk-scale cap {_MAX_FIELD_SIZE}")
+                f"field size {p}^{m} exceeds the desk-scale cap {_MAX_FIELD_SIZE}")
+        q = p**m
         self.p = p
         self.m = m
         self.q = q
@@ -223,27 +239,46 @@ class ExtField:
         self._reduction = red
 
         self.generator = self._find_generator()
-        exp = [1] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for k in range(q - 1):
-            exp[k] = acc
-            log[acc] = k
-            acc = self._raw_mul(acc, self.generator)
-        self._exp = exp
-        self._log = log
+        # x -> x * g^width is GF(p)-linear on digit rows, so block s of the
+        # exp table is the first block times step^s, with step the m x m
+        # matrix of that map; transients stay O(width * m).
+        n = q - 1
+        width = math.isqrt(n) + 1
+        first = [1]
+        for _ in range(width - 1):
+            first.append(self._raw_mul(first[-1], self.generator))
+        g_width = self._raw_mul(first[-1], self.generator)
+        base = self._digit_rows(np.asarray(first, dtype=np.int64))
+        step = self._digit_rows(np.asarray(
+            [self._raw_mul(p**j, g_width) for j in range(m)], dtype=np.int64))
+        place = p ** np.arange(m, dtype=np.int64)
+        exp = np.empty(n, dtype=np.int64)
+        power = np.eye(m, dtype=np.int64)
+        for start in range(0, n, width):
+            block = (base @ power % p) @ place
+            exp[start:start + width] = block[:n - start]
+            power = power @ step % p
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        # Python ints: the scalar hot path and the JSON output index these
+        self._exp = exp.tolist()
+        self._log = log.tolist()
 
-        digits = np.empty((q, m), dtype=np.int64)
-        vals = np.arange(q)
-        for j in range(m):
-            digits[:, j] = vals % p
-            vals //= p
-        self._digits_matrix = digits
-
+        self._digits_matrix = None
         tr_basis = [self._trace_slow(p**j) for j in range(m)]
-        self._trace_basis = tuple(tr_basis)
-        self._trace_table = (
-            digits @ np.asarray(tr_basis, dtype=np.int64) % p).astype(np.int64)
+        # Tr is GF(p)-linear: Tr(x) = sum_j digit_j(x) Tr(x^j)
+        vals = np.arange(q, dtype=np.int64)
+        trace_table = np.zeros(q, dtype=np.int64)
+        for j, t in enumerate(tr_basis):
+            if t:
+                trace_table += vals // p**j % p * t
+        self._trace_table = trace_table % p
+
+    def _digit_rows(self, vals: np.ndarray) -> np.ndarray:
+        """(len(vals), m) int64 array: row i holds the digits of vals[i]."""
+        rows = vals[:, None] // self.p ** np.arange(self.m, dtype=np.int64)
+        rows %= self.p  # in place: a second (len, m) temporary raises peak RSS
+        return rows
 
     def _encode(self, coeffs: list[int]) -> int:
         enc = 0
@@ -377,7 +412,12 @@ class ExtField:
     # -- bulk helpers for scan-heavy callers --------------------------------
 
     def digits_matrix(self) -> np.ndarray:
-        """(q, m) int64 array: row x holds the digits of element x."""
+        """(q, m) int64 array: row x holds the digits of element x.
+
+        Built on the first call; most commands never read it.
+        """
+        if self._digits_matrix is None:
+            self._digits_matrix = self._digit_rows(np.arange(self.q, dtype=np.int64))
         return self._digits_matrix
 
     def trace_table(self) -> np.ndarray:
@@ -392,7 +432,7 @@ class ExtField:
 
     def trace_mul_all(self, b: int) -> np.ndarray:
         """(q,) int64 array of Tr(b*x) for every element x."""
-        return (self._digits_matrix @ self.trace_mul_vector(b)) % self.p
+        return (self.digits_matrix() @ self.trace_mul_vector(b)) % self.p
 
     def pow_of_basis(self, j: int) -> int:
         """Encoding of the basis element x^j."""

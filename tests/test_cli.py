@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -143,12 +144,102 @@ def test_verify_exit_codes(capsys, monkeypatch):
     ("lemmas", "--p", "3", "--m", "3", "--trials", "5", "--seed", "1",
      "--format", "csv"),
     ("paper-examples", "--format", "csv"),
+    ("predict", "--p", "3", "--m", "100000000", "--preset", "cor1:u=1",
+     "--alpha", "1"),
+    ("predict", "--p", "3", "--m", "1000000", "--preset", "cor1:u=1",
+     "--alpha", "1"),
 ])
 def test_bad_configs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every input exits 0, 1 or 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+_HUGE = "9" * 5000  # past int()'s default digit limit
+
+# valid fields keep q <= 3^6, and the lemma sweep's q <= 9, so that the
+# success paths stay cheap; a drawn malformed value replaces --p or --m
+_FUZZ_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1),
+                (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3)]
+_FUZZ_LEMMA_FIELDS = [(3, 1), (3, 2), (5, 1)]
+# (well-formed, malformed) values; a malformed --trials never parses as a
+# large count, so no draw runs long
+_FUZZ_VALUES = {
+    "--p": (None, ["2", "9", "1", "0", "-3", "10000000000000000000000000000057",
+                   _HUGE, "x", "3.0", "g^2", ""]),
+    "--m": (None, ["0", "-1", "12", "100000000", _HUGE, "two", "g^1", ""]),
+    "--alpha": (["1", "2", "5", "g", "g^3", "g^-1"],
+                ["0", "g^" + _HUGE, "g^x", "g^", "-5", "99999999999", "", "1,0"]),
+    "--preset": (["cor1:u=1", "cor1:u=g", "trmv:v=1", "trmv:v=g^2"],
+                 ["cor1:u=0", "trmv:v=0", "nope:x=1", "cor1", "cor1:u=",
+                  "cor1:u=g^x", "trmv:v=-4"]),
+    "--coeffs": (["1", "1,0", "g,1", "1,0,0"],
+                 ["0,0,0", "x", "1,,2", "", "1,0,0,0,0,0,0"]),
+    "--modulus": (["1,0,1", "2,0,0,2,1"],
+                  ["1,2,1", "1,0", "1", "a,b", "",
+                   "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1"]),
+    "--mode": (["naive", "analytic", "both"], ["fast"]),
+    "--format": (["json", "text", "csv"], ["xml"]),
+    "--trials": (["1", "2"], ["0", "-1", _HUGE, "many"]),
+    "--seed": (["1", "7", "-4"], ["x"]),
+    "--lemma": (["5", "9", "14"], ["12", "99", "-1", "x"]),
+}
+
+
+def _fuzz_argv(rng):
+    # paper-examples takes no field or form options; its one fixed run is
+    # covered by test_paper_examples_text
+    cmd = rng.choice(("analyze", "build", "predict", "verify", "lemmas"))
+    p, m = rng.choice(_FUZZ_LEMMA_FIELDS if cmd == "lemmas" else _FUZZ_FIELDS)
+    argv = [cmd, "--p", str(p), "--m", str(m)]
+    for opt in ("--p", "--m"):
+        if rng.random() < 0.1:
+            argv[argv.index(opt) + 1] = rng.choice(_FUZZ_VALUES[opt][1])
+    if cmd == "lemmas":
+        chances = {"--trials": 0.95, "--seed": 0.95, "--lemma": 0.3}
+    else:
+        form = rng.choice(("--preset",) * 4 + ("--coeffs", "both", "none"))
+        chances = {"--preset": form in ("--preset", "both"),
+                   "--coeffs": form in ("--coeffs", "both"),
+                   "--alpha": 0.9, "--mode": 0.3}
+    chances.update({"--modulus": 0.1, "--format": 0.2})
+    for opt, chance in chances.items():
+        if rng.random() < chance:
+            good, bad = _FUZZ_VALUES[opt]
+            argv += [opt, rng.choice(good if rng.random() < 0.85 else bad)]
+    return argv
+
+
+def test_fuzzed_argv_exits_cleanly(capsys):
+    rng = random.Random(20161018)
+    codes = []
+    for _ in range(200):
+        argv = _fuzz_argv(rng)
+        parsed = True
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code, parsed = exc.code, False
+        except Exception as exc:  # any other escape is the bug; name its argv
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if parsed and code == 2:
+            assert out == "", argv
+            payload = json.loads(err)
+            assert isinstance(payload, dict) and list(payload) == ["error"], argv
+        elif parsed:
+            assert err == "", argv
+        codes.append(code if parsed else "usage")
+    # the draw reaches every outcome, real work included
+    assert {0, 1, 2, "usage"} <= set(codes)
+    assert codes.count(0) >= 30
 
 
 # ---------------------------------------------------------------------------

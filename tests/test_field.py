@@ -231,3 +231,77 @@ def test_generator_of_reference_moduli_is_x():
     # resolves against the root itself
     assert ExtField(3, 5, [1, 2, 0, 0, 0, 1]).generator == 3
     assert ExtField(3, 4, [2, 0, 0, 2, 1]).generator == 3
+
+
+# ---------------------------------------------------------------------------
+# exp/log tables, trace table and digit matrix
+# ---------------------------------------------------------------------------
+
+TABLE_FIELDS = [(3, 1, None), (3, 2, None), (3, 3, None), (3, 4, None),
+                (3, 5, None), (3, 6, None), (5, 3, None), (7, 3, None),
+                (13, 2, None), (199999, 1, None),
+                (3, 5, (1, 2, 0, 0, 0, 1)), (3, 4, (2, 0, 0, 2, 1))]
+
+
+def _check_table_steps(F, ks):
+    # oracle: the defining step g^(k+1) = g^k * g, one polynomial
+    # multiplication each, independent of the blocked fill
+    g, n = F.generator, F.q - 1
+    for k in ks:
+        assert F._exp[(k + 1) % n] == F._raw_mul(F._exp[k], g), k
+        assert F._log[F._exp[k]] == k, k
+
+
+@pytest.mark.parametrize("p,m,modulus", TABLE_FIELDS)
+def test_tables_follow_generator_recurrence(p, m, modulus):
+    F = get_field(p, m, modulus)
+    assert len(F._exp) == F.q - 1 and len(F._log) == F.q
+    _check_table_steps(F, range(F.q - 1))
+    assert sorted(F._exp) == list(range(1, F.q))
+    assert all(type(v) is int for v in F._exp)
+    assert all(type(v) is int for v in F._log)
+
+
+def test_tables_follow_generator_recurrence_sampled_gf3_11():
+    import random
+
+    F = get_field(3, 11)
+    _check_table_steps(F, random.Random(11).sample(range(F.q - 1), 2000))
+    _check_table_steps(F, [0, F.q - 2])
+
+
+# _trace_slow on each of GF(199999)'s elements is too slow for this suite
+@pytest.mark.parametrize("p,m,modulus", [f for f in TABLE_FIELDS if f[0] != 199999])
+def test_digit_matrix_and_trace_table_match_scalar_forms(p, m, modulus):
+    F = get_field(p, m, modulus)
+    dm = F.digits_matrix()
+    assert dm.shape == (F.q, m)
+    assert all(tuple(dm[x].tolist()) == F.digits(x) for x in F.elements())
+    assert F.trace_table().tolist() == [F._trace_slow(x) for x in F.elements()]
+
+
+def test_predict_leaves_digit_matrix_unbuilt(capsys):
+    import qcode.counting as counting_mod
+    import qcode.quadform as quadform_mod
+    from qcode.cli import main
+
+    counting_mod.get_field.cache_clear()
+    quadform_mod.analyze.cache_clear()
+    argv = ["--p", "3", "--m", "5", "--preset", "cor1:u=1", "--alpha", "1"]
+    assert main(["predict", *argv]) == 0
+    # the CLI's cache key: get_field(3, 5) would be a separate entry
+    F = get_field(3, 5, None)
+    assert F._digits_matrix is None
+    # control: build reads the matrix, so the check above can fail
+    assert main(["build", *argv]) == 0
+    assert F._digits_matrix is not None
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("p,m", [(3, 12), (3, 10**6), (3, 10**8), (5, 8),
+                                 (10**30 + 57, 1), (200_003, 1)])
+def test_size_cap_checked_before_p_to_the_m(p, m):
+    # 3^(10^8) alone takes minutes, and 3^(10^6) has too many digits for
+    # str(); the cap must reject both without forming p^m
+    with pytest.raises(PreconditionViolatedError, match="cap"):
+        ExtField(p, m)
