@@ -8,11 +8,7 @@ distributions, and case-table prediction checked against enumeration.
 
 from .cyclotomic import (
     CycNum,
-    cyc_add,
-    cyc_mul,
-    cyc_scale,
     exp_sum,
-    galois_sigma,
     gauss_sum_ext,
     gauss_sum_prime,
     pstar,
@@ -42,7 +38,7 @@ from .counting import (
     predict_root_count,
 )
 from .errors import QCodeError
-from .field import ExtField, eta_bar, is_irreducible, is_prime, make_ext_field
+from .field import ExtField, eta_bar, is_irreducible, is_prime
 from .predictor import (
     CaseLabel,
     classify,
@@ -68,14 +64,13 @@ __all__ = [
     "CaseLabel", "CycNum", "DefiningSet", "ExtField", "FormAnalysis",
     "IDENTITY_IDS", "LemmaParams", "QCodeError", "QuadraticFunction",
     "WeightDistribution", "analyze", "brute_count", "classify", "code_json",
-    "congruence_diagonalize", "cyc_add", "cyc_mul", "cyc_scale",
-    "defining_set", "enumerator_string", "eta_bar", "exp_sum",
-    "galois_sigma", "gauss_sum_ext", "gauss_sum_prime", "generator_matrix",
+    "congruence_diagonalize", "defining_set", "enumerator_string", "eta_bar",
+    "exp_sum", "gauss_sum_ext", "gauss_sum_prime", "generator_matrix",
     "get_field", "gram_matrix", "is_irreducible", "is_prime",
-    "lemma_oracle", "lemma_sweep", "make_ext_field", "paper_examples",
-    "parse_enumerator", "predict_distribution",
-    "predict_hyperplane_root_count", "predict_length", "predict_root_count",
-    "preset_cor1", "preset_trace_square_minus", "pstar", "pstar_half_power",
+    "lemma_oracle", "lemma_sweep", "paper_examples", "parse_enumerator",
+    "predict_distribution", "predict_hyperplane_root_count",
+    "predict_length", "predict_root_count", "preset_cor1",
+    "preset_trace_square_minus", "pstar", "pstar_half_power",
     "theorem_sweep", "verify", "verify_quadratic_gauss",
     "verify_sigma_power_sums", "weight_distribution", "weight_of",
 ]

@@ -8,14 +8,18 @@ for phase sums) with an independent exhaustive computation, and the
 oracle reports per-branch equality, so any transcription error surfaces
 as a flagged mismatch instead of silently propagating.
 
-Each closed form has one case tree; a count that follows from a phase
-sum is derived from that sum's tree, not written out again:
-  * id 15, and the analytic weight route through
-    predict_hyperplane_root_count, take p^(m-2) + S5/p^2 from the S5
-    tree of id 14;
-  * id 11 takes p^(m-2) + S3/p^2 from the S3 tree of id 10;
-  * id 9, predict_root_count and the predictor's predict_length (N - 1)
-    read the root-count tree N, keyed on the class data of alpha.
+Each closed form has one source.  Most are instances of one quadratic
+Gauss-sum evaluation: a rank-k, sign-s form on GF(p)^m has phase sum
+Phi(k, s) = s p^m (p*)^(-k/2) (phase_sum), rational Galois-unit sums
+U(k, s, z) (unit_sum), and level counts N(k, s, t) = p^(m-1) + U(k, s, -t)/p
+(level_count).  Phi gives ids 5, 6, 13 and the S2 of id 10; U gives the
+S3 of id 10, id 8 and the on-plane rows of id 19; N gives id 7 and
+root_count_closed (id 9, predict_root_count, predict_length); ids 16 and
+17 are Phi, U and N of the deflated form (rank r - 1, sign
+s eta_bar(-f(x_alpha))).  A count on the hyperplane Tr(beta x) = 0 is
+p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11, and for id 15 and
+predict_hyperplane_root_count the S5 tree of id 14 (_s5_closed, the
+per-beta hot path of build).  Id 18 keeps its own closed forms.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -41,7 +45,6 @@ import numpy as np
 
 from .cyclotomic import (
     CycNum,
-    gauss_sum_prime,
     pstar,
     pstar_fraction_power,
     pstar_half_power,
@@ -63,14 +66,22 @@ from .quadform import (
 
 IDENTITY_IDS = (5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19)
 
-# exhaustive oracles refuse fields past this size
+# exhaustive oracles refuse fields past this size, and characteristics past
+# BRUTE_MAX_P: their cost also grows with p (the naive transform makes
+# m p^2 array passes, the registry's oracles and branch scans do Python
+# work in p^2 to p^3 per draw)
 BRUTE_CAP = 5**7
+BRUTE_MAX_P = 19
 
 
 def check_brute_cap(ctx: ExtField) -> None:
     if ctx.q > BRUTE_CAP:
         raise PreconditionViolatedError(
             f"field size {ctx.q} exceeds the brute-force cap {BRUTE_CAP}")
+    if ctx.p > BRUTE_MAX_P:
+        raise PreconditionViolatedError(
+            f"characteristic {ctx.p} exceeds the brute-force cap "
+            f"p <= {BRUTE_MAX_P}")
 
 
 def brute_count(ctx: ExtField, predicate) -> int:
@@ -85,38 +96,60 @@ def _as_int(value: Fraction) -> int:
     return int(value)
 
 
+# --- the quadratic Gauss-sum evaluation: Phi, U and N -----------------------
+
+
+@lru_cache(maxsize=None)
+def phase_sum(p: int, m: int, k: int, s: int) -> CycNum:
+    """Phi(k, s) = s p^m (p*)^(-k/2), the phase sum sum_x zeta^Q(x) of a
+    rank-k, sign-s quadratic form Q on GF(p)^m."""
+    return pstar_half_power(p, -k).scale(s * p**m)
+
+
+def unit_sum(p: int, m: int, k: int, s: int, z: int) -> Fraction:
+    """U(k, s, z) = sum over y in GF(p)* of sigma_y(Phi(k, s) zeta^z).
+
+    Always rational: for even k it is (p-1)c at z = 0 and -c otherwise,
+    with c = Phi(k, s); for odd k it is 0 at z = 0 and
+    eta_bar(z) s p^m (p*)^(-(k-1)/2) otherwise.
+    """
+    z %= p
+    if k % 2 == 0:
+        c = s * p**m * pstar_fraction_power(p, -(k // 2))
+        return (p - 1) * c if z == 0 else -c
+    if z == 0:
+        return Fraction(0)
+    return eta_bar(z, p) * s * p**m * pstar_fraction_power(p, -((k - 1) // 2))
+
+
+def level_count(p: int, m: int, k: int, s: int, t: int) -> int:
+    """N(k, s, t) = p^(m-1) + U(k, s, -t)/p, the number of x in GF(p)^m
+    with Q(x) = t."""
+    return _as_int(Fraction(p) ** (m - 1) + unit_sum(p, m, k, s, -t) / p)
+
+
 # --- closed-form counts feeding the code predictor --------------------------
 
 
-def root_count_closed(p: int, m: int, rank: int, sign: int, in_image: bool,
-                      eta: int) -> tuple[int, str]:
+def root_count_closed(p: int, m: int, rank: int, sign: int,
+                      fa: int | None) -> tuple[int, str]:
     """Number of x with f(x) - Tr(alpha x) = 0, and its id-9 branch.
 
-    Keyed on the class data of alpha: whether it lies in Im(L), and
-    eta = eta_bar(-f(x_alpha)), 0 when f(x_alpha) = 0.  Odd rank with
-    nonzero special value: the printed formula's extra +1 is dropped;
-    brute force (and the code-length identity n = count - 1) confirm the
-    form without it.
+    fa is the special value f(x_alpha), None when alpha is outside Im(L).
+    Inside, the count is N(rank, sign, fa).  Odd rank with nonzero special
+    value: the printed formula's extra +1 is dropped; brute force (and the
+    code-length identity n = count - 1) confirm the form without it.
     """
-    base = Fraction(p) ** (m - 1)
-    if not in_image:
-        return _as_int(base), "outside_image"
-    if rank % 2 == 0:
-        w = sign * base * pstar_fraction_power(p, -(rank // 2))
-        if eta == 0:
-            return _as_int(base + (p - 1) * w), "even_zero"
-        return _as_int(base - w), "even_nonzero"
-    if eta == 0:
-        return _as_int(base), "odd_zero"
-    w = sign * base * pstar_fraction_power(p, -((rank - 1) // 2))
-    return _as_int(base + eta * w), "odd_nonzero"
+    if fa is None:
+        return p ** (m - 1), "outside_image"
+    parity = "even" if rank % 2 == 0 else "odd"
+    return (level_count(p, m, rank, sign, fa),
+            f"{parity}_{'nonzero' if fa else 'zero'}")
 
 
 def _root_count(an: FormAnalysis, alpha: int) -> tuple[int, str]:
-    p = an.ctx.p
-    fa = an.f_at_xb(alpha)
-    return root_count_closed(p, an.ctx.m, an.rank, an.sign, fa is not None,
-                             eta_bar(-fa, p) if fa else 0)
+    return root_count_closed(an.ctx.p, an.ctx.m, an.rank, an.sign,
+                             an.f_at_xb(alpha))
 
 
 def predict_root_count(an: FormAnalysis, alpha: int) -> int:
@@ -326,11 +359,12 @@ def _need(params: LemmaParams, *names) -> None:
 
 
 def _closed_5(params: LemmaParams) -> list:
-    """Full-space phase sums of f and of f - Tr(bx)."""
+    """Full-space phase sums of f and of f - Tr(bx): Phi(r, s), and
+    Phi(r, s) zeta^(-f(x_b)) for b in Im(L)."""
     _need(params, "analysis", "beta")
     an = params.analysis
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
-    full = pstar_half_power(p, -r).scale(s * p**m)
+    p = an.ctx.p
+    full = phase_sum(p, an.ctx.m, an.rank, an.sign)
     fb = an.f_at_xb(params.beta)
     if fb is None:
         return [("I", full, None), ("II:outside_image", CycNum.zero(p), None)]
@@ -346,17 +380,17 @@ def _brute_5(params: LemmaParams) -> list:
 
 
 def _closed_6(params: LemmaParams) -> list:
-    """Two-variable quadratic phase sum over GF(p) x GF(p)."""
+    """Two-variable quadratic phase sum over GF(p) x GF(p): Phi of rank 2
+    and sign eta_bar(det), or of rank 1 and sign eta_bar(-a)."""
     _need(params, "p", "abc")
     p = params.p
     a, b, c = params.abc
     det = (a * c - b * b) % p
     if det != 0:
-        return [("nondegenerate",
-                 eta_bar(det, p) * p * p * pstar_fraction_power(p, -1), None)]
+        return [("nondegenerate", phase_sum(p, 2, 2, eta_bar(det, p)), None)]
     if a % p == 0:
         raise PreconditionViolatedError("degenerate case requires a != 0")
-    return [("degenerate", gauss_sum_prime(p).scale(eta_bar(a, p) * p), None)]
+    return [("degenerate", phase_sum(p, 2, 1, eta_bar(-a, p)), None)]
 
 
 def _brute_6(params: LemmaParams) -> list:
@@ -370,19 +404,15 @@ def _brute_6(params: LemmaParams) -> list:
 
 
 def _closed_7(params: LemmaParams) -> list:
-    """Level-set count of a homogeneous quadratic at a nonzero level."""
+    """Level-set count of a homogeneous quadratic at a nonzero level:
+    N(r, s, t)."""
     _need(params, "analysis", "t")
     an, t = params.analysis, params.t
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    p = an.ctx.p
     if t % p == 0:
         raise PreconditionViolatedError("level t must be nonzero")
-    base = Fraction(p) ** (m - 1)
-    if r % 2 == 0:
-        count = base - s * base * pstar_fraction_power(p, -(r // 2))
-        return [("even", _as_int(count), None)]
-    count = (base + s * eta_bar(-t, p) * base
-             * pstar_fraction_power(p, -((r - 1) // 2)))
-    return [("odd", _as_int(count), None)]
+    return [("even" if an.rank % 2 == 0 else "odd",
+             level_count(p, an.ctx.m, an.rank, an.sign, t), None)]
 
 
 def _brute_7(params: LemmaParams) -> list:
@@ -390,23 +420,25 @@ def _brute_7(params: LemmaParams) -> list:
     return [int(np.count_nonzero(an.f.values() == params.t % an.ctx.p))]
 
 
+def _plane_level_count(an: FormAnalysis, a: int) -> int:
+    """Count of f(x) = a != 0 on the hyperplane Tr(alpha x) = 0, for alpha
+    in Im(L) with vanishing special value: p^(m-2) + U(r, s, -a)/p."""
+    p, m = an.ctx.p, an.ctx.m
+    return _as_int(Fraction(p) ** (m - 2)
+                   + unit_sum(p, m, an.rank, an.sign, -a) / p)
+
+
 def _closed_8(params: LemmaParams) -> list:
     """Count of f(x) = a on the hyperplane Tr(alpha x) = 0, given
     alpha in Im(L) with vanishing special value."""
     _need(params, "analysis", "alpha", "t")
     an, a = params.analysis, params.t
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
-    if a % p == 0:
+    if a % an.ctx.p == 0:
         raise PreconditionViolatedError("level a must be nonzero")
     _require_vanishing_special_value(an, params.alpha)
-    base = Fraction(p) ** (m - 2)
-    if r % 2 == 1:
-        return [("odd_rank",
-                 _as_int(base + s * eta_bar(-a, p) * Fraction(p) ** (m - 1)
-                         * pstar_fraction_power(p, -((r - 1) // 2))), None)]
-    return [("even_rank_derived_variant",
-             _as_int(base - s * Fraction(p) ** (m - 1)
-                     * pstar_fraction_power(p, -(r // 2))),
+    if an.rank % 2 == 1:
+        return [("odd_rank", _plane_level_count(an, a), None)]
+    return [("even_rank_derived_variant", _plane_level_count(an, a),
              "printed closed form is irrational for even rank; "
              "verified the Galois-sum variant instead")]
 
@@ -436,26 +468,25 @@ def _brute_9(params: LemmaParams) -> list:
     return [int(np.count_nonzero(roots))]
 
 
-def _s3_closed(an: FormAnalysis, beta: int) -> tuple[Fraction, str]:
-    """S3, the Galois-unit sum of S2, by its case tree; rational on every
-    branch."""
+def _s2_terms(an: FormAnalysis, beta: int) -> tuple[int, int, int, str]:
+    """S2 = c Phi(k, s') as (k, s', c) and its branch: Phi(r, s) outside
+    Im(L), p Phi(r, s) at f(x_b) = 0, else Phi(r-1, s eta_bar(-f(x_b)))."""
     if beta == 0:
         raise PreconditionViolatedError("beta must be nonzero")
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    p, r, s = an.ctx.p, an.rank, an.sign
     fb = an.f_at_xb(beta)
-    if r % 2 == 0:
-        u = s * (p - 1) * p**m * pstar_fraction_power(p, -(r // 2))
-        if fb is None:
-            return u, "S3:even:outside"
-        if fb == 0:
-            return p * u, "S3:even:in_zero"
-        return Fraction(0), "S3:even:in_nonzero"
     if fb is None:
-        return Fraction(0), "S3:odd:outside"
+        return r, s, 1, "outside"
     if fb == 0:
-        return Fraction(0), "S3:odd:in_zero"
-    return (s * eta_bar(-fb, p) * (p - 1) * p**m
-            * pstar_fraction_power(p, -((r - 1) // 2)), "S3:odd:in_nonzero")
+        return r, s, p, "in_zero"
+    return r - 1, s * eta_bar(-fb, p), 1, "in_nonzero"
+
+
+def _s3(an: FormAnalysis, beta: int) -> tuple[Fraction, str]:
+    """S3, the Galois-unit sum of S2: c U(k, s', 0)."""
+    k, s, c, branch = _s2_terms(an, beta)
+    parity = "even" if an.rank % 2 == 0 else "odd"
+    return c * unit_sum(an.ctx.p, an.ctx.m, k, s, 0), f"{parity}:{branch}"
 
 
 def _closed_10(params: LemmaParams) -> list:
@@ -463,17 +494,11 @@ def _closed_10(params: LemmaParams) -> list:
     _need(params, "analysis", "beta")
     an = params.analysis
     ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
-    s3, s3_branch = _s3_closed(an, params.beta)
-    fb = an.f_at_xb(params.beta)
-    if fb is None:
-        s2, s2_branch = pstar_half_power(p, -r).scale(s * p**m), "S2:outside"
-    elif fb == 0:
-        s2, s2_branch = pstar_half_power(p, -r).scale(s * p**(m + 1)), "S2:in_zero"
-    else:
-        s2 = pstar_half_power(p, -(r - 1)).scale(s * eta_bar(-fb, p) * p**m)
-        s2_branch = "S2:in_nonzero"
-    return [("S1", ctx.q, None), (s2_branch, s2, None), (s3_branch, s3, None)]
+    k, s, c, branch = _s2_terms(an, params.beta)
+    s3, s3_branch = _s3(an, params.beta)
+    return [("S1", ctx.q, None),
+            (f"S2:{branch}", phase_sum(ctx.p, ctx.m, k, s).scale(c), None),
+            (f"S3:{s3_branch}", s3, None)]
 
 
 def _brute_10(params: LemmaParams) -> list:
@@ -494,12 +519,11 @@ def _brute_10(params: LemmaParams) -> list:
 
 def _closed_11(params: LemmaParams) -> list:
     """Count of f(x) = 0 on the hyperplane Tr(beta x) = 0:
-    p^(m-2) + S3/p^2, with S3 from the id-10 tree."""
+    p^(m-2) + S3/p^2, with S3 from id 10."""
     _need(params, "analysis", "beta")
     an = params.analysis
-    s3, branch = _s3_closed(an, params.beta)
-    return [(branch.removeprefix("S3:"),
-             _count_from_sum(an.ctx.p, an.ctx.m, s3), None)]
+    s3, branch = _s3(an, params.beta)
+    return [(branch, _count_from_sum(an.ctx.p, an.ctx.m, s3), None)]
 
 
 def _brute_11(params: LemmaParams) -> list:
@@ -521,11 +545,13 @@ def _s4_brute(an: FormAnalysis, alpha: int, beta: int) -> CycNum:
 
 
 def _s4_closed(an: FormAnalysis, alpha: int, beta: int):
-    """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x))."""
+    """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x)):
+    zero, or c Phi(k, s') zeta^z on each branch."""
     if beta == 0:
         raise PreconditionViolatedError("beta must be nonzero")
     ctx = an.ctx
     p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
+    full = phase_sum(p, m, r, s)
     if an.in_image(alpha):
         fa = an.f_at_xb(alpha)
         if an.in_image(beta):
@@ -533,23 +559,18 @@ def _s4_closed(an: FormAnalysis, alpha: int, beta: int):
             fb = an.f_at_xb(beta)
             tab = ctx.trace(ctx.mul(alpha, xb))
             if fb == 0 and tab == 0:
-                closed = pstar_half_power(p, -r).scale(s * p**(m + 1))
-                closed = closed * CycNum.zeta_pow(p, -fa)
-                return closed, "I:in:zero_zero"
+                return full.scale(p) * CycNum.zeta_pow(p, -fa), "I:in:zero_zero"
             if fb == 0:
                 return CycNum.zero(p), "I:in:zero_nonzero"
-            inv4fb = pow(4 * fb % p, p - 2, p)
-            expo = (-fa + tab * tab * inv4fb) % p
-            closed = pstar_half_power(p, -(r - 1)).scale(s * eta_bar(-fb, p) * p**m)
-            return closed * CycNum.zeta_pow(p, expo), "I:in:nonzero"
-        closed = pstar_half_power(p, -r).scale(s * p**m)
-        return closed * CycNum.zeta_pow(p, -fa), "I:outside_beta"
+            closed = phase_sum(p, m, r - 1, s * eta_bar(-fb, p))
+            return (closed * CycNum.zeta_pow(p, _aux_e(p, fa, fb, tab)),
+                    "I:in:nonzero")
+        return full * CycNum.zeta_pow(p, -fa), "I:outside_beta"
     z0 = an.in_shifted_image(alpha, beta)
     if z0 is None:
         return CycNum.zero(p), "II:outside_union"
     fprime = an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
-    closed = pstar_half_power(p, -r).scale(s * p**m)
-    return closed * CycNum.zeta_pow(p, -fprime), "II:in_union"
+    return full * CycNum.zeta_pow(p, -fprime), "II:in_union"
 
 
 def _closed_13(params: LemmaParams) -> list:
@@ -612,23 +633,25 @@ def _nonzero_special_value(an: FormAnalysis, alpha: int) -> int:
     return fa
 
 
+def _deflated(an: FormAnalysis, alpha: int) -> tuple[int, int]:
+    """(rank, sign) of g = f - Tr(alpha x)^2/(4 f(x_alpha)):
+    (r - 1, s eta_bar(-f(x_alpha)))."""
+    fa = _nonzero_special_value(an, alpha)
+    return an.rank - 1, an.sign * eta_bar(-fa, an.ctx.p)
+
+
 def _closed_16(params: LemmaParams) -> list:
-    """Triple phase sum S6, its Galois-unit sum, and the count N_E."""
+    """Triple phase sum S6 = p Phi(k, s'), its Galois-unit sum
+    p U(k, s', 0), and the count N_E = N(k, s', 0), for the deflated
+    (k, s')."""
     _need(params, "analysis", "alpha")
     an = params.analysis
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
-    ea = eta_bar(-_nonzero_special_value(an, params.alpha), p)
-    s6 = pstar_half_power(p, -(r - 1)).scale(s * ea * p**(m + 1))
-    base = Fraction(p) ** (m - 1)
-    if r % 2 == 0:
-        return [("S6", s6, None), ("sigma:even", CycNum.zero(p), None),
-                ("NE:even", _as_int(base), None)]
-    ne = _as_int(base + s * ea * (p - 1) * base
-                 * pstar_fraction_power(p, -((r - 1) // 2)))
-    return [("S6", s6, None),
-            ("sigma:odd", pstar_half_power(p, -(r - 1)).scale(
-                s * ea * (p - 1) * p**(m + 1)), None),
-            ("NE:odd", ne, None)]
+    p, m = an.ctx.p, an.ctx.m
+    k, s = _deflated(an, params.alpha)
+    parity = "even" if an.rank % 2 == 0 else "odd"
+    return [("S6", phase_sum(p, m, k, s).scale(p), None),
+            (f"sigma:{parity}", p * unit_sum(p, m, k, s, 0), None),
+            (f"NE:{parity}", level_count(p, m, k, s, 0), None)]
 
 
 def _brute_16(params: LemmaParams) -> list:
@@ -650,27 +673,15 @@ def _brute_16(params: LemmaParams) -> list:
 
 def _closed_17(params: LemmaParams) -> list:
     """The deflated form g = f - Tr(alpha x)^2/(4 f(x_alpha)): its phase
-    sum and level-set counts."""
+    sum Phi(k, s') and level-set counts N(k, s', t)."""
     _need(params, "analysis", "alpha", "t")
     an, t = params.analysis, params.t
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
-    ea = eta_bar(-_nonzero_special_value(an, params.alpha), p)
-    gsum = pstar_half_power(p, -(r - 1)).scale(s * ea * p**m)
-    base = Fraction(p) ** (m - 1)
-    if r % 2 == 0:
-        if t % p == 0:
-            level, branch = base, "even:t0"
-        else:
-            level = base + s * eta_bar(-t, p) * ea * base \
-                * pstar_fraction_power(p, -((r - 2) // 2))
-            branch = "even:tnz"
-    else:
-        w = pstar_fraction_power(p, -((r - 1) // 2))
-        if t % p == 0:
-            level, branch = base + s * ea * (p - 1) * base * w, "odd:t0"
-        else:
-            level, branch = base - s * ea * base * w, "odd:tnz"
-    return [("gsum", gsum, None), (branch, _as_int(level), None)]
+    p, m = an.ctx.p, an.ctx.m
+    k, s = _deflated(an, params.alpha)
+    parity = "even" if an.rank % 2 == 0 else "odd"
+    branch = f"{parity}:{'t0' if t % p == 0 else 'tnz'}"
+    return [("gsum", phase_sum(p, m, k, s), None),
+            (branch, level_count(p, m, k, s, t), None)]
 
 
 def _brute_17(params: LemmaParams) -> list:
@@ -766,25 +777,22 @@ def _brute_18(params: LemmaParams) -> list:
 
 def _closed_19(params: LemmaParams) -> list:
     """Square-class counts of -f on and off the hyperplane Tr(alpha x)=0,
-    given alpha in Im(L) with vanishing special value."""
+    given alpha in Im(L) with vanishing special value.  The on-plane
+    counts sum the id-8 counts over the levels a of each class of -a."""
     _need(params, "analysis", "alpha")
     an = params.analysis
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
+    p, m = an.ctx.p, an.ctx.m
     _require_vanishing_special_value(an, params.alpha)
-    half = Fraction(p - 1, 2)
-    base = Fraction(p) ** (m - 2)
-    offplane = _as_int(Fraction((p - 1) ** 2, 2) * base)
-    if r % 2 == 1:
-        x = s * p * pstar_fraction_power(p, -((r - 1) // 2))
-        return [("sq_tr0", _as_int(half * base * (1 + x)), None),
-                ("nsq_tr0", _as_int(half * base * (1 - x)), None),
-                ("sq_trnz", offplane, None),
-                ("nsq_trnz", offplane, None)]
-    onplane = _as_int(half * (base - s * Fraction(p) ** (m - 1)
-                              * pstar_fraction_power(p, -(r // 2))))
+    onplane = [sum(_plane_level_count(an, a) for a in range(1, p)
+                   if eta_bar(-a, p) == sq) for sq in (1, -1)]
+    offplane = _as_int(Fraction((p - 1) ** 2, 2) * Fraction(p) ** (m - 2))
+    if an.rank % 2 == 1:
+        return [("sq_tr0", onplane[0], None), ("nsq_tr0", onplane[1], None),
+                ("sq_trnz", offplane, None), ("nsq_trnz", offplane, None)]
     note = ("printed closed forms are irrational for even rank; "
             "verified the Galois-sum variants instead")
-    return [("even:sq_tr0", onplane, note), ("even:nsq_tr0", onplane, note),
+    return [("even:sq_tr0", onplane[0], note),
+            ("even:nsq_tr0", onplane[1], note),
             ("even:sq_trnz", offplane, note), ("even:nsq_trnz", offplane, note)]
 
 
@@ -831,8 +839,18 @@ def lemma_oracle(lemma_id: int, params: LemmaParams) -> list[CheckResult]:
 
 
 @lru_cache(maxsize=None)
-def get_field(p: int, m: int, modulus: tuple | None = None) -> ExtField:
+def _field(p: int, m: int, modulus: tuple | None) -> ExtField:
     return ExtField(p, m, list(modulus) if modulus else None)
+
+
+def get_field(p: int, m: int, modulus=None) -> ExtField:
+    """The process-wide GF(p^m); an omitted or None modulus, and a list or
+    tuple of the same coefficients, share one cache entry."""
+    return _field(p, m, tuple(modulus) if modulus else None)
+
+
+get_field.cache_clear = _field.cache_clear
+get_field.cache_info = _field.cache_info
 
 
 def _rank_one_form(ctx: ExtField, v: int) -> QuadraticFunction:
@@ -843,8 +861,10 @@ def _rank_one_form(ctx: ExtField, v: int) -> QuadraticFunction:
 
 def analysis_pool(p: int, m: int, rng: random.Random, extra: int = 6
                   ) -> list[FormAnalysis]:
-    """A deterministic mix of preset and random forms with varied rank."""
+    """A deterministic mix of preset and random forms with varied rank,
+    over a field the exhaustive routes accept."""
     ctx = get_field(p, m)
+    check_brute_cap(ctx)
     pool = [analyze(preset_cor1(ctx, 1))]
     if m > 1:
         pool.append(analyze(preset_cor1(ctx, ctx.generator)))

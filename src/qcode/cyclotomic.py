@@ -145,22 +145,6 @@ class CycNum:
         return f"CycNum(p={self.p}, {self.to_text()})"
 
 
-def cyc_add(x: CycNum, y: CycNum) -> CycNum:
-    return x + y
-
-
-def cyc_mul(x: CycNum, y: CycNum) -> CycNum:
-    return x * y
-
-
-def cyc_scale(x: CycNum, c) -> CycNum:
-    return x.scale(c)
-
-
-def galois_sigma(a: int, x: CycNum) -> CycNum:
-    return x.sigma(a)
-
-
 def pstar(p: int) -> int:
     """(-1)^((p-1)/2) * p."""
     return (-1) ** ((p - 1) // 2) * p
@@ -212,11 +196,6 @@ def exp_sum(ctx: ExtField, phase) -> CycNum:
         for v in phase:
             counts[v % ctx.p] += 1
     return CycNum.from_exponent_counts(ctx.p, counts)
-
-
-def exp_sum_counts(p: int, counts) -> CycNum:
-    """Exact sum of counts[t] * zeta^t; counts indexed by GF(p) value."""
-    return CycNum.from_exponent_counts(p, counts)
 
 
 def sigma_unit_sum(x: CycNum) -> CycNum:
@@ -277,10 +256,7 @@ def verify_quadratic_gauss(ctx: ExtField, a2: int, a1: int, a0: int) -> dict:
 
     lhs = exp_sum(ctx, phase)
 
-    gauss_brute = exp_sum_counts(
-        p,
-        _eta_weighted_counts(ctx),
-    )
+    gauss_brute = CycNum.from_exponent_counts(p, _eta_weighted_counts(ctx))
     gauss_closed = gauss_sum_ext(p, ctx.m)
     shift = ctx.sub(a0, ctx.mul(ctx.mul(a1, a1),
                                 ctx.inv(ctx.scalar_mul(4, a2))))

@@ -26,8 +26,8 @@ from .errors import (
 
 # The exp/log tables are 2q Python ints and the trace table q int64s, filled
 # by O(sqrt q) Python multiplications and O(q m) numpy work; the cap keeps
-# q at desk scale (covers 5^7, 7^6 and 3^11).  counting.BRUTE_CAP is a
-# second, smaller cap for the exhaustive routes.
+# q at desk scale (covers 5^7, 7^6 and 3^11).  counting.check_brute_cap
+# adds smaller caps on q and p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
 
@@ -474,11 +474,6 @@ class ExtField:
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
-
-
-def make_ext_field(p: int, m: int, modulus: list[int] | None = None) -> ExtField:
-    """Construct a GF(p^m) context with a verified-irreducible modulus."""
-    return ExtField(p, m, modulus)
 
 
 def parse_modulus(text: str) -> list[int]:

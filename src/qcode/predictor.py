@@ -50,6 +50,7 @@ class CaseLabel:
     eta_bar_neg_fxa: int | None
     rank: int
     sign: int
+    f_xalpha: int | None = None  # the special value, for alpha in Im(L)
 
     @property
     def branch(self) -> str:
@@ -84,14 +85,14 @@ def classify(an: FormAnalysis, alpha: int) -> CaseLabel:
         fa = an.f_at_xb(alpha)
         cls = "zero" if fa == 0 else "nonzero"
         eb = eta_bar(-fa, an.ctx.p) if fa else None
-        return CaseLabel(1, True, parity, cls, eb, an.rank, an.sign)
+        return CaseLabel(1, True, parity, cls, eb, an.rank, an.sign, fa)
     return CaseLabel(2, False, parity, None, None, an.rank, an.sign)
 
 
 def predict_length(an: FormAnalysis, case: CaseLabel) -> int:
     """n = N - 1, with N the root count of the case's class data."""
     count, _ = root_count_closed(an.ctx.p, an.ctx.m, case.rank, case.sign,
-                                 case.alpha_in_image, case.eta_bar_neg_fxa or 0)
+                                 case.f_xalpha)
     return count - 1
 
 

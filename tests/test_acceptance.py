@@ -48,6 +48,11 @@ EXACT_EXPECTATIONS = {
 }
 
 
+def _sweep_bytes(report) -> bytes:
+    # the CLI's JSON rendering
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def _fresh_caches():
     counting_mod.get_field.cache_clear()
     quadform_mod.analyze.cache_clear()
@@ -108,6 +113,8 @@ def test_criterion_3_theorem_sweep_300_instances():
     for branch in predictor_mod.SWEEP_BRANCHES:
         assert rep["branches"][branch] >= 5, branch
     assert elapsed < 600.0
+    assert _sweep_bytes(rep) == (GOLDEN / "acceptance_3_theorem_sweep.json"
+                                 ).read_bytes(), "theorem sweep drifted"
     print(f"ACCEPTANCE 3: PASS - {rep['trials']} instances, branches "
           f"{rep['branches']}, 100% match in {elapsed:.1f}s")
 
@@ -130,6 +137,8 @@ def test_criterion_4_identity_registry_sweep():
     assert "L(x')" in notes_13
     notes_18 = " ".join(rep["lemmas"]["18"]["notes"])
     assert "minus sign" in notes_18 and "plus-sign" in notes_18
+    assert _sweep_bytes(rep) == (GOLDEN / "acceptance_4_lemma_sweep.json"
+                                 ).read_bytes(), "lemma sweep drifted"
     print(f"ACCEPTANCE 4: PASS - 14 identities x >=50 instances, all "
           f"branches >=3, closed = brute throughout ({elapsed:.1f}s); "
           f"sign/reading discrepancies documented in the report notes")

@@ -1,10 +1,12 @@
 import json
 import random
+import time
 
 import pytest
 
 import qcode.predictor as predictor_mod
 from qcode.cli import main, worker_count
+from qcode.counting import check_brute_cap, get_field
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +156,45 @@ def test_bad_configs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+_FORM = ("--preset", "cor1:u=1", "--alpha", "1")
+_ONE_DRAW = ("--trials", "1", "--seed", "1")
+
+
+# inside the field-size cap, but the exhaustive routes would run for
+# seconds to minutes at these characteristics
+@pytest.mark.parametrize("argv", [
+    ("build", "--p", "1009", "--m", "1", *_FORM),
+    ("build", "--p", "277", "--m", "2", *_FORM),
+    ("build", "--p", "7919", "--m", "1", *_FORM),
+    ("verify", "--p", "23", "--m", "2", *_FORM),
+    ("lemmas", "--p", "31", "--m", "2", *_ONE_DRAW),
+    ("lemmas", "--p", "53", "--m", "2", *_ONE_DRAW),
+    ("lemmas", "--p", "199", "--m", "1", *_ONE_DRAW),
+    ("lemmas", "--p", "199", "--m", "1", *_ONE_DRAW, "--lemma", "6"),
+])
+def test_large_characteristic_exits_2_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "characteristic" in json.loads(err)["error"]
+
+
+def test_characteristic_cap_admits_the_fields_in_use(capsys):
+    # the tests', the reference examples' and the benchmark's exhaustive
+    # fields, and the benchmark's largest predict field, which never
+    # enumerates
+    in_use = ({(3, m) for m in range(1, 10)} | {(5, m) for m in range(1, 7)}
+              | {(7, m) for m in range(1, 6)} | {(11, 1), (11, 2)}
+              | {(s["p"], s["m"]) for s in predictor_mod.REFERENCE_EXAMPLES})
+    for p, m in sorted(in_use):
+        check_brute_cap(get_field(p, m))
+    code, _, _ = run_cli(capsys, "predict", "--p", "11", "--m", "5", *_FORM)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "build", "--p", "19", "--m", "1", *_FORM)
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

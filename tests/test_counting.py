@@ -13,11 +13,14 @@ from qcode.counting import (
     get_field,
     lemma_oracle,
     lemma_sweep,
+    level_count,
+    phase_sum,
     pool_size,
     predict_hyperplane_root_count,
     predict_root_count,
+    unit_sum,
 )
-from qcode.cyclotomic import CycNum, gauss_sum_prime, pstar_fraction_power
+from qcode.cyclotomic import CycNum, gauss_sum_prime, sigma_unit_sum
 from qcode.errors import MissingParamError, PreconditionViolatedError
 from qcode.field import eta_bar
 from qcode.quadform import QuadraticFunction, analyze, preset_cor1, preset_trace_square_minus
@@ -27,6 +30,50 @@ def _brute_roots(an, alpha):
     F = an.ctx
     return brute_count(F, lambda x: (an.f.evaluate(x)
                                      - F.trace(F.mul(alpha, x))) % F.p == 0)
+
+
+# ---------------------------------------------------------------------------
+# the quadratic Gauss-sum helpers Phi, U and N
+# ---------------------------------------------------------------------------
+
+def test_unit_sum_matches_galois_sum_of_phase_sum():
+    checks = 0
+    for p in (3, 5, 7, 11):
+        for k in range(7):
+            m = max(k, 1)
+            for s in (1, -1):
+                phi = phase_sum(p, m, k, s)
+                for z in range(p):
+                    want = sigma_unit_sum(phi * CycNum.zeta_pow(p, z))
+                    assert want.is_rational(), (p, k, s, z)
+                    assert unit_sum(p, m, k, s, z) == want.rational_value(), \
+                        (p, k, s, z)
+                    checks += 1
+    assert checks == 2 * 7 * (3 + 5 + 7 + 11)
+
+
+def test_phase_sum_and_level_count_match_diagonal_forms():
+    # Q = a_1 x_1^2 + ... + a_k x_k^2 on GF(p)^m has rank k and sign
+    # eta_bar((-1)^k a_1 ... a_k); its value histogram is counted directly
+    checks = 0
+    for p, max_m in ((3, 4), (5, 3), (7, 2)):
+        for m in range(1, max_m + 1):
+            digits = np.indices((p,) * m).reshape(m, -1)
+            for k in range(m + 1):
+                for lead in range(1, p) if k else (1,):
+                    coeffs = [lead] + [1] * (k - 1) if k else []
+                    values = sum(a * digits[i] ** 2
+                                 for i, a in enumerate(coeffs)) % p
+                    counts = np.bincount(np.broadcast_to(values, (p**m,)),
+                                         minlength=p).tolist()
+                    s = eta_bar((-1) ** k * lead, p)
+                    assert phase_sum(p, m, k, s) \
+                        == CycNum.from_exponent_counts(p, counts)
+                    for t in range(p):
+                        assert level_count(p, m, k, s, t) == counts[t], \
+                            (p, m, k, lead, t)
+                        checks += 1
+    assert checks > 300
 
 
 # ---------------------------------------------------------------------------

@@ -289,13 +289,21 @@ def test_predict_leaves_digit_matrix_unbuilt(capsys):
     quadform_mod.analyze.cache_clear()
     argv = ["--p", "3", "--m", "5", "--preset", "cor1:u=1", "--alpha", "1"]
     assert main(["predict", *argv]) == 0
-    # the CLI's cache key: get_field(3, 5) would be a separate entry
-    F = get_field(3, 5, None)
+    F = get_field(3, 5)
     assert F._digits_matrix is None
     # control: build reads the matrix, so the check above can fail
     assert main(["build", *argv]) == 0
     assert F._digits_matrix is not None
     capsys.readouterr()
+
+
+def test_get_field_spellings_share_one_entry():
+    get_field.cache_clear()
+    assert get_field(3, 5) is get_field(3, 5, None) is get_field(3, 5, ())
+    modulus = [1, 2, 0, 0, 0, 1]
+    assert get_field(3, 5, modulus) is get_field(3, 5, tuple(modulus))
+    info = get_field.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 @pytest.mark.parametrize("p,m", [(3, 12), (3, 10**6), (3, 10**8), (5, 8),
