@@ -7,8 +7,11 @@ wt(c_beta) = |D| - #{d in D : Tr(beta d) = 0}.  Weight data comes from
 two independent routes.  The naive one counts the zeros of every
 codeword at once by an exact integer transform of D's indicator over
 the digit space GF(p)^m; it reads only D and the trace table.  The
-analytic one evaluates the closed-form solution counters per beta.
-"both" mode insists they agree before returning.
+analytic one evaluates the closed-form solution counters once per
+class of beta (quadform.BetaClasses), at most p^2 + 1 times, since they
+see beta only through a few quadratic invariants.  "both" mode insists
+the routes agree before returning; validation then checks the first and
+second power moments.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     QCodeError,
 )
 from .linalg import rank as gf_rank
-from .quadform import FormAnalysis
+from .quadform import BetaClasses, FormAnalysis
 
 
 @dataclass(frozen=True)
@@ -61,16 +64,30 @@ class WeightDistribution:
     def d_min(self) -> int:
         return min(w for w in self.counts if w > 0)
 
-    def validate(self, p: int) -> None:
-        """Structural identities every constructed code satisfies."""
+    def validate(self, p: int, pairs: int) -> None:
+        """Structural identities every constructed code satisfies.
+
+        pairs is the number of unordered pairs {d, lambda d} inside D with
+        lambda in GF(p)* other than 1 (proportional_pairs).  Coordinates
+        i != j hold the pair (c_i, c_j) nonzero on (p-1)^2 p^(k-2)
+        codewords when d_i, d_j are independent, and on (p-1) p^(k-1)
+        when proportional; the second Pless moment sums this
+        (MacWilliams-Sloane ch. 5 §6).
+        """
+        n, k = self.n, self.k
         total = sum(self.counts.values())
-        if total != p**self.k:
+        if total != p**k:
             raise QCodeError(f"multiplicities sum to {total}, not p^k")
         if self.counts.get(0) != 1:
             raise QCodeError("weight 0 must have multiplicity exactly 1")
         moment = sum(w * c for w, c in self.counts.items())
-        if moment != self.n * (p - 1) * p ** (self.k - 1):
+        if moment != n * (p - 1) * p ** (k - 1):
             raise QCodeError("first power moment fails")
+        # both sides times p^2, so that p^(k-2) stays integral at k = 1
+        second = sum(w * w * c for w, c in self.counts.items())
+        if p * p * second != ((n + 2 * pairs) * (p - 1) * p ** (k + 1)
+                              + (n * (n - 1) - 2 * pairs) * (p - 1) ** 2 * p**k):
+            raise QCodeError("second power moment fails")
         for w, c in self.counts.items():
             if w and c % (p - 1):
                 raise QCodeError(f"multiplicity {c} at weight {w} not divisible by p-1")
@@ -104,6 +121,22 @@ def defining_set(analysis: FormAnalysis, alpha: int) -> DefiningSet:
         raise QCodeError(
             f"defining set size {len(elements)} != predicted {expected}")
     return DefiningSet(analysis, alpha, elements)
+
+
+def proportional_pairs(ds: DefiningSet) -> int:
+    """Number of unordered pairs {d, lambda d} inside D, lambda in
+    GF(p)* other than 1, counted from D's indicator: lambda d has the
+    digits of d scaled by lambda, and each such pair is met once under
+    lambda and once under 1/lambda."""
+    ctx = ds.ctx
+    p = ctx.p
+    member = np.zeros(ctx.q, dtype=bool)
+    member[list(ds.elements)] = True
+    rows = ctx.digits_matrix()[list(ds.elements)]
+    place = p ** np.arange(ctx.m)
+    ordered = sum(int(np.count_nonzero(member[rows * lam % p @ place]))
+                  for lam in range(2, p))
+    return ordered // 2
 
 
 def weight_of(beta: int, ds: DefiningSet) -> int:
@@ -144,12 +177,20 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
 
 
 def _weights_analytic(ds: DefiningSet) -> np.ndarray:
-    """Weights via wt(c_beta) = N - N_beta from the closed-form counters."""
+    """Weights via wt(c_beta) = N - N_beta from the closed-form counters.
+
+    N_beta depends on beta only through its class (BetaClasses), so the
+    S5 tree runs once per class, at most p^2 + 1 times, and the counts
+    are gathered back onto every beta.
+    """
     an = ds.analysis
+    _, cls, reps = BetaClasses(an).split(ds.alpha)
     n_full = predict_root_count(an, ds.alpha)
+    per_class = np.asarray(
+        [n_full - predict_hyperplane_root_count(an, ds.alpha, int(beta))
+         for beta in reps], dtype=np.int64)
     weights = np.zeros(an.ctx.q, dtype=np.int64)
-    for beta in an.ctx.nonzero_elements():
-        weights[beta] = n_full - predict_hyperplane_root_count(an, ds.alpha, beta)
+    weights[1:] = per_class[cls]
     return weights
 
 
@@ -157,8 +198,8 @@ def weight_distribution(ds: DefiningSet, mode: str = "both") -> WeightDistributi
     """Exact weight distribution; mode selects the computation route.
 
     naive counts every codeword's zeros by the hyperplane-count
-    transform; analytic evaluates the closed-form counters per index;
-    both runs the two and requires exact agreement.
+    transform; analytic evaluates the closed-form counters once per beta
+    class; both runs the two and requires exact agreement.
     The dimension claim k = m is asserted: a zero weight at a nonzero
     index raises DimensionCollapse with the witness.
     """
@@ -185,7 +226,7 @@ def weight_distribution(ds: DefiningSet, mode: str = "both") -> WeightDistributi
     values, multiplicities = np.unique(weights, return_counts=True)
     counts = {int(w): int(c) for w, c in zip(values, multiplicities)}
     wd = WeightDistribution(n=ds.length, k=ctx.m, counts=counts)
-    wd.validate(ctx.p)
+    wd.validate(ctx.p, proportional_pairs(ds))
     return wd
 
 

@@ -18,8 +18,9 @@ root_count_closed (id 9, predict_root_count, predict_length); ids 16 and
 17 are Phi, U and N of the deflated form (rank r - 1, sign
 s eta_bar(-f(x_alpha))).  A count on the hyperplane Tr(beta x) = 0 is
 p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11, and for id 15 and
-predict_hyperplane_root_count the S5 tree of id 14 (_s5_closed, the
-per-beta hot path of build).  Id 18 keeps its own closed forms.
+predict_hyperplane_root_count the S5 tree of id 14 (_s5_closed), which
+build evaluates once per beta class (quadform.BetaClasses), not once per
+beta.  Id 18 keeps its own closed forms.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -57,6 +58,7 @@ from .errors import (
 )
 from .field import ExtField, eta_bar
 from .quadform import (
+    BetaClasses,
     FormAnalysis,
     QuadraticFunction,
     analyze,
@@ -75,13 +77,20 @@ BRUTE_MAX_P = 19
 
 
 def check_brute_cap(ctx: ExtField) -> None:
-    if ctx.q > BRUTE_CAP:
+    """Refuse an exhaustive route over the field ctx past the caps."""
+    _check_cap(ctx.p, ctx.q)
+
+
+def _check_cap(p: int, size: int) -> None:
+    """The one guard of every exhaustive route: refuse characteristic p
+    past BRUTE_MAX_P, or a space of `size` points past BRUTE_CAP."""
+    if p > BRUTE_MAX_P:
         raise PreconditionViolatedError(
-            f"field size {ctx.q} exceeds the brute-force cap {BRUTE_CAP}")
-    if ctx.p > BRUTE_MAX_P:
-        raise PreconditionViolatedError(
-            f"characteristic {ctx.p} exceeds the brute-force cap "
+            f"characteristic {p} exceeds the brute-force cap "
             f"p <= {BRUTE_MAX_P}")
+    if size > BRUTE_CAP:
+        raise PreconditionViolatedError(
+            f"field size {size} exceeds the brute-force cap {BRUTE_CAP}")
 
 
 def brute_count(ctx: ExtField, predicate) -> int:
@@ -824,6 +833,8 @@ def lemma_oracle(lemma_id: int, params: LemmaParams) -> list[CheckResult]:
         raise MissingParamError(f"unknown registry id {lemma_id}")
     if params.analysis is not None:
         check_brute_cap(params.analysis.ctx)
+    if params.p is not None:
+        _check_cap(params.p, params.p**2)  # id 6 sums over GF(p)^2
     closed, brute = _REGISTRY[lemma_id]
     rows = closed(params)
     out = []
@@ -1085,7 +1096,11 @@ def _fill_missing_branches(rep: LemmaSweepReport, lemma_id: int,
     if not todo:
         return
     closed = _REGISTRY[lemma_id][0]
-    for params in _param_scan(lemma_id, pool):
+    if lemma_id in (10, 11, 13, 14, 15):
+        scan = _class_scan(lemma_id, pool, missing)
+    else:
+        scan = _param_scan(lemma_id, pool)
+    for params in scan:
         if not {branch for branch, _, _ in closed(params)} & todo:
             continue
         _run_check(rep, lemma_id, params)
@@ -1093,6 +1108,36 @@ def _fill_missing_branches(rep: LemmaSweepReport, lemma_id: int,
         todo = missing()
         if not todo:
             return
+
+
+def _class_scan(lemma_id: int, pool, missing):
+    """The beta stream of ids 10, 11 and 13-15, cut to the beta whose
+    branches include a missing one.
+
+    Every form, for ids 13-15 every alpha in steps of q // 48, and beta
+    in ascending order, as a plain scan would visit them.  The branches
+    of a check are a function of beta's class key (BetaClasses; for ids
+    10 and 11 under alpha = 0), so closed() runs once per key and form.
+    """
+    closed = _REGISTRY[lemma_id][0]
+    for an in pool:
+        q = an.ctx.q
+        classes = BetaClasses(an)
+        labels_of = {}
+        alphas = [None] if lemma_id in (10, 11) else range(0, q, max(1, q // 48))
+        for alpha in alphas:
+            keys, cls, reps = classes.split(alpha or 0)
+            for key, beta in zip(keys.tolist(), reps.tolist()):
+                if key not in labels_of:
+                    labels_of[key] = {branch for branch, _, _ in closed(
+                        LemmaParams(analysis=an, alpha=alpha, beta=beta))}
+            labels = [labels_of[key] for key in keys.tolist()]
+            wanted = missing()
+            hit = [c for c, branches in enumerate(labels) if branches & wanted]
+            for beta in np.flatnonzero(np.isin(cls, hit)) + 1:
+                if labels[cls[beta - 1]] & wanted:
+                    yield LemmaParams(analysis=an, alpha=alpha, beta=int(beta))
+                    wanted = missing()
 
 
 def _param_scan(lemma_id: int, pool):
@@ -1129,14 +1174,6 @@ def _param_scan(lemma_id: int, pool):
         elif lemma_id == 9:
             for alpha in range(q):
                 yield LemmaParams(analysis=an, alpha=alpha)
-        elif lemma_id in (10, 11):
-            for b in range(1, q):
-                yield LemmaParams(analysis=an, beta=b)
-        elif lemma_id in (13, 14, 15):
-            step = max(1, q // 48)
-            for alpha in range(0, q, step):
-                for beta in range(1, q):
-                    yield LemmaParams(analysis=an, alpha=alpha, beta=beta)
         elif lemma_id in (16, 17, 18):
             for w in range(q):
                 alpha = ctx.neg(ctx.scalar_mul(2, an.l_apply(w)))

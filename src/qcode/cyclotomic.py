@@ -210,24 +210,19 @@ def verify_sigma_power_sums(p: int, r: int, z: int | None = None) -> dict:
     """Check the two closed forms for sum_y sigma_y((p*)^(-r/2) [zeta^z]).
 
     Without z: 0 for odd r, (p*)^(-r/2)(p-1) for even r.  With a unit z:
-    eta_bar(z)(p*)^(-(r-1)/2) for odd r, -(p*)^(-r/2) for even r.
-    Both sides are computed independently and compared exactly.
+    eta_bar(z)(p*)^(-(r-1)/2) for odd r, -(p*)^(-r/2) for even r.  The
+    left side is the Galois sum computed term by term; the right side is
+    counting.unit_sum, U(r, 1, z) on GF(p)^0.
     """
+    from .counting import unit_sum  # counting builds on this module
+
+    if z is not None and z % p == 0:
+        raise NonUnitError("z must be a unit mod p")
     base = pstar_half_power(p, -r)
-    if z is None:
-        lhs = sigma_unit_sum(base)
-        if r % 2 == 1:
-            rhs = CycNum.zero(p)
-        else:
-            rhs = base.scale(p - 1)
-    else:
-        if z % p == 0:
-            raise NonUnitError("z must be a unit mod p")
-        lhs = sigma_unit_sum(base * CycNum.zeta_pow(p, z))
-        if r % 2 == 1:
-            rhs = pstar_half_power(p, -(r - 1)).scale(eta_bar(z, p))
-        else:
-            rhs = -base
+    if z is not None:
+        base = base * CycNum.zeta_pow(p, z)
+    lhs = sigma_unit_sum(base)
+    rhs = CycNum.from_rational(p, unit_sum(p, 0, r, 1, z or 0))
     return {
         "p": p,
         "r": r,

@@ -1,7 +1,9 @@
 """Small exact linear algebra over GF(p).
 
 Matrices are lists of row lists of ints in [0, p).  Sizes here are tiny
-(m x m for extension degrees m <= 7), so clarity beats asymptotics.
+(m x m, with m <= 11 under the field-size cap), so clarity beats
+asymptotics; whole-field work applies the solver's transform with numpy
+instead.
 """
 
 from __future__ import annotations

@@ -289,6 +289,80 @@ class FormAnalysis:
                     raise QCodeError(f"bilinear identity fails at ({x}, {y})")
 
 
+class BetaClasses:
+    """The classes of nonzero beta on which S5(alpha, beta) is constant.
+
+    S5 sees beta only through a few quadratic invariants: for alpha in
+    Im(L), whether beta lies in Im(L) and then f(x_beta) and
+    Tr(alpha x_beta); for alpha outside Im(L), the z0 in GF(p)* with
+    alpha - z0 beta in Im(L), if any, and then f(x_(alpha - z0 beta)).
+    All of them come from TB = digits(beta) T^T (mod p), T being the
+    solver's row transform, for every beta at once: beta lies in Im(L)
+    iff TB[rank:] = 0, and x_beta has the digits -TB[:rank]/2 at the
+    pivot columns, so beta -> x_beta is linear.  f(x_beta) and
+    Tr(alpha x_beta) do not depend on the Ker(L) coset representative.
+    The alpha-free part is computed once per form; split(alpha) is then
+    a few vector operations.
+    """
+
+    def __init__(self, an: FormAnalysis):
+        ctx = an.ctx
+        p, m = ctx.p, ctx.m
+        self.ctx = ctx
+        self._rank = an._solver.rank
+        self._t = np.asarray(an._solver.transform, dtype=np.int64).reshape(m, m)
+        self._pivots = an._solver.pivots
+        self._gram = np.asarray(an.gram, dtype=np.int64)
+        tb = ctx.digits_matrix()[1:] @ self._t.T
+        tb %= p
+        self._h = tb[:, self._rank:].copy()
+        self._x = self._solution(tb)
+        del tb  # (q, m) arrays set the peak here: reduce in place
+        xg = self._x @ self._gram
+        xg *= self._x
+        self._fx = xg.sum(axis=1) % p
+
+    def _solution(self, tb: np.ndarray) -> np.ndarray:
+        """Digits of the solutions x of L(x) = -b/2, b given by TB rows."""
+        x = np.zeros_like(tb)
+        x[..., self._pivots] = tb[..., :self._rank]
+        x *= (self.ctx.p - 1) // 2
+        x %= self.ctx.p
+        return x
+
+    def split(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, cls, reps): cls[beta - 1] is the class of beta, reps[c]
+        the smallest beta of class c, and keys[c] its invariants.
+
+        For alpha in Im(L) a key is f(x_beta) p + Tr(alpha x_beta), or p^2
+        for beta outside Im(L), plus (1 + f(x_alpha)) (p^2 + 1); for alpha
+        outside Im(L) it is z0 p + f(x_(alpha - z0 beta)), or p^2 when no
+        z0 exists.  There are at most p^2 + 1 classes, and S5(alpha, beta)
+        is a function of the key alone, across every alpha of the form.
+        """
+        ctx = self.ctx
+        p = ctx.p
+        ta = np.asarray(ctx.digits(alpha), dtype=np.int64) @ self._t.T % p
+        u = self._solution(ta)
+        outside = p * p
+        if not ta[self._rank:].any():
+            # u = x_alpha
+            tr_alpha = self._x @ ctx.trace_mul_vector(alpha) % p
+            key = np.where(self._h.any(axis=1), outside,
+                           self._fx * p + tr_alpha)
+            key += (1 + int(u @ self._gram @ u) % p) * (outside + 1)
+        else:
+            z0 = np.zeros(len(self._x), dtype=np.int64)
+            for z in range(1, p):
+                z0[~((ta[self._rank:] - z * self._h) % p).any(axis=1)] = z
+            # x_(alpha - z0 beta) = u - z0 x_beta
+            cross = self._x @ (self._gram @ u) % p
+            fprime = (u @ self._gram @ u - 2 * z0 * cross + z0 * z0 * self._fx) % p
+            key = np.where(z0 > 0, z0 * p + fprime, outside)
+        keys, first, cls = np.unique(key, return_index=True, return_inverse=True)
+        return keys, cls.reshape(-1), first + 1
+
+
 def _spot_check_enabled(ctx: ExtField) -> bool:
     return ctx.q <= 5**6
 

@@ -11,6 +11,7 @@ from qcode.codes import (
     generator_matrix,
     generator_matrix_csv,
     parse_enumerator,
+    proportional_pairs,
     weight_distribution,
     weight_of,
 )
@@ -207,6 +208,67 @@ def test_both_mode_raises_on_disagreement(monkeypatch):
     monkeypatch.setattr(codes_mod, "_weights_analytic", off_by_one)
     with pytest.raises(QCodeError, match="disagree at beta=5"):
         weight_distribution(example1_set(), "both")
+
+
+def test_analytic_route_evaluates_one_beta_per_class(monkeypatch):
+    # at most p^2 + 1 closed-form evaluations per code, never one per beta
+    real = codes_mod.predict_hyperplane_root_count
+    calls = []
+
+    def counted(an, alpha, beta):
+        calls.append(beta)
+        return real(an, alpha, beta)
+
+    monkeypatch.setattr(codes_mod, "predict_hyperplane_root_count", counted)
+    for p, m in [(3, 4), (3, 5), (5, 3), (7, 3)]:
+        F = get_field(p, m)
+        for f in small_forms(F):
+            an = analyze(f)
+            alphas = [1, next(a for a in F.nonzero_elements() if not an.in_image(a))
+                      ] if an.rank < m else [1]
+            for alpha in alphas:
+                calls.clear()
+                try:
+                    weight_distribution(defining_set(an, alpha), "both")
+                except DimensionCollapseError:
+                    continue
+                assert 0 < len(calls) <= p * p + 1 < F.q - 1
+                assert len(set(calls)) == len(calls)
+
+
+def test_proportional_pairs_match_direct_count():
+    # {d, lambda d} inside D, counted with field multiplications; alpha = 0
+    # gives a defining set closed under scaling, so P = n(p-2)/2
+    rng = random.Random(5)
+    positive = 0
+    for p, m in [(3, 3), (5, 2), (5, 3), (7, 2)]:
+        for an in analysis_pool(p, m, rng, extra=2):
+            F = an.ctx
+            for alpha in (0, rng.randrange(1, F.q)):
+                try:
+                    ds = defining_set(an, alpha)
+                except EmptyDefiningSetError:
+                    continue
+                members = set(ds.elements)
+                ordered = sum(F.scalar_mul(lam, d) in members
+                              for d in ds.elements for lam in range(2, p))
+                assert proportional_pairs(ds) * 2 == ordered
+                if alpha == 0:
+                    assert ordered == ds.length * (p - 2)
+                positive += ordered > 0
+    assert positive
+
+
+def test_second_pless_moment_rejects_a_wrong_pair_count():
+    F = get_field(5, 3)
+    ds = defining_set(analyze(preset_cor1(F, 1)), 0)
+    wd = weight_distribution(ds, "naive")
+    pairs = proportional_pairs(ds)
+    assert pairs > 0
+    wd.validate(F.p, pairs)
+    for wrong in (pairs - 1, pairs + 1, 0):
+        with pytest.raises(QCodeError, match="second power moment"):
+            wd.validate(F.p, wrong)
 
 
 def test_dimension_collapse_detected_with_witness():

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qcode.counting import (
+    BRUTE_MAX_P,
     IDENTITY_IDS,
     REQUIRED_BRANCHES,
     LemmaParams,
@@ -19,11 +21,20 @@ from qcode.counting import (
     predict_hyperplane_root_count,
     predict_root_count,
     unit_sum,
+    _s3,
+    _s4_closed,
+    _s5_closed,
 )
 from qcode.cyclotomic import CycNum, gauss_sum_prime, sigma_unit_sum
 from qcode.errors import MissingParamError, PreconditionViolatedError
 from qcode.field import eta_bar
-from qcode.quadform import QuadraticFunction, analyze, preset_cor1, preset_trace_square_minus
+from qcode.quadform import (
+    BetaClasses,
+    QuadraticFunction,
+    analyze,
+    preset_cor1,
+    preset_trace_square_minus,
+)
 
 
 def _brute_roots(an, alpha):
@@ -153,6 +164,48 @@ def test_hyperplane_count_matches_brute_randomized():
                 assert res.equal and res.closed == str(want)
                 seen.add(res.branch)
     assert seen >= set(REQUIRED_BRANCHES[15])
+
+
+def test_closed_forms_are_constant_on_beta_classes():
+    # the class route and the branch-fill scan evaluate S5 (ids 14, 15)
+    # and S4 (id 13) at one beta per class, and S3 (ids 10, 11) at one
+    # beta per class of alpha = 0; every beta of a class must give the
+    # same value and label, and S4 and S5 must be functions of the class
+    # key across every alpha of a form, since the scan memoises labels on it
+    rng = random.Random(43)
+    pool = [an for p, m in [(3, 1), (5, 1), (3, 2), (3, 3), (5, 2)]
+            for an in analysis_pool(p, m, rng, extra=2)]
+    outside = 0
+    for an in pool:
+        F = an.ctx
+        classes = BetaClasses(an)
+        by_key = {}
+        for alpha in F.elements():
+            keys, cls, reps = classes.split(alpha)
+            s5 = [_s5_closed(an, alpha, beta) for beta in reps.tolist()]
+            s4 = [_s4_closed(an, alpha, beta) for beta in reps.tolist()]
+            for key, value in zip(keys.tolist(), zip(s5, s4)):
+                assert by_key.setdefault(key, value) == value
+            for beta in F.nonzero_elements():
+                c = cls[beta - 1]
+                assert _s5_closed(an, alpha, beta) == s5[c]
+                assert _s4_closed(an, alpha, beta) == s4[c]
+            outside += not an.in_image(alpha)
+        _, cls, reps = classes.split(0)
+        s3 = [_s3(an, beta) for beta in reps.tolist()]
+        for beta in F.nonzero_elements():
+            assert _s3(an, beta) == s3[cls[beta - 1]]
+    assert outside
+
+
+def test_lemma_oracle_refuses_id_6_past_the_characteristic_cap():
+    # id 6 carries p alone, no field; its p^2 brute loop is still capped
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionViolatedError, match="characteristic 4001"):
+        lemma_oracle(6, LemmaParams(p=4001, abc=(1, 0, 1)))
+    assert time.perf_counter() - t0 < 0.1
+    res, = lemma_oracle(6, LemmaParams(p=BRUTE_MAX_P, abc=(1, 0, 1)))
+    assert res.equal
 
 
 def test_hyperplane_count_requires_nonzero_beta():

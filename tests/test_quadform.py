@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
-from qcode.counting import get_field
+from qcode.counting import analysis_pool, get_field
 from qcode.cyclotomic import exp_sum, pstar_half_power
 from qcode.errors import AlphaInImageError, PreconditionViolatedError
 from qcode.field import eta_bar
 from qcode.linalg import mat_mul, mat_transpose, rank
 from qcode.quadform import (
+    BetaClasses,
     QuadraticFunction,
     analyze,
     congruence_diagonalize,
@@ -313,6 +315,59 @@ def test_shifted_image_unique_z_seeded():
                 if an.in_image(F.sub(alpha, F.scalar_mul(z, beta)))]
         assert len(hits) <= 1
         assert an.in_shifted_image(alpha, beta) == (hits[0] if hits else None)
+
+
+# ---------------------------------------------------------------------------
+# beta classes
+# ---------------------------------------------------------------------------
+
+def test_beta_classes_read_the_scalar_invariants():
+    # every (alpha, beta): the key is f(x_b) p + Tr(alpha x_b), or p^2, plus
+    # (1 + f(x_alpha)) (p^2 + 1) for alpha in Im(L), and z0 p +
+    # f(x_(alpha - z0 beta)), or p^2, outside it, as the scalar solvers give
+    # them; reps are each class's first beta
+    rng = random.Random(41)
+    pool = [an for p, m in [(3, 2), (3, 3), (5, 2), (3, 4)]
+            for an in analysis_pool(p, m, rng, extra=1)]
+    for an in pool:
+        F = an.ctx
+        p = F.p
+        classes = BetaClasses(an)
+        for alpha in F.elements():
+            keys, cls, reps = classes.split(alpha)
+            assert len(keys) <= p * p + 1
+            assert reps.tolist() == [1 + int(np.flatnonzero(cls == c)[0])
+                                     for c in range(len(keys))]
+            got = keys[cls].tolist()
+            for beta in F.nonzero_elements():
+                if an.in_image(alpha):
+                    xb = an.solve_xb(beta)
+                    want = (p * p if xb is None else
+                            an.f_at_xb(beta) * p + F.trace(F.mul(alpha, xb)))
+                    want += (1 + an.f_at_xb(alpha)) * (p * p + 1)
+                else:
+                    z0 = an.in_shifted_image(alpha, beta)
+                    want = (p * p if z0 is None else
+                            z0 * p + an.f_at_xb(F.sub(alpha, F.scalar_mul(z0, beta))))
+                assert got[beta - 1] == want, (an, alpha, beta)
+
+
+def test_beta_classes_outside_image_split_by_z0():
+    # alpha outside Im(L) reaches both the no-z0 class and classes with z0
+    for p, m in [(3, 4), (5, 3), (7, 2)]:
+        F = get_field(p, m)
+        an = _deficient_analysis(F)
+        classes = BetaClasses(an)
+        kinds = set()
+        for alpha in (a for a in F.nonzero_elements() if not an.in_image(a)):
+            keys, _, reps = classes.split(alpha)
+            for key, beta in zip(keys.tolist(), reps.tolist()):
+                z0 = an.in_shifted_image(alpha, beta)
+                assert (z0 is None) == (key == p * p)
+                if z0 is not None:
+                    assert key // p == z0
+                kinds.add(z0 is None)
+        assert kinds == {True, False}, (p, m)
 
 
 # ---------------------------------------------------------------------------
