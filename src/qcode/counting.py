@@ -20,7 +20,9 @@ s eta_bar(-f(x_alpha))).  A count on the hyperplane Tr(beta x) = 0 is
 p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11, and for id 15 and
 predict_hyperplane_root_count the S5 tree of id 14 (_s5_closed), which
 build evaluates once per beta class (quadform.BetaClasses), not once per
-beta.  Id 18 keeps its own closed forms.
+beta.  Id 18 keeps its own case tree (_partition_counts).  The scalar
+closed forms (phase_sum, unit_sum, level_count, _partition_counts) depend
+only on small integers and are memoised, so a sweep evaluates each once.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -115,6 +117,7 @@ def phase_sum(p: int, m: int, k: int, s: int) -> CycNum:
     return pstar_half_power(p, -k).scale(s * p**m)
 
 
+@lru_cache(maxsize=None)
 def unit_sum(p: int, m: int, k: int, s: int, z: int) -> Fraction:
     """U(k, s, z) = sum over y in GF(p)* of sigma_y(Phi(k, s) zeta^z).
 
@@ -131,6 +134,7 @@ def unit_sum(p: int, m: int, k: int, s: int, z: int) -> Fraction:
     return eta_bar(z, p) * s * p**m * pstar_fraction_power(p, -((k - 1) // 2))
 
 
+@lru_cache(maxsize=None)
 def level_count(p: int, m: int, k: int, s: int, t: int) -> int:
     """N(k, s, t) = p^(m-1) + U(k, s, -t)/p, the number of x in GF(p)^m
     with Q(x) = t."""
@@ -707,8 +711,18 @@ def _closed_18(params: LemmaParams) -> list:
     """Partition counts of GF(q) by f, Tr(alpha x), and the auxiliary E."""
     _need(params, "analysis", "alpha")
     an = params.analysis
-    p, m, r, s = an.ctx.p, an.ctx.m, an.rank, an.sign
-    ea = eta_bar(-_nonzero_special_value(an, params.alpha), p)
+    ea = eta_bar(-_nonzero_special_value(an, params.alpha), an.ctx.p)
+    return [(key, count,
+             "definition restricted to E != 0 (the closed form excludes "
+             "the E = 0 slice)" if key == "J2" else None)
+            for key, count in _partition_counts(an.ctx.p, an.ctx.m, an.rank,
+                                                an.sign, ea)]
+
+
+@lru_cache(maxsize=None)
+def _partition_counts(p: int, m: int, r: int, s: int, ea: int) -> tuple:
+    """Id 18's (label, count) pairs for rank r, sign s and
+    ea = eta_bar(-f(x_alpha))."""
     base = Fraction(p) ** (m - 2)
     if r % 2 == 0:
         x = s * p * pstar_fraction_power(p, -(r // 2))
@@ -729,10 +743,7 @@ def _closed_18(params: LemmaParams) -> list:
             "J5": (p - 1) * base * (1 + (p - 1) * w),
             "J6": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - w),
         }
-    return [(key, _as_int(val),
-             "definition restricted to E != 0 (the closed form excludes "
-             "the E = 0 slice)" if key == "J2" else None)
-            for key, val in closed.items()]
+    return tuple((key, _as_int(val)) for key, val in closed.items())
 
 
 def _brute_18(params: LemmaParams) -> list:
@@ -742,6 +753,7 @@ def _brute_18(params: LemmaParams) -> list:
     ctx = an.ctx
     p, r = ctx.p, an.rank
     fa = an.f_at_xb(alpha)
+    wants = _partition_counts(p, ctx.m, r, an.sign, eta_bar(-fa, p))
     fv = an.f.values()
     tra = ctx.trace_mul_all(alpha)
     inv = _inv_table(p)
@@ -773,8 +785,8 @@ def _brute_18(params: LemmaParams) -> list:
         return [j1, j2, j3, j4, j5, j6]
 
     out = []
-    for (_, want, _), plus, minus in zip(_closed_18(params), counts_with(e_plus),
-                                         counts_with(e_minus)):
+    for (_, want), plus, minus in zip(wants, counts_with(e_plus),
+                                      counts_with(e_minus)):
         note = None
         if minus != plus:
             verdict = "matches" if minus == want else "fails"

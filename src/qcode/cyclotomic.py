@@ -1,10 +1,12 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p).
 
-A CycNum stores p-1 rational coordinates on the integral basis
-{zeta^0, ..., zeta^(p-2)}, with zeta^(p-1) eliminated through
-1 + zeta + ... + zeta^(p-1) = 0.  Every identity in this package is
-checked by exact equality here; floating point appears only in the
-optional complex-embedding diagnostic.
+A CycNum stores p-1 integer numerators on the integral basis
+{zeta^0, ..., zeta^(p-2)} over one shared positive denominator, with
+zeta^(p-1) eliminated through 1 + zeta + ... + zeta^(p-1) = 0.  The ring
+operations run on integers only; Fractions appear at the API edge (the
+constructor, coords, rational_value and scale).  Every identity in this
+package is checked by exact equality here; floating point appears only in
+the optional complex-embedding diagnostic.
 
 The square root of p* = (-1)^((p-1)/2) p is *defined* as the prime-field
 Gauss sum sum_{c in GF(p)*} eta_bar(c) zeta^c, which fixes the branch
@@ -16,75 +18,96 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from numbers import Integral
 
 from .errors import NonUnitError, ZeroLeadCoefficientError
 from .field import ExtField, eta_bar
 
 
 class CycNum:
-    """Element of Q(zeta_p) in canonical reduced form."""
+    """Element of Q(zeta_p) in canonical form: num, a tuple of p-1 integer
+    numerators on {zeta^0, ..., zeta^(p-2)}, over den > 0 with
+    gcd(den, *num) = 1, so equal elements have equal (num, den).
 
-    __slots__ = ("p", "coords")
+    Every value the registry makes has a power of p as its denominator;
+    any positive denominator is accepted.
+    """
+
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coords):
+        values = [_rational(c) for c in coords]
+        if len(values) != p - 1:
+            raise ValueError(f"expected {p - 1} coordinates, got {len(values)}")
+        den = lcm(*(v.denominator for v in values))
+        num = [v.numerator * (den // v.denominator) for v in values]
         self.p = p
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != p - 1:
-            raise ValueError(f"expected {p - 1} coordinates, got {len(coords)}")
-        self.coords = coords
+        self.num, self.den = _reduce(num, den)
+
+    @property
+    def coords(self) -> tuple:
+        """The p-1 rational coordinates, as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> CycNum:
-        return cls(p, (0,) * (p - 1))
+        return _new(p, (0,) * (p - 1), 1)
 
     @classmethod
     def from_rational(cls, p: int, value) -> CycNum:
-        return cls(p, (Fraction(value),) + (0,) * (p - 2))
+        value = _rational(value)
+        return _new(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> CycNum:
         k %= p
         if k == p - 1:
-            return cls(p, (-1,) * (p - 1))
-        coords = [0] * (p - 1)
-        coords[k] = 1
-        return cls(p, coords)
+            return _new(p, (-1,) * (p - 1), 1)
+        num = [0] * (p - 1)
+        num[k] = 1
+        return _new(p, num, 1)
 
     @classmethod
     def from_exponent_counts(cls, p: int, counts) -> CycNum:
         """Sum of counts[k] * zeta^k over k in [0, p)."""
         if len(counts) != p:
             raise ValueError(f"expected {p} exponent counts")
-        top = Fraction(counts[p - 1])
-        return cls(p, [Fraction(c) - top for c in counts[: p - 1]])
+        top = counts[p - 1]
+        return cls(p, [c - top for c in counts[: p - 1]])
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: CycNum) -> CycNum:
-        return CycNum(self.p, [a + b for a, b in zip(self.coords, other.coords)])
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _new(self.p, [x * a + y * b for x, y in zip(self.num, other.num)], den)
 
     def __sub__(self, other: CycNum) -> CycNum:
-        return CycNum(self.p, [a - b for a, b in zip(self.coords, other.coords)])
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return _new(self.p, [x * a - y * b for x, y in zip(self.num, other.num)], den)
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.p, [-a for a in self.coords])
+        return _new(self.p, [-x for x in self.num], self.den)
 
     def __mul__(self, other: CycNum) -> CycNum:
         p = self.p
-        acc = [Fraction(0)] * p
-        for i, a in enumerate(self.coords):
+        acc = [0] * p
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coords):
+                for j, b in enumerate(other.num):
                     if b:
                         acc[(i + j) % p] += a * b
         top = acc[p - 1]
-        return CycNum(p, [c - top for c in acc[: p - 1]])
+        return _new(p, [c - top for c in acc[: p - 1]], self.den * other.den)
 
     def scale(self, c) -> CycNum:
-        c = Fraction(c)
-        return CycNum(self.p, [a * c for a in self.coords])
+        c = _rational(c)
+        return _new(self.p, [x * c.numerator for x in self.num],
+                    self.den * c.denominator)
 
     def __pow__(self, e: int) -> CycNum:
         if e < 0:
@@ -101,48 +124,77 @@ class CycNum:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(self.p, other)
-        return isinstance(other, CycNum) and (self.p, self.coords) == (other.p, other.coords)
+        return isinstance(other, CycNum) and (
+            (self.p, self.den, self.num) == (other.p, other.den, other.num))
 
     def __hash__(self):
-        return hash((self.p, self.coords))
+        return hash((self.p, self.den, self.num))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def sigma(self, a: int) -> CycNum:
         """Galois automorphism determined by zeta -> zeta^a, gcd(a, p) = 1."""
         p = self.p
         if a % p == 0:
             raise NonUnitError(f"sigma index {a} is not a unit mod {p}")
-        acc = [Fraction(0)] * p
-        for e, c in enumerate(self.coords):
+        acc = [0] * p
+        for e, c in enumerate(self.num):
             if c:
                 acc[a * e % p] += c
         top = acc[p - 1]
-        return CycNum(p, [c - top for c in acc[: p - 1]])
+        return _new(p, [c - top for c in acc[: p - 1]], self.den)
 
     def complex_value(self) -> complex:
         """Numeric embedding zeta -> e^(2*pi*i/p); diagnostic only."""
         zeta = cmath.exp(2j * cmath.pi / self.p)
-        return sum(float(c) * zeta**k for k, c in enumerate(self.coords))
+        return sum(n / self.den * zeta**k for k, n in enumerate(self.num))
 
     def to_text(self) -> str:
+        den = self.den
         parts = []
-        for k, c in enumerate(self.coords):
-            num = f"{c.numerator}" if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            parts.append(num if k == 0 else f"{num}*z^{k}" if k > 1 else f"{num}*z")
+        for k, n in enumerate(self.num):
+            g = gcd(n, den)
+            text = f"{n // g}" if g == den else f"{n // g}/{den // g}"
+            parts.append(text if k == 0 else f"{text}*z^{k}" if k > 1 else f"{text}*z")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"CycNum(p={self.p}, {self.to_text()})"
+
+
+def _rational(value):
+    """value as a Python int or a Fraction, either of which has numerator
+    and denominator."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, Integral):  # numpy integers, say
+        return int(value)
+    return Fraction(value)
+
+
+def _reduce(num, den: int) -> tuple[tuple, int]:
+    """Numerators and denominator divided by gcd(den, *num)."""
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(n // g for n in num), den // g
+
+
+def _new(p: int, num, den: int) -> CycNum:
+    """The CycNum num/den with den > 0, put in canonical form."""
+    x = object.__new__(CycNum)
+    x.p = p
+    x.num, x.den = _reduce(num, den)
+    return x
 
 
 def pstar(p: int) -> int:

@@ -13,7 +13,6 @@ reference constructions and adjudicates the three with known misprints.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .codes import (
     parse_enumerator,
     weight_distribution,
 )
-from .counting import _as_int, analysis_pool, get_field, pool_size, root_count_closed
+from .counting import _as_int, analysis_pool, get_field, root_count_closed
 from .errors import (
     DegenerateFormError,
     DimensionCollapseError,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .field import eta_bar
 from .cyclotomic import pstar_fraction_power
-from .quadform import FormAnalysis, QuadraticFunction, analyze, parse_preset
+from .quadform import FormAnalysis, analyze, parse_preset
 
 SWEEP_BRANCHES = ("T1:even_nonzero", "T1:even_zero", "T1:odd_nonzero",
                   "T1:odd_zero", "T2:even", "T2:odd")
@@ -244,15 +243,12 @@ def verify(an: FormAnalysis, alpha: int, mode: str = "both"
     return PredictionReport(case, n, rows, wd, witnesses), ds, wd
 
 
-def theorem_sweep(trials: int = 300, seed: int = 20240601,
-                  field_specs=None, min_branch: int = 5, mode: str = "both",
-                  workers: int = 1) -> dict:
+def theorem_sweep(trials: int = 300, seed: int = 20240601, field_specs=None,
+                  min_branch: int = 5, mode: str = "both") -> dict:
     """Seeded predicted-vs-brute sweep across random (f, alpha) instances.
 
     Random draws over the given (p, m) mix, then a deterministic fill
-    pass for any table branch hit fewer than min_branch times.  With
-    workers > 1, instances are verified in a process pool; assembly
-    order stays fixed, so reports are identical either way.
+    pass for any table branch hit fewer than min_branch times.
     """
     if field_specs is None:
         field_specs = [(p, m) for p in (3, 5) for m in (2, 3, 4, 5)]
@@ -304,7 +300,8 @@ def theorem_sweep(trials: int = 300, seed: int = 20240601,
             if per_branch[branch] >= min_branch:
                 break
 
-    results = _run_instances(instances, mode, workers)
+    results = [_verify_instance(an, alpha, branch, mode)
+               for an, alpha, branch in instances]
     mismatches = [r for r in results if not r["match"]]
     return {
         "seed": seed,
@@ -316,28 +313,10 @@ def theorem_sweep(trials: int = 300, seed: int = 20240601,
     }
 
 
-def _run_instances(instances, mode: str, workers: int) -> list[dict]:
-    workers = pool_size(workers, len(instances), os.cpu_count())
-    if workers > 1:
-        import concurrent.futures
-
-        payload = [(an.ctx.p, an.ctx.m, an.ctx.modulus, an.f.coeffs,
-                    alpha, branch, mode) for an, alpha, branch in instances]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_payload, payload, chunksize=8))
-    return [_verify_payload((an.ctx.p, an.ctx.m, an.ctx.modulus, an.f.coeffs,
-                             alpha, branch, mode), an)
-            for an, alpha, branch in instances]
-
-
-def _verify_payload(payload, an: FormAnalysis | None = None) -> dict:
-    p, m, modulus, coeffs, alpha, branch, mode = payload
-    if an is None:
-        ctx = get_field(p, m, tuple(modulus))
-        an = analyze(QuadraticFunction(ctx, coeffs))
+def _verify_instance(an: FormAnalysis, alpha: int, branch: str, mode: str) -> dict:
     report, _, _ = verify(an, alpha, mode)
-    out = {"p": p, "m": m, "coeffs": list(coeffs), "alpha": alpha,
-           "branch": branch, "match": report.match}
+    out = {"p": an.ctx.p, "m": an.ctx.m, "coeffs": list(an.f.coeffs),
+           "alpha": alpha, "branch": branch, "match": report.match}
     if not report.match:
         out["witnesses"] = report.witnesses
     return out

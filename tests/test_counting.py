@@ -21,12 +21,24 @@ from qcode.counting import (
     predict_hyperplane_root_count,
     predict_root_count,
     unit_sum,
+    _closed_18,
+    _partition_counts,
     _s3,
     _s4_closed,
     _s5_closed,
 )
-from qcode.cyclotomic import CycNum, gauss_sum_prime, sigma_unit_sum
-from qcode.errors import MissingParamError, PreconditionViolatedError
+import qcode.counting as counting
+from qcode.cyclotomic import (
+    CycNum,
+    gauss_sum_prime,
+    pstar_fraction_power,
+    sigma_unit_sum,
+)
+from qcode.errors import (
+    MissingParamError,
+    NonIntegralPredictionError,
+    PreconditionViolatedError,
+)
 from qcode.field import eta_bar
 from qcode.quadform import (
     BetaClasses,
@@ -294,6 +306,88 @@ def test_identity_18_flags_printed_e_sign():
         if seen_diff:
             break
     assert seen_diff
+
+
+def _partition_tree(p, m, r, s, ea):
+    """Id 18's case tree as written out before it was cached: exact
+    Fractions, recomputed on every call."""
+    base = Fraction(p) ** (m - 2)
+    if r % 2 == 0:
+        x = s * p * pstar_fraction_power(p, -(r // 2))
+        closed = {
+            "I1": base,
+            "I2": (p - 1) * base * (2 + x),
+            "I3": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - x),
+            "I4": Fraction((p - 1) * (p - 2), 2) * base * (1 + x),
+        }
+    else:
+        w = s * ea * pstar_fraction_power(p, -((r - 1) // 2))
+        closed = {
+            "J1": (p - 1) * base * (1 + (p - 1) * w),
+            "J2": Fraction((p - 1) * (p - 2), 2) * base * (1 - w),
+            "J3": base + ea * s * (p - 1) * base
+                  * pstar_fraction_power(p, -((r - 1) // 2)),
+            "J4": (p - 1) * base * (1 - w),
+            "J5": (p - 1) * base * (1 + (p - 1) * w),
+            "J6": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - w),
+        }
+    return closed
+
+
+def test_cached_partition_counts_match_the_case_tree():
+    integral = 0
+    for p in (3, 5, 7, 11, 13):
+        for m in range(1, 7):
+            for r in range(1, m + 1):
+                for s in (1, -1):
+                    for ea in (1, -1):
+                        want = _partition_tree(p, m, r, s, ea)
+                        if any(v.denominator != 1 for v in want.values()):
+                            with pytest.raises(NonIntegralPredictionError):
+                                _partition_counts(p, m, r, s, ea)
+                            continue
+                        got = _partition_counts(p, m, r, s, ea)
+                        assert got == tuple((k, int(v)) for k, v in want.items())
+                        assert all(type(v) is int for _, v in got)
+                        integral += 1
+    assert integral > 400
+    # _closed_18 reads those counts on the forms and alphas of real pools
+    rng = random.Random(18)
+    checked = 0
+    for an in analysis_pool(3, 4, rng) + analysis_pool(5, 3, rng):
+        F = an.ctx
+        for alpha in range(1, F.q, 7):
+            fa = an.f_at_xb(alpha)
+            if not fa:
+                continue
+            ea = eta_bar(-fa, F.p)
+            rows = _closed_18(LemmaParams(analysis=an, alpha=alpha))
+            want = _partition_tree(F.p, F.m, an.rank, an.sign, ea)
+            assert [(k, v) for k, v, _ in rows] == [
+                (k, int(v)) for k, v in want.items()]
+            checked += 1
+    assert checked > 50
+
+
+def test_identity_18_brute_reads_the_cached_counts(monkeypatch):
+    an = analyze(preset_trace_square_minus(get_field(3, 4), 1))
+    F = an.ctx
+    alpha = next(a for a in F.nonzero_elements()
+                 if an.f_at_xb(a) not in (None, 0))
+    cached = counting._partition_counts
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return cached(*key)
+
+    monkeypatch.setattr(counting, "_partition_counts", counted)
+    cached.cache_clear()
+    results = lemma_oracle(18, LemmaParams(analysis=an, alpha=alpha))
+    assert all(r.equal for r in results)
+    # closed() and brute() each read the counts once; the tree ran once
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert cached.cache_info().misses == 1
 
 
 def test_identity_19_partition_of_offplane_counts():

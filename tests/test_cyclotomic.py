@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcode.counting import get_field
@@ -54,6 +55,13 @@ def test_coordinates_stay_reduced_and_rational_detection():
     y = x + CycNum.zeta_pow(5, 1) + CycNum.zeta_pow(5, 2) + CycNum.zeta_pow(5, 3)
     assert y == rational(5, -1)
     assert y.rational_value() == Fraction(-1)
+
+
+def test_numpy_counts_become_python_integers():
+    # numpy integers would wrap past 2^63; coordinates are Python ints
+    x = CycNum.from_exponent_counts(3, np.array([2**40, 0, 0], dtype=np.int64))
+    assert all(type(n) is int for n in x.num)
+    assert (x * x).rational_value() == 2**80
 
 
 def test_scale_and_pow():
