@@ -4,9 +4,10 @@ Subcommands: analyze, build, predict, verify, lemmas, paper-examples.
 JSON is the machine contract; text renders the same data for reading.
 Identical configurations produce byte-identical output: all randomness
 is seed-derived and every iteration order is fixed.  The QCODE_THREADS
-environment variable caps the worker count of commands that can
-parallelize internally (currently the lemma sweep); the pool never
-exceeds the task count or the machine's CPU count.
+environment variable, a positive integer, caps the worker count of
+commands that can parallelize internally (currently the lemma sweep); the
+pool never exceeds the task count or the machine's CPU count.  Any other
+non-empty value is a configuration error.
 
 Exit codes: 0 success (for verify: prediction matches brute force; for
 lemmas: every identity ran checks and all agreed), 1 verify mismatch or a
@@ -35,11 +36,17 @@ from .quadform import QuadraticFunction, analyze, parse_preset
 
 
 def worker_count() -> int:
-    cap = os.environ.get("QCODE_THREADS", "")
-    try:
-        return max(1, int(cap))
-    except ValueError:
+    """The QCODE_THREADS cap: a positive integer, 1 when unset or empty."""
+    cap = os.environ.get("QCODE_THREADS", "").strip()
+    if not cap:
         return 1
+    try:
+        workers = int(cap)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise QCodeError(f"QCODE_THREADS must be a positive integer, got {cap!r}")
+    return workers
 
 
 def _dump(payload) -> str:
@@ -197,9 +204,9 @@ def cmd_lemmas(args) -> int:
     ids = (args.lemma,) if args.lemma else IDENTITY_IDS
     if args.lemma and args.lemma not in IDENTITY_IDS:
         raise QCodeError(f"--lemma must be one of {list(IDENTITY_IDS)}")
+    workers = worker_count()
     report = lemma_sweep([(args.p, args.m)], trials=args.trials,
-                         seed=args.seed, lemma_ids=ids,
-                         workers=worker_count())
+                         seed=args.seed, lemma_ids=ids, workers=workers)
     if args.format == "text":
         lines = [f"identity sweep over GF({args.p}^{args.m}), "
                  f"seed {args.seed}, trials {args.trials}"]

@@ -8,6 +8,16 @@ for phase sums) with an independent exhaustive computation, and the
 oracle reports per-branch equality, so any transcription error surfaces
 as a flagged mismatch instead of silently propagating.
 
+The exhaustive side of every field-backed id enumerates GF(q) once per
+check, into the joint histogram of (f(x), Tr(alpha x), Tr(beta x)), or of
+the part of that tuple the id reads.  x = g^j runs in log order, where
+f(x) is QuadraticFunction.log_values() and Tr(e x) a window of one doubled
+trace array, and x = 0 adds one more count.  The id's phase sums and counts
+are then read off the histogram through small integer maps cached per p
+and constant.  Every x is still counted once, in integers, and nothing on
+this side reads the closed forms, the Gram matrix, L or its solver, only
+the coefficient formula of f and the field tables.
+
 Each closed form has one source.  Most are instances of one quadratic
 Gauss-sum evaluation: a rank-k, sign-s form on GF(p)^m has phase sum
 Phi(k, s) = s p^m (p*)^(-k/2) (phase_sum), rational Galois-unit sums
@@ -264,22 +274,63 @@ def _aux_e(p: int, fa: int, fb: int, tab: int) -> int:
     return (-fa + tab * tab * inv) % p
 
 
-# --- shared brute-force helpers ---------------------------------------------
+# --- the brute side: one joint value histogram per check --------------------
+#
+# Every field-backed oracle sees x only through f(x) and Tr(e x) for one or
+# two fixed elements e.  _histogram enumerates GF(q) once into the joint
+# counts H of that tuple; an oracle then reads its level counts off H by
+# indexing, or its exponent and partition counts through a small integer
+# matrix (_read), cached per p, builder and constant.  Every x is counted
+# once, in integers, so the work after the pass does not grow with q.
 
 
-def _counts_of(p: int, arr: np.ndarray) -> list[int]:
-    return np.bincount(arr % p, minlength=p).astype(int).tolist()
+def _histogram(an: FormAnalysis, *elems: int) -> np.ndarray:
+    """Joint counts over every x in GF(q) of (f(x), Tr(e x) for e in
+    elems): H[f, t_1, ..., t_k] is the number of x with those values.
+
+    x = g^j runs in log order, so Tr(e x) is a window of one doubled array
+    (ExtField.trace_mul_log); x = 0 adds one to H[0, ..., 0].
+    """
+    ctx = an.ctx
+    p = ctx.p
+    cell = an.f.log_values()
+    for e in elems:
+        cell = cell * p + ctx.trace_mul_log(e)
+    counts = np.bincount(cell, minlength=p ** (len(elems) + 1))
+    counts[0] += 1
+    return counts.reshape((p,) * (len(elems) + 1))
 
 
-def _cyc_of(p: int, arr: np.ndarray) -> CycNum:
-    return CycNum.from_exponent_counts(p, _counts_of(p, arr))
+@lru_cache(maxsize=None)
+def _cell_map(p: int, k: int, build, *args) -> np.ndarray:
+    """build(p, *coords, *args) on the coordinate arrays of the p^k cells
+    of a k-way histogram: a (p^k, width) integer matrix, cached and
+    read-only."""
+    out = np.asarray(build(p, *np.indices((p,) * k).reshape(k, -1), *args),
+                     dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
-def _inv_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        inv[v] = pow(v, p - 2, p)
-    return inv
+def _read(h: np.ndarray, build, *args) -> list[int]:
+    """The counts H @ M for the cached map M of build over h's cells."""
+    return (h.ravel() @ _cell_map(h.shape[0], h.ndim, build, *args)).tolist()
+
+
+def _exponents(p: int, *terms: np.ndarray) -> np.ndarray:
+    """(cells, p) matrix whose entry (c, e) counts the terms equal to
+    e mod p at cell c: read off H, the exponent counts of the sum of
+    zeta^term over every x and every term."""
+    out = np.zeros((len(terms[0]), p), dtype=np.int64)
+    rows = np.arange(len(out))
+    for term in terms:
+        out[rows, term % p] += 1
+    return out
+
+
+def _phase(h: np.ndarray, build, *args) -> CycNum:
+    """The phase sum whose exponent map build gives, read off h."""
+    return CycNum.from_exponent_counts(h.shape[0], _read(h, build, *args))
 
 
 def _eta_bar_table(p: int) -> np.ndarray:
@@ -320,13 +371,28 @@ class LemmaParams:
 
 @dataclass
 class CheckResult:
+    """One compared row of a registry check.  The text forms closed, brute
+    and params are rendered when read: a sweep keeps only its failures."""
+
     lemma_id: int
     branch: str
-    closed: str
-    brute: str
+    closed_value: object
+    brute_value: object
     equal: bool
-    params: dict
+    lemma_params: LemmaParams
     note: str | None = None
+
+    @property
+    def closed(self) -> str:
+        return _render(self.closed_value)
+
+    @property
+    def brute(self) -> str:
+        return _render(self.brute_value)
+
+    @property
+    def params(self) -> dict:
+        return self.lemma_params.describe()
 
     def to_json(self) -> dict:
         out = {"lemma": self.lemma_id, "branch": self.branch,
@@ -350,11 +416,8 @@ def _result(lemma_id, branch, closed, brute, params, note=None) -> CheckResult:
             closed = CycNum.from_rational(p, closed)
         if not isinstance(brute, CycNum):
             brute = CycNum.from_rational(p, brute)
-        equal = closed == brute
-    else:
-        equal = closed == brute
-    return CheckResult(lemma_id, branch, _render(closed), _render(brute),
-                       equal, params.describe(), note)
+    return CheckResult(lemma_id, branch, closed, brute, closed == brute,
+                       params, note)
 
 
 def _need(params: LemmaParams, *names) -> None:
@@ -386,10 +449,14 @@ def _closed_5(params: LemmaParams) -> list:
 
 
 def _brute_5(params: LemmaParams) -> list:
-    an = params.analysis
-    ctx = an.ctx
-    fv = an.f.values()
-    return [_cyc_of(ctx.p, fv), _cyc_of(ctx.p, fv - ctx.trace_mul_all(params.beta))]
+    h = _histogram(params.analysis, params.beta)
+    return [CycNum.from_exponent_counts(h.shape[0], h.sum(axis=1).tolist()),
+            _phase(h, _shift_exponents)]
+
+
+def _shift_exponents(p: int, f, t) -> np.ndarray:
+    """f(x) - Tr(beta x)."""
+    return _exponents(p, f - t)
 
 
 def _closed_6(params: LemmaParams) -> list:
@@ -429,8 +496,8 @@ def _closed_7(params: LemmaParams) -> list:
 
 
 def _brute_7(params: LemmaParams) -> list:
-    an = params.analysis
-    return [int(np.count_nonzero(an.f.values() == params.t % an.ctx.p))]
+    h = _histogram(params.analysis)
+    return [int(h[params.t % h.shape[0]])]
 
 
 def _plane_level_count(an: FormAnalysis, a: int) -> int:
@@ -457,10 +524,8 @@ def _closed_8(params: LemmaParams) -> list:
 
 
 def _brute_8(params: LemmaParams) -> list:
-    an = params.analysis
-    ctx = an.ctx
-    hits = (an.f.values() == params.t % ctx.p) & (ctx.trace_mul_all(params.alpha) == 0)
-    return [int(np.count_nonzero(hits))]
+    h = _histogram(params.analysis, params.alpha)
+    return [int(h[params.t % h.shape[0], 0])]
 
 
 def _closed_9(params: LemmaParams) -> list:
@@ -475,10 +540,8 @@ def _closed_9(params: LemmaParams) -> list:
 
 
 def _brute_9(params: LemmaParams) -> list:
-    an = params.analysis
-    ctx = an.ctx
-    roots = (an.f.values() - ctx.trace_mul_all(params.alpha)) % ctx.p == 0
-    return [int(np.count_nonzero(roots))]
+    # the diagonal f(x) = Tr(alpha x)
+    return [int(np.trace(_histogram(params.analysis, params.alpha)))]
 
 
 def _s2_terms(an: FormAnalysis, beta: int) -> tuple[int, int, int, str]:
@@ -515,19 +578,19 @@ def _closed_10(params: LemmaParams) -> list:
 
 
 def _brute_10(params: LemmaParams) -> list:
-    an = params.analysis
-    ctx = an.ctx
-    p = ctx.p
-    fv = an.f.values()
-    trb = ctx.trace_mul_all(params.beta)
-    s1_counts = np.zeros(p, dtype=np.int64)
-    s2_counts = np.zeros(p, dtype=np.int64)
-    for z in range(p):
-        s1_counts += np.bincount((-z * trb) % p, minlength=p)
-        s2_counts += np.bincount((fv - z * trb) % p, minlength=p)
-    s2 = CycNum.from_exponent_counts(p, s2_counts.tolist())
-    return [CycNum.from_exponent_counts(p, s1_counts.tolist()), s2,
-            sigma_unit_sum(s2)]
+    h = _histogram(params.analysis, params.beta)
+    s2 = _phase(h, _s2_exponents)
+    return [_phase(h, _s1_exponents), s2, sigma_unit_sum(s2)]
+
+
+def _s1_exponents(p: int, f, t) -> np.ndarray:
+    """-z Tr(beta x) for z in GF(p)."""
+    return _exponents(p, *(-z * t for z in range(p)))
+
+
+def _s2_exponents(p: int, f, t) -> np.ndarray:
+    """f(x) - z Tr(beta x) for z in GF(p)."""
+    return _exponents(p, *(f - z * t for z in range(p)))
 
 
 def _closed_11(params: LemmaParams) -> list:
@@ -540,21 +603,16 @@ def _closed_11(params: LemmaParams) -> list:
 
 
 def _brute_11(params: LemmaParams) -> list:
-    an = params.analysis
-    hits = (an.f.values() == 0) & (an.ctx.trace_mul_all(params.beta) == 0)
-    return [int(np.count_nonzero(hits))]
+    return [int(_histogram(params.analysis, params.beta)[0, 0])]
 
 
 def _s4_brute(an: FormAnalysis, alpha: int, beta: int) -> CycNum:
-    ctx = an.ctx
-    p = ctx.p
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(alpha)
-    trb = ctx.trace_mul_all(beta)
-    counts = np.zeros(p, dtype=np.int64)
-    for z in range(p):
-        counts += np.bincount((fv - tra + z * trb) % p, minlength=p)
-    return CycNum.from_exponent_counts(p, counts.tolist())
+    return _phase(_histogram(an, alpha, beta), _s4_exponents)
+
+
+def _s4_exponents(p: int, f, a, b) -> np.ndarray:
+    """f(x) - Tr(alpha x) + z Tr(beta x) for z in GF(p)."""
+    return _exponents(p, *(f - a + z * b for z in range(p)))
 
 
 def _s4_closed(an: FormAnalysis, alpha: int, beta: int):
@@ -623,11 +681,9 @@ def _closed_15(params: LemmaParams) -> list:
 
 
 def _brute_15(params: LemmaParams) -> list:
-    an = params.analysis
-    ctx = an.ctx
-    hits = (((an.f.values() - ctx.trace_mul_all(params.alpha)) % ctx.p == 0)
-            & (ctx.trace_mul_all(params.beta) == 0))
-    return [int(np.count_nonzero(hits))]
+    # f(x) = Tr(alpha x) on the plane Tr(beta x) = 0
+    h = _histogram(params.analysis, params.alpha, params.beta)
+    return [int(np.trace(h[:, :, 0]))]
 
 
 def _require_vanishing_special_value(an: FormAnalysis, alpha: int) -> None:
@@ -667,21 +723,28 @@ def _closed_16(params: LemmaParams) -> list:
             (f"NE:{parity}", level_count(p, m, k, s, 0), None)]
 
 
+def _inv4(an: FormAnalysis, alpha: int) -> int:
+    """1/(4 f(x_alpha)) in GF(p)."""
+    return pow(4 * an.f_at_xb(alpha), -1, an.ctx.p)
+
+
 def _brute_16(params: LemmaParams) -> list:
-    an = params.analysis
-    ctx = an.ctx
-    p = ctx.p
-    inv4fa = pow(4 * an.f_at_xb(params.alpha) % p, p - 2, p)
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(params.alpha)
-    s6 = CycNum.zero(p)
-    for w in range(p):
-        zcounts = [0] * p
-        for z in range(p):
-            zcounts[(-inv4fa * z * z + w * z) % p] += 1
-        s6 = s6 + _cyc_of(p, fv - w * tra) * CycNum.from_exponent_counts(p, zcounts)
-    ne = int(np.count_nonzero((fv - inv4fa * tra * tra) % p == 0))
-    return [s6, sigma_unit_sum(s6), ne]
+    c = _inv4(params.analysis, params.alpha)
+    h = _histogram(params.analysis, params.alpha)
+    s6 = _phase(h, _s6_exponents, c)
+    return [s6, sigma_unit_sum(s6), _read(h, _deflated_exponents, c)[0]]
+
+
+def _s6_exponents(p: int, f, a, c: int) -> np.ndarray:
+    """f(x) - w Tr(alpha x) - c z^2 + w z for w, z in GF(p), with
+    c = 1/(4 f(x_alpha)): the triple sum S6 over x, w and z."""
+    return _exponents(p, *(f - w * a - c * z * z + w * z
+                           for w in range(p) for z in range(p)))
+
+
+def _deflated_exponents(p: int, f, a, c: int) -> np.ndarray:
+    """g(x) = f(x) - c Tr(alpha x)^2, c = 1/(4 f(x_alpha))."""
+    return _exponents(p, f - c * a * a)
 
 
 def _closed_17(params: LemmaParams) -> list:
@@ -699,12 +762,10 @@ def _closed_17(params: LemmaParams) -> list:
 
 def _brute_17(params: LemmaParams) -> list:
     an = params.analysis
-    ctx = an.ctx
-    p = ctx.p
-    inv4fa = pow(4 * an.f_at_xb(params.alpha) % p, p - 2, p)
-    tra = ctx.trace_mul_all(params.alpha)
-    gv = (an.f.values() - inv4fa * tra * tra) % p
-    return [_cyc_of(p, gv), int(np.count_nonzero(gv == params.t % p))]
+    p = an.ctx.p
+    levels = _read(_histogram(an, params.alpha), _deflated_exponents,
+                   _inv4(an, params.alpha))
+    return [CycNum.from_exponent_counts(p, levels), levels[params.t % p]]
 
 
 def _closed_18(params: LemmaParams) -> list:
@@ -754,39 +815,11 @@ def _brute_18(params: LemmaParams) -> list:
     p, r = ctx.p, an.rank
     fa = an.f_at_xb(alpha)
     wants = _partition_counts(p, ctx.m, r, an.sign, eta_bar(-fa, p))
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(alpha)
-    inv = _inv_table(p)
-    nz = fv != 0
-    # E under both printed sign variants, defined where f(x) != 0
-    e_plus = np.zeros_like(fv)
-    e_minus = np.zeros_like(fv)
-    quad = tra * tra % p * inv[4 * fv % p] % p
-    e_plus[nz] = (-fa + quad[nz]) % p
-    e_minus[nz] = (-fa - quad[nz]) % p
-    etab = _eta_bar_table(p)
-
-    def counts_with(e):
-        if r % 2 == 0:
-            i1 = int(np.count_nonzero(~nz & (tra == 0)))
-            i2 = int(np.count_nonzero(~nz & (tra != 0))
-                     + np.count_nonzero(nz & (e == 0)))
-            fe = etab[fv * e % p]
-            i3 = int(np.count_nonzero(nz & (e != 0) & (fe == -1)))
-            i4 = int(np.count_nonzero(nz & (e != 0) & (fe == 1)))
-            return [i1, i2, i3, i4]
-        same = etab[fv % p] == eta_bar(fa, p)
-        j1 = int(np.count_nonzero(nz & same & (e == 0)))
-        j2 = int(np.count_nonzero(nz & same & (e != 0)))
-        j3 = int(np.count_nonzero(~nz & (tra == 0)))
-        j4 = int(np.count_nonzero(~nz & (tra != 0)))
-        j5 = int(np.count_nonzero(nz & (e == 0)))
-        j6 = int(np.count_nonzero(nz & (e != 0) & ~same))
-        return [j1, j2, j3, j4, j5, j6]
-
+    h = _histogram(an, alpha)
+    odd = r % 2 == 1
     out = []
-    for (_, want), plus, minus in zip(wants, counts_with(e_plus),
-                                      counts_with(e_minus)):
+    for (_, want), plus, minus in zip(wants, _read(h, _partition_cells, odd, fa, 1),
+                                      _read(h, _partition_cells, odd, fa, -1)):
         note = None
         if minus != plus:
             verdict = "matches" if minus == want else "fails"
@@ -794,6 +827,28 @@ def _brute_18(params: LemmaParams) -> list:
                     f"which {verdict}; the plus-sign reading gives {plus}")
         out.append((plus, note))
     return out
+
+
+def _partition_cells(p: int, f, a, odd: bool, fa: int, sign: int) -> np.ndarray:
+    """Id 18's classes as 0/1 columns over the cells (f(x), Tr(alpha x)):
+    I1-I4 for even rank, J1-J6 for odd, with
+    E = -f(x_alpha) + sign Tr(alpha x)^2 / (4 f(x)) where f(x) != 0."""
+    nz = f != 0
+    inv4f = np.asarray([pow(4 * v, -1, p) if v else 0 for v in range(p)])
+    e = (-fa + sign * a * a * inv4f[f]) % p
+    etab = _eta_bar_table(p)
+    if not odd:
+        fe = etab[f * e % p]
+        cols = [~nz & (a == 0),
+                (~nz & (a != 0)) | (nz & (e == 0)),
+                nz & (e != 0) & (fe == -1),
+                nz & (e != 0) & (fe == 1)]
+    else:
+        same = etab[f] == eta_bar(fa, p)
+        cols = [nz & same & (e == 0), nz & same & (e != 0),
+                ~nz & (a == 0), ~nz & (a != 0),
+                nz & (e == 0), nz & (e != 0) & ~same]
+    return np.stack(cols, axis=1)
 
 
 def _closed_19(params: LemmaParams) -> list:
@@ -818,14 +873,15 @@ def _closed_19(params: LemmaParams) -> list:
 
 
 def _brute_19(params: LemmaParams) -> list:
-    an = params.analysis
-    ctx = an.ctx
-    fv = an.f.values()
-    tra = ctx.trace_mul_all(params.alpha)
-    negf = _eta_bar_table(ctx.p)[(-fv) % ctx.p]
-    nz = fv != 0
-    return [int(np.count_nonzero(nz & on & (negf == sq)))
-            for on in (tra == 0, tra != 0) for sq in (1, -1)]
+    return _read(_histogram(params.analysis, params.alpha), _square_class_cells)
+
+
+def _square_class_cells(p: int, f, a) -> np.ndarray:
+    """0/1 columns over the cells (f(x), Tr(alpha x)): f(x) != 0 with
+    -f(x) a square or a non-square, on and off the plane Tr(alpha x) = 0."""
+    negf = _eta_bar_table(p)[-f % p]
+    return np.stack([(f != 0) & on & (negf == sq)
+                     for on in (a == 0, a != 0) for sq in (1, -1)], axis=1)
 
 
 _REGISTRY = {

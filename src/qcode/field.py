@@ -6,9 +6,9 @@ polynomial basis {1, x, ..., x^(m-1)} of GF(p)[x] modulo the field
 modulus.  The encoding round-trips through text as a decimal integer,
 so every CLI value is bit-exact.
 
-ExtField is immutable after construction, apart from the digit matrix it
-fills on first use, and safe to share between workers; every operation is
-a pure function of its arguments.
+ExtField is immutable after construction, apart from the digit matrix and
+the log-order trace array it fills on first use, and safe to share between
+workers; every operation is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ class ExtField:
     come from polynomial multiplication, and every later block of B powers
     is that block's digit rows times a power of the m x m GF(p)-matrix of
     multiplication by g^B.  The trace table is also built at construction;
-    the (q, m) digit matrix is built on the first digits_matrix() call.
+    the (q, m) digit matrix is built on the first digits_matrix() call, and
+    the doubled array of Tr(g^j) on the first trace_mul_log() call.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -265,6 +266,7 @@ class ExtField:
         self._log = log.tolist()
 
         self._digits_matrix = None
+        self._trace_powers = None
         tr_basis = [self._trace_slow(p**j) for j in range(m)]
         # Tr is GF(p)-linear: Tr(x) = sum_j digit_j(x) Tr(x^j)
         vals = np.arange(q, dtype=np.int64)
@@ -433,6 +435,23 @@ class ExtField:
     def trace_mul_all(self, b: int) -> np.ndarray:
         """(q,) int64 array of Tr(b*x) for every element x."""
         return (self.digits_matrix() @ self.trace_mul_vector(b)) % self.p
+
+    def trace_mul_log(self, b: int) -> np.ndarray:
+        """(q-1,) int64 array of Tr(b g^j), j = 0..q-2: Tr(b x) for every
+        nonzero x, in log order.
+
+        For b = g^k it is the window [k, k + q - 1) of the doubled array of
+        Tr(g^j), built on the first call; the window is a read-only view.
+        """
+        n = self.q - 1
+        if b == 0:
+            return np.zeros(n, dtype=np.int64)
+        if self._trace_powers is None:
+            powers = self._trace_table[np.asarray(self._exp, dtype=np.int64)]
+            self._trace_powers = np.concatenate([powers, powers])
+            self._trace_powers.flags.writeable = False
+        start = self._log[b]
+        return self._trace_powers[start:start + n]
 
     def pow_of_basis(self, j: int) -> int:
         """Encoding of the basis element x^j."""

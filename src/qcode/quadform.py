@@ -36,6 +36,7 @@ class QuadraticFunction:
         self.ctx = ctx
         self.coeffs = coeffs
         self._values: np.ndarray | None = None
+        self._log_values: np.ndarray | None = None
 
     def evaluate(self, x: int) -> int:
         ctx = self.ctx
@@ -45,24 +46,34 @@ class QuadraticFunction:
                 acc = (acc + ctx.trace(ctx.mul(a, ctx.mul(ctx.frobenius(x, i), x)))) % ctx.p
         return acc
 
-    def values(self) -> np.ndarray:
-        """(q,) int64 array of f(x) for every element; cached.
+    def log_values(self) -> np.ndarray:
+        """(q-1,) int64 array of f(g^k), k = 0..q-2: f at every nonzero x,
+        in log order; cached and read-only.
 
         The formula of evaluate, on whole log-table arrays: for x = g^k,
         a_i x^(p^i+1) = g^(log a_i + k (p^i+1)).
         """
-        if self._values is None:
+        if self._log_values is None:
             ctx = self.ctx
             order = ctx.q - 1
             exp = np.asarray(ctx._exp, dtype=np.int64)
-            logs = np.asarray(ctx._log[1:], dtype=np.int64)
+            ks = np.arange(order, dtype=np.int64)
             acc = np.zeros(order, dtype=np.int64)
             for i, a in enumerate(self.coeffs):
                 if a:
                     power = (ctx.p**i + 1) % order
-                    acc += ctx.trace_table()[exp[(ctx._log[a] + logs * power) % order]]
-            out = np.zeros(ctx.q, dtype=np.int64)
-            out[1:] = acc % ctx.p
+                    acc += ctx.trace_table()[exp[(ctx._log[a] + ks * power) % order]]
+            acc %= ctx.p
+            acc.flags.writeable = False
+            self._log_values = acc
+        return self._log_values
+
+    def values(self) -> np.ndarray:
+        """(q,) int64 array of f(x) for every element, indexed by encoding;
+        cached.  log_values() scattered to the encodings g^k."""
+        if self._values is None:
+            out = np.zeros(self.ctx.q, dtype=np.int64)
+            out[self.ctx._exp] = self.log_values()
             self._values = out
         return self._values
 
@@ -266,27 +277,41 @@ class FormAnalysis:
 
     def _spot_check(self) -> None:
         """Identity checks, once per (field, coeffs) since analyze() is
-        memoised: the matrix reproduces f and the bilinear identity holds
-        on sampled pairs."""
+        memoised: the matrix reproduces f.values() at every x, evaluate
+        agrees with values() on sampled x, and the bilinear identity holds
+        on pairs of them."""
         ctx = self.ctx
-        rng = np.random.default_rng(0xC0DE)
+        p = ctx.p
+        fv = self.f.values()
+        # a transient digit array: predict must leave ctx.digits_matrix() unbuilt
+        digits = ctx._digit_rows(np.arange(ctx.q, dtype=np.int64))
+        via_mat = digits @ np.asarray(self.gram, dtype=np.int64)
+        via_mat *= digits  # in place: the (q, m) temporaries set the peak here
+        bad = np.flatnonzero(via_mat.sum(axis=1) % p != fv)
+        del via_mat
+        if bad.size:
+            raise QCodeError(
+                f"matrix does not reproduce the form at x={int(bad[0])}")
         if ctx.q <= 81:
             xs = list(ctx.elements())
         else:
+            rng = np.random.default_rng(0xC0DE)
             xs = [int(v) for v in rng.integers(0, ctx.q, size=24)]
         for x in xs:
-            dx = ctx.digits(x)
-            via_mat = sum(dx[j] * self.gram[j][k] * dx[k]
-                          for j in range(ctx.m) for k in range(ctx.m)) % ctx.p
-            if via_mat != self.f.evaluate(x):
-                raise QCodeError(f"matrix does not reproduce the form at x={x}")
-        for x in xs[:12]:
-            for y in xs[:12]:
-                lhs = self.f.evaluate(ctx.add(x, y))
-                rhs = (self.f.evaluate(x) + self.f.evaluate(y)
-                       + 2 * ctx.trace(ctx.mul(self.l_apply(x), y))) % ctx.p
-                if lhs != rhs:
-                    raise QCodeError(f"bilinear identity fails at ({x}, {y})")
+            if self.f.evaluate(x) != fv[x]:
+                raise QCodeError(f"evaluate disagrees with values() at x={x}")
+        # f(x + y) = f(x) + f(y) + 2 Tr(L(x) y) on the first 12 x and y;
+        # Tr(L(x) y) = digits(y) . trace_mul_vector(L(x))
+        pts = np.asarray(xs[:12], dtype=np.int64)
+        d = digits[pts]
+        sums = (d[:, None, :] + d[None, :, :]) % p @ (p ** np.arange(ctx.m))
+        tl = np.asarray([ctx.trace_mul_vector(self.l_apply(int(x))) for x in pts])
+        rhs = (fv[pts][:, None] + fv[pts][None, :] + 2 * (tl @ d.T)) % p
+        bad = np.argwhere(fv[sums] != rhs)
+        if bad.size:
+            i, j = bad[0]
+            raise QCodeError(
+                f"bilinear identity fails at ({int(pts[i])}, {int(pts[j])})")
 
 
 class BetaClasses:

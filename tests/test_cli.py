@@ -7,6 +7,7 @@ import pytest
 import qcode.predictor as predictor_mod
 from qcode.cli import main, worker_count
 from qcode.counting import check_brute_cap, get_field
+from qcode.errors import QCodeError
 
 
 def run_cli(capsys, *argv):
@@ -350,7 +351,18 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("QCODE_THREADS", "4")
     assert worker_count() == 4
-    monkeypatch.setenv("QCODE_THREADS", "zero")
+    monkeypatch.setenv("QCODE_THREADS", "")
     assert worker_count() == 1
-    monkeypatch.setenv("QCODE_THREADS", "0")
-    assert worker_count() == 1
+    for bad in ("zero", "abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("QCODE_THREADS", bad)
+        with pytest.raises(QCodeError, match="QCODE_THREADS"):
+            worker_count()
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-3"])
+def test_meaningless_thread_cap_exits_2(capsys, monkeypatch, bad):
+    monkeypatch.setenv("QCODE_THREADS", bad)
+    code, out, err = run_cli(capsys, "lemmas", "--p", "3", "--m", "2",
+                             "--trials", "1", "--seed", "1", "--lemma", "7")
+    assert code == 2 and out == ""
+    assert "QCODE_THREADS" in json.loads(err)["error"]

@@ -1,20 +1,23 @@
-"""Property tests: the weight routes agree on drawn codes, and integer
-CycNum arithmetic agrees with a Fraction-coordinate reference."""
+"""Property tests: the weight routes agree on drawn codes, integer CycNum
+arithmetic agrees with a Fraction-coordinate reference, and the registry's
+histogram oracles agree with per-x whole-field formulas."""
 
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from qcode import counting  # noqa: E402
 from qcode.codes import _weights_analytic, _weights_naive, defining_set  # noqa: E402
-from qcode.counting import get_field  # noqa: E402
-from qcode.cyclotomic import CycNum, gauss_sum_prime  # noqa: E402
+from qcode.counting import LemmaParams, get_field  # noqa: E402
+from qcode.cyclotomic import CycNum, gauss_sum_prime, sigma_unit_sum  # noqa: E402
 from qcode.errors import EmptyDefiningSetError  # noqa: E402
-from qcode.field import is_irreducible  # noqa: E402
+from qcode.field import eta_bar, is_irreducible  # noqa: E402
 from qcode.quadform import (  # noqa: E402
     QuadraticFunction,
     analyze,
@@ -233,3 +236,161 @@ def test_equal_values_hash_equal(p, d):
     back = g.scale(Fraction(1, d)).scale(d)
     assert back == g and hash(back) == hash(g)
     assert back.num == g.num and back.den == g.den == 1
+
+
+# ---------------------------------------------------------------------------
+# the registry's histogram oracles against per-x whole-field formulas
+# ---------------------------------------------------------------------------
+#
+# The reference evaluates every identity's exhaustive side on whole-field
+# vectors indexed by x: f.values() for f(x) and ctx.trace_mul_all(e) (the
+# digit matrix times a trace vector) for Tr(e x), one numpy pass per term
+# of each sum, with no histogram and no log order.
+
+
+def _cyc(p, arr):
+    return CycNum.from_exponent_counts(
+        p, np.bincount(arr % p, minlength=p).tolist())
+
+
+def _ref_s4(an, alpha, beta):
+    p = an.ctx.p
+    fv, tra, trb = an.f.values(), an.ctx.trace_mul_all(alpha), an.ctx.trace_mul_all(beta)
+    counts = sum(np.bincount((fv - tra + z * trb) % p, minlength=p)
+                 for z in range(p))
+    return CycNum.from_exponent_counts(p, counts.tolist())
+
+
+def _ref_18(an, alpha):
+    ctx = an.ctx
+    p, r = ctx.p, an.rank
+    fa = an.f_at_xb(alpha)
+    wants = counting._partition_counts(p, ctx.m, r, an.sign, eta_bar(-fa, p))
+    fv, tra = an.f.values(), ctx.trace_mul_all(alpha)
+    nz = fv != 0
+    inv4f = np.asarray([pow(4 * int(v), -1, p) if v else 0 for v in fv])
+    eta = np.asarray([eta_bar(int(v), p) for v in range(p)])
+
+    def counts_with(sign):
+        e = np.where(nz, (-fa + sign * tra * tra * inv4f) % p, 0)
+        if r % 2 == 0:
+            fe = eta[fv * e % p]
+            return [np.sum(~nz & (tra == 0)),
+                    np.sum(~nz & (tra != 0)) + np.sum(nz & (e == 0)),
+                    np.sum(nz & (e != 0) & (fe == -1)),
+                    np.sum(nz & (e != 0) & (fe == 1))]
+        same = eta[fv] == eta_bar(fa, p)
+        return [np.sum(nz & same & (e == 0)), np.sum(nz & same & (e != 0)),
+                np.sum(~nz & (tra == 0)), np.sum(~nz & (tra != 0)),
+                np.sum(nz & (e == 0)), np.sum(nz & (e != 0) & ~same)]
+
+    out = []
+    for (_, want), plus, minus in zip(wants, counts_with(1), counts_with(-1)):
+        note = None
+        if minus != plus:
+            verdict = "matches" if minus == want else "fails"
+            note = (f"E with the printed minus sign gives {minus}, "
+                    f"which {verdict}; the plus-sign reading gives {plus}")
+        out.append((int(plus), note))
+    return out
+
+
+def _reference(lemma_id, params):
+    an, alpha, beta, t = params.analysis, params.alpha, params.beta, params.t
+    ctx = an.ctx
+    p = ctx.p
+    fv = an.f.values()
+    if lemma_id == 5:
+        return [_cyc(p, fv), _cyc(p, fv - ctx.trace_mul_all(beta))]
+    if lemma_id == 7:
+        return [int(np.sum(fv == t))]
+    if lemma_id == 8:
+        return [int(np.sum((fv == t) & (ctx.trace_mul_all(alpha) == 0)))]
+    if lemma_id == 9:
+        return [int(np.sum((fv - ctx.trace_mul_all(alpha)) % p == 0))]
+    if lemma_id == 10:
+        trb = ctx.trace_mul_all(beta)
+        s1 = sum(np.bincount(-z * trb % p, minlength=p) for z in range(p))
+        s2 = sum(np.bincount((fv - z * trb) % p, minlength=p) for z in range(p))
+        s2 = CycNum.from_exponent_counts(p, s2.tolist())
+        return [CycNum.from_exponent_counts(p, s1.tolist()), s2, sigma_unit_sum(s2)]
+    if lemma_id == 11:
+        return [int(np.sum((fv == 0) & (ctx.trace_mul_all(beta) == 0)))]
+    if lemma_id == 13:
+        return [_ref_s4(an, alpha, beta)]
+    if lemma_id == 14:
+        return [sigma_unit_sum(_ref_s4(an, alpha, beta))]
+    if lemma_id == 15:
+        on = (fv - ctx.trace_mul_all(alpha)) % p == 0
+        return [int(np.sum(on & (ctx.trace_mul_all(beta) == 0)))]
+    if lemma_id == 18:
+        return _ref_18(an, alpha)
+    tra = ctx.trace_mul_all(alpha)
+    if lemma_id == 19:
+        negf = np.asarray([eta_bar(-int(v), p) for v in fv])
+        return [int(np.sum((fv != 0) & on & (negf == sq)))
+                for on in (tra == 0, tra != 0) for sq in (1, -1)]
+    c = pow(4 * an.f_at_xb(alpha), -1, p)
+    gv = (fv - c * tra * tra) % p
+    if lemma_id == 16:
+        s6 = CycNum.zero(p)
+        for w in range(p):
+            zsum = CycNum.from_exponent_counts(p, np.bincount(
+                [(-c * z * z + w * z) % p for z in range(p)], minlength=p).tolist())
+            s6 = s6 + _cyc(p, fv - w * tra) * zsum
+        return [s6, sigma_unit_sum(s6), int(np.sum(gv == 0))]
+    return [_cyc(p, gv), int(np.sum(gv == t % p))]  # id 17
+
+
+@st.composite
+def oracle_draws(draw):
+    """A form over a drawn field and modulus (preset or raw coefficients,
+    any rank), and alpha, beta, t for every field-backed registry id."""
+    p = draw(st.sampled_from(PRIMES))
+    m = draw(st.integers(1, {3: 5, 5: 3, 7: 3, 11: 2, 13: 2}[p]))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    assume(is_irreducible(low + [1], p))
+    F = get_field(p, m, low + [1])
+    kind = draw(st.sampled_from(("cor1", "trmv", "coeffs")))
+    if kind == "cor1":
+        f = preset_cor1(F, draw(st.integers(1, F.q - 1)))
+    elif kind == "trmv":
+        v = draw(st.integers(1, F.q - 1))
+        assume(F.trace(F.mul(v, v)) != 0)
+        f = preset_trace_square_minus(F, v)
+    else:
+        coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=m, max_size=m))
+        f = QuadraticFunction(F, coeffs)
+    an = analyze(f)
+    how = draw(st.sampled_from(("zero", "any", "image", "outside")))
+    if how == "zero":
+        alpha = 0
+    elif how == "image":
+        alpha = F.neg(F.scalar_mul(2, an.l_apply(draw(st.integers(0, F.q - 1)))))
+    else:
+        alpha = draw(st.integers(0, F.q - 1))
+        if how == "outside" and an.rank < m and an.in_image(alpha):
+            alpha = F.add(alpha, next(F.pow_of_basis(j) for j in range(m)
+                                      if not an.in_image(F.pow_of_basis(j))))
+    return LemmaParams(analysis=an, alpha=alpha,
+                       beta=draw(st.integers(1, F.q - 1)),
+                       t=draw(st.integers(1, p - 1)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(oracle_draws(), st.booleans())
+def test_histogram_oracles_match_whole_field_formulas(params, level_zero):
+    an = params.analysis
+    fa = an.f_at_xb(params.alpha)
+    ids = [5, 7, 8, 9, 10, 11, 13, 14, 15, 19]
+    if fa:  # ids 16-18 divide by f(x_alpha)
+        ids += [16, 17, 18]
+    for lemma_id in ids:
+        got = counting._REGISTRY[lemma_id][1](params)
+        assert got == _reference(lemma_id, params), (lemma_id, params.describe())
+    # id 5 also takes beta = 0, and id 17 the level t = 0
+    zero_beta = LemmaParams(analysis=an, beta=0)
+    assert counting._brute_5(zero_beta) == _reference(5, zero_beta)
+    if fa and level_zero:
+        level0 = LemmaParams(analysis=an, alpha=params.alpha, t=0)
+        assert counting._brute_17(level0) == _reference(17, level0)

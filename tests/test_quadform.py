@@ -5,11 +5,12 @@ import pytest
 
 from qcode.counting import analysis_pool, get_field
 from qcode.cyclotomic import exp_sum, pstar_half_power
-from qcode.errors import AlphaInImageError, PreconditionViolatedError
+from qcode.errors import AlphaInImageError, PreconditionViolatedError, QCodeError
 from qcode.field import eta_bar
 from qcode.linalg import mat_mul, mat_transpose, rank
 from qcode.quadform import (
     BetaClasses,
+    FormAnalysis,
     QuadraticFunction,
     analyze,
     congruence_diagonalize,
@@ -184,6 +185,29 @@ def test_bilinear_identity_all_pairs_gf81():
             lhs = f.evaluate(F.add(x, y))
             rhs = (fx + f.evaluate(y) + 2 * F.trace(F.mul(lx, y))) % F.p
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("p, m", [(3, 3), (5, 2), (3, 5), (7, 3)])
+def test_spot_check_catches_a_corrupted_gram_entry_or_l_coefficient(p, m):
+    # q <= 81 checks evaluate at every x, larger fields at 24 sampled x;
+    # the Gram identity runs at every x on both
+    F = get_field(p, m)
+    rng = random.Random(p * 100 + m)
+    f = QuadraticFunction(F, [rng.randrange(F.q) for _ in range(m)])
+    an = FormAnalysis(f)  # a private copy: analyze() would cache the corruption
+    an._spot_check()
+    for j, k in ((0, 0), (m - 1, 0)):
+        saved = an.gram[j][k]
+        an.gram[j][k] = (saved + 1) % p
+        with pytest.raises(QCodeError, match="matrix does not reproduce"):
+            an._spot_check()
+        an.gram[j][k] = saved
+    good = an.l_coeffs
+    an.l_coeffs = (F.add(good[0], 1),) + good[1:]
+    with pytest.raises(QCodeError, match="bilinear identity fails"):
+        an._spot_check()
+    an.l_coeffs = good
+    an._spot_check()
 
 
 def test_rank_of_gram_equals_rank_of_map_sweep():
