@@ -500,12 +500,12 @@ def _brute_7(params: LemmaParams) -> list:
     return [int(h[params.t % h.shape[0]])]
 
 
-def _plane_level_count(an: FormAnalysis, a: int) -> int:
+@lru_cache(maxsize=None)
+def _plane_level_count(p: int, m: int, r: int, s: int, a: int) -> int:
     """Count of f(x) = a != 0 on the hyperplane Tr(alpha x) = 0, for alpha
-    in Im(L) with vanishing special value: p^(m-2) + U(r, s, -a)/p."""
-    p, m = an.ctx.p, an.ctx.m
-    return _as_int(Fraction(p) ** (m - 2)
-                   + unit_sum(p, m, an.rank, an.sign, -a) / p)
+    in Im(L) with vanishing special value and f of rank r and sign s:
+    p^(m-2) + U(r, s, -a)/p."""
+    return _as_int(Fraction(p) ** (m - 2) + unit_sum(p, m, r, s, -a) / p)
 
 
 def _closed_8(params: LemmaParams) -> list:
@@ -516,9 +516,10 @@ def _closed_8(params: LemmaParams) -> list:
     if a % an.ctx.p == 0:
         raise PreconditionViolatedError("level a must be nonzero")
     _require_vanishing_special_value(an, params.alpha)
+    count = _plane_level_count(an.ctx.p, an.ctx.m, an.rank, an.sign, a)
     if an.rank % 2 == 1:
-        return [("odd_rank", _plane_level_count(an, a), None)]
-    return [("even_rank_derived_variant", _plane_level_count(an, a),
+        return [("odd_rank", count, None)]
+    return [("even_rank_derived_variant", count,
              "printed closed form is irrational for even rank; "
              "verified the Galois-sum variant instead")]
 
@@ -859,7 +860,8 @@ def _closed_19(params: LemmaParams) -> list:
     an = params.analysis
     p, m = an.ctx.p, an.ctx.m
     _require_vanishing_special_value(an, params.alpha)
-    onplane = [sum(_plane_level_count(an, a) for a in range(1, p)
+    onplane = [sum(_plane_level_count(p, m, an.rank, an.sign, a)
+                   for a in range(1, p)
                    if eta_bar(-a, p) == sq) for sq in (1, -1)]
     offplane = _as_int(Fraction((p - 1) ** 2, 2) * Fraction(p) ** (m - 2))
     if an.rank % 2 == 1:
@@ -964,9 +966,8 @@ def analysis_pool(p: int, m: int, rng: random.Random, extra: int = 6
 
 
 def _sample_alpha_in_image(an: FormAnalysis, rng: random.Random) -> int:
-    ctx = an.ctx
-    w = rng.randrange(ctx.q)
-    return ctx.neg(ctx.scalar_mul(2, an.l_apply(w)))
+    """alpha = -2 L(w) for a random w, with f(x_alpha) memoised."""
+    return an.image_draw(rng.randrange(an.ctx.q))
 
 
 def sample_params(lemma_id: int, pool, rng: random.Random) -> LemmaParams | None:
@@ -1230,10 +1231,9 @@ def _param_scan(lemma_id: int, pool):
             for t in range(1, p):
                 yield LemmaParams(analysis=an, t=t)
         elif lemma_id in (8, 19):
-            for w in range(q):
-                alpha = ctx.neg(ctx.scalar_mul(2, an.l_apply(w)))
-                if alpha == 0 or an.f_at_xb(alpha) != 0:
-                    continue
+            alphas, fw = an.image_tables()
+            for w in np.flatnonzero((alphas != 0) & (fw == 0)).tolist():
+                alpha = an.image_draw(w)
                 if lemma_id == 8:
                     for t in range(1, p):
                         yield LemmaParams(analysis=an, alpha=alpha, t=t)
@@ -1243,10 +1243,9 @@ def _param_scan(lemma_id: int, pool):
             for alpha in range(q):
                 yield LemmaParams(analysis=an, alpha=alpha)
         elif lemma_id in (16, 17, 18):
-            for w in range(q):
-                alpha = ctx.neg(ctx.scalar_mul(2, an.l_apply(w)))
-                if alpha == 0 or an.f_at_xb(alpha) == 0:
-                    continue
+            alphas, fw = an.image_tables()
+            for w in np.flatnonzero((alphas != 0) & (fw != 0)).tolist():
+                alpha = an.image_draw(w)
                 if lemma_id == 17:
                     for t in range(p):
                         yield LemmaParams(analysis=an, alpha=alpha, t=t)

@@ -165,6 +165,14 @@ class FormAnalysis:
         L(x) = sum_i c_i x^(p^i).
     lmat : matrix of L on the digit basis (columns are images of x^j).
     ker_basis, im_basis : element encodings spanning Ker(L) and Im(L).
+
+    The registry's draws of alpha in Im(L) read two per-form tables over
+    every w in GF(q), built on the first draw (image_draw) and never on
+    the build or predict paths: alpha(w) = -2 L(w) (int32 encodings, lmat
+    on the digit rows of w) and f(w) (int8, gram on the same rows).
+    Since L(w) = -alpha/2, w is a solution x_alpha up to an element k of
+    Ker(L), and f(w + k) = f(w) because f(k) = Tr(L(k) k) = 0; so f(w) is
+    f(x_alpha), recorded in the f_at_xb memo with no solve.
     """
 
     def __init__(self, f: QuadraticFunction):
@@ -187,13 +195,17 @@ class FormAnalysis:
             raise QCodeError(
                 f"rank disagreement: matrix {self.rank} vs linear map {l_rank}")
         self._solver = LinearSolver(self.lmat, p)
-        self.ker_basis = tuple(ctx._encode(list(v)) for v in nullspace(self.lmat, p))
+        ker = nullspace(self.lmat, p)
+        self.ker_basis = tuple(ctx._encode(list(v)) for v in ker)
+        self._ker_echelon = _top_echelon(ker, p)
         red, pivots = _column_space(self.lmat, p)
         self.im_basis = tuple(ctx._encode(list(v)) for v in red)
         self._kernel_elements: tuple[int, ...] | None = None
         self._neg_half = ctx.neg(ctx.embed_scalar((p + 1) // 2))
         self._xb_cache: dict[int, int | None] = {}
         self._f_xb_cache: dict[int, int | None] = {}
+        self._image_alpha: np.ndarray | None = None
+        self._image_f: np.ndarray | None = None
         if _spot_check_enabled(ctx):
             self._spot_check()
 
@@ -232,18 +244,26 @@ class FormAnalysis:
         The value f(solve_xb(b)) does not depend on the coset
         representative (f vanishes on Ker(L) and Tr(b * Ker(L)) = 0 for
         b in Im(L)), but a deterministic representative keeps reports
-        reproducible.
+        reproducible.  The particular solution is reduced against the
+        kernel basis in echelon form with pivots on the most significant
+        digits: zeroing each pivot digit gives the smallest encoding of
+        the coset, since any other kernel shift first changes the coset's
+        digits at a pivot, from 0 to a nonzero digit.
         """
         if b in self._xb_cache:
             return self._xb_cache[b]
         ctx = self.ctx
+        p = ctx.p
         target = ctx.mul(self._neg_half, b)
-        x0 = self._solver.solve(list(ctx.digits(target)))
-        if x0 is None:
+        x = self._solver.solve(list(ctx.digits(target)))
+        if x is None:
             result = None
         else:
-            enc0 = ctx._encode(x0)
-            result = min(ctx.add(enc0, k) for k in self.kernel_elements())
+            for col, vec in self._ker_echelon:
+                c = x[col]
+                if c:
+                    x = [(xi - c * vi) % p for xi, vi in zip(x, vec)]
+            result = ctx._encode(x)
         self._xb_cache[b] = result
         return result
 
@@ -253,6 +273,39 @@ class FormAnalysis:
             xb = self.solve_xb(b)
             self._f_xb_cache[b] = None if xb is None else self.f.evaluate(xb)
         return self._f_xb_cache[b]
+
+    def image_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha, fw): alpha[w] = -2 L(w) as an int32 encoding and
+        fw[w] = f(w) as int8, for every w in GF(q); built on the first
+        call from lmat and gram on the digit rows of every w."""
+        if self._image_alpha is None:
+            ctx = self.ctx
+            p = ctx.p
+            # transient rows: a sweep would otherwise keep a (q, m) int64
+            # digit matrix alive for every field it draws from
+            digits = ctx._digit_rows(np.arange(ctx.q, dtype=np.int64))
+            la = digits @ np.asarray(self.lmat, dtype=np.int64).T
+            la *= p - 2  # -2 L(w), reduced in place
+            la %= p
+            self._image_alpha = (la @ p ** np.arange(ctx.m, dtype=np.int64)
+                                 ).astype(np.int32)
+            del la
+            dg = digits @ np.asarray(self.gram, dtype=np.int64)
+            dg *= digits
+            self._image_f = (dg.sum(axis=1) % p).astype(np.int8)
+        return self._image_alpha, self._image_f
+
+    def image_draw(self, w: int) -> int:
+        """alpha = -2 L(w), read off image_tables(), with f(x_alpha) = f(w)
+        recorded in the f_at_xb memo (see the class docstring)."""
+        alphas, fw = self.image_tables()
+        alpha, fa = int(alphas[w]), int(fw[w])
+        known = self._f_xb_cache.setdefault(alpha, fa)
+        if known != fa:
+            raise QCodeError(
+                f"f(x_alpha) disagrees at alpha={alpha}: "
+                f"memo {known}, f(w) = {fa} for w={w}")
+        return alpha
 
     def in_shifted_image(self, alpha: int, beta: int) -> int | None:
         """The unique z in GF(p)* with alpha - z*beta in Im(L), if any.
@@ -390,6 +443,17 @@ class BetaClasses:
 
 def _spot_check_enabled(ctx: ExtField) -> bool:
     return ctx.q <= 5**6
+
+
+def _top_echelon(vecs: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
+    """(pivot, vector) pairs of a reduced echelon basis of the span of
+    vecs whose pivots are the most significant digits: each vector is 1
+    at its pivot, 0 above it and 0 at every other vector's pivot."""
+    if not vecs:
+        return []
+    m = len(vecs[0])
+    red, pivots = rref([v[::-1] for v in vecs], p)
+    return [(m - 1 - c, red[i][::-1]) for i, c in enumerate(pivots)]
 
 
 def _column_space(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

@@ -20,6 +20,7 @@ from qcode.counting import (
     pool_size,
     predict_hyperplane_root_count,
     predict_root_count,
+    sweep_one_lemma,
     unit_sum,
     _closed_18,
     _partition_counts,
@@ -493,6 +494,25 @@ def test_sweep_covers_required_branches():
     for b in REQUIRED_BRANCHES[9]:
         assert branches.get(b, 0) >= 3
     assert rep["all_equal"]
+
+
+def test_image_draws_and_scans_call_neither_l_nor_the_solver(monkeypatch):
+    """Ids 8 and 16-19 read alpha in Im(L) and f(x_alpha) off the per-form
+    tables, in random draws and in the branch-fill scan alike."""
+    rng = random.Random(3)
+    pool = [counting.FormAnalysis(an.f)  # fresh memos
+            for an in analysis_pool(3, 3, rng) + analysis_pool(5, 2, rng)]
+
+    def refuse(*_):
+        raise AssertionError("called on an alpha in Im(L) draw")
+
+    monkeypatch.setattr(counting.FormAnalysis, "l_apply", refuse)
+    monkeypatch.setattr(counting.FormAnalysis, "solve_xb", refuse)
+    for lemma_id in (8, 16, 17, 18, 19):
+        drawn = sweep_one_lemma(lemma_id, pool, trials=40, seed=1)
+        scanned = sweep_one_lemma(lemma_id, pool, trials=0, seed=1)
+        assert drawn.trials >= 40 and scanned.trials > 0
+        assert drawn.all_equal and scanned.all_equal
 
 
 def test_pool_size_clamps_to_tasks_and_cpus():

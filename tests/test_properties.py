@@ -1,6 +1,7 @@
 """Property tests: the weight routes agree on drawn codes, integer CycNum
-arithmetic agrees with a Fraction-coordinate reference, and the registry's
-histogram oracles agree with per-x whole-field formulas."""
+arithmetic agrees with a Fraction-coordinate reference, the registry's
+histogram oracles agree with per-x whole-field formulas, and the per-form
+alpha in Im(L) tables agree with L and the solver."""
 
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from qcode.cyclotomic import CycNum, gauss_sum_prime, sigma_unit_sum  # noqa: E4
 from qcode.errors import EmptyDefiningSetError  # noqa: E402
 from qcode.field import eta_bar, is_irreducible  # noqa: E402
 from qcode.quadform import (  # noqa: E402
+    FormAnalysis,
     QuadraticFunction,
     analyze,
     preset_cor1,
@@ -394,3 +396,44 @@ def test_histogram_oracles_match_whole_field_formulas(params, level_zero):
     if fa and level_zero:
         level0 = LemmaParams(analysis=an, alpha=params.alpha, t=0)
         assert counting._brute_17(level0) == _reference(17, level0)
+
+
+# six or more fields, each with a drawn modulus
+IMAGE_FIELDS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
+
+
+@st.composite
+def fresh_analyses(draw):
+    """A fresh FormAnalysis (empty memos) of a preset, rank-one or raw
+    form over a drawn field and modulus."""
+    p, m = draw(st.sampled_from(IMAGE_FIELDS))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    assume(is_irreducible(low + [1], p))
+    F = get_field(p, m, low + [1])
+    kind = draw(st.sampled_from(("cor1", "trmv", "rank1", "coeffs")))
+    v = draw(st.integers(1, F.q - 1))
+    if kind == "cor1":
+        f = preset_cor1(F, v)
+    elif kind == "trmv":
+        assume(F.trace(F.mul(v, v)) != 0)
+        f = preset_trace_square_minus(F, v)
+    elif kind == "rank1":
+        f = counting._rank_one_form(F, v)
+    else:
+        f = QuadraticFunction(F, draw(st.lists(st.integers(0, F.q - 1),
+                                               min_size=m, max_size=m)))
+    return FormAnalysis(f)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(fresh_analyses())
+def test_image_tables_match_l_and_the_solver(an):
+    F = an.ctx
+    alphas, fw = an.image_tables()
+    assert alphas.dtype == np.int32 and fw.dtype == np.int8
+    for w in F.elements():
+        alpha = an.image_draw(w)
+        assert alpha == F.neg(F.scalar_mul(2, an.l_apply(w))), w
+        recorded = an._f_xb_cache[alpha]
+        assert recorded == an.f.evaluate(an.solve_xb(alpha)), w
+        assert an.f_at_xb(alpha) == recorded

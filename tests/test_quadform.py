@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qcode.counting import analysis_pool, get_field
+from qcode.counting import _rank_one_form, analysis_pool, get_field
 from qcode.cyclotomic import exp_sum, pstar_half_power
 from qcode.errors import AlphaInImageError, PreconditionViolatedError, QCodeError
 from qcode.field import eta_bar
@@ -287,6 +287,57 @@ def test_solve_xb_minimal_representative():
         sols = [x for x in F.elements()
                 if an.l_apply(x) == F.mul(neg_half, b)]
         assert xb == min(sols)
+    # rank 1 (Ker(L) of dimension m - 1) and rank 2 over p in {5, 7}, every
+    # b against the smallest x of its fibre; fresh analyses show the
+    # reduction never enumerates Ker(L)
+    for p, m in [(5, 2), (5, 3), (7, 3)]:
+        F = get_field(p, m)
+        v = next(x for x in F.nonzero_elements() if F.trace(F.mul(x, x)))
+        rank_one = _rank_one_form(F, v)
+        forms = [rank_one]
+        if m == 3:
+            forms.append(preset_trace_square_minus(F, v))
+        neg_half = F.neg(F.embed_scalar((p + 1) // 2))
+        for f in forms:
+            an = FormAnalysis(f)
+            assert an.rank == (1 if f is rank_one else 2)
+            smallest = {}
+            for x in F.elements():
+                smallest.setdefault(an.l_apply(x), x)
+            for b in F.elements():
+                assert an.solve_xb(b) == smallest.get(F.mul(neg_half, b)), (p, m, b)
+            assert an._kernel_elements is None
+
+
+def test_analyze_build_and_predict_leave_image_tables_unbuilt(capsys):
+    from qcode.cli import main
+
+    analyze.cache_clear()
+    argv = ["--p", "3", "--m", "4", "--preset", "trmv:v=1", "--alpha", "1"]
+    for cmd in ("analyze", "predict", "build"):
+        assert main([cmd, *argv]) == 0
+    an = analyze(preset_trace_square_minus(get_field(3, 4), 1))
+    assert an._image_alpha is None and an._image_f is None
+    # control: a registry draw builds them on the same analysis
+    an.image_draw(1)
+    assert an._image_alpha is not None
+    capsys.readouterr()
+
+
+def test_image_draw_refuses_a_memo_that_disagrees_with_the_table():
+    F = get_field(3, 4)
+    an = FormAnalysis(preset_trace_square_minus(F, 1))
+    alphas, fw = an.image_tables()
+    w = next(w for w in range(F.q) if alphas[w])
+    alpha = int(alphas[w])
+    an._f_xb_cache[alpha] = (int(fw[w]) + 1) % F.p
+    with pytest.raises(QCodeError, match="disagrees"):
+        an.image_draw(w)
+    an._f_xb_cache[alpha] = None  # alpha recorded as outside Im(L)
+    with pytest.raises(QCodeError, match="disagrees"):
+        an.image_draw(w)
+    an._f_xb_cache[alpha] = int(fw[w])
+    assert an.image_draw(w) == alpha
 
 
 # ---------------------------------------------------------------------------
