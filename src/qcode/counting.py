@@ -16,7 +16,10 @@ trace array, and x = 0 adds one more count.  The id's phase sums and counts
 are then read off the histogram through small integer maps cached per p
 and constant.  Every x is still counted once, in integers, and nothing on
 this side reads the closed forms, the Gram matrix, L or its solver, only
-the coefficient formula of f and the field tables.
+the coefficient formula of f and the field tables.  A readout is a pure
+integer function of the histogram, so a sweep memoises the readouts, and
+the phase and Galois-unit sums built on them, on (builder, constants,
+histogram bytes), in a memo that lives for one id's sweep (_Readout).
 
 Each closed form has one source.  Most are instances of one quadratic
 Gauss-sum evaluation: a rank-k, sign-s form on GF(p)^m has phase sum
@@ -30,9 +33,16 @@ s eta_bar(-f(x_alpha))).  A count on the hyperplane Tr(beta x) = 0 is
 p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11, and for id 15 and
 predict_hyperplane_root_count the S5 tree of id 14 (_s5_closed), which
 build evaluates once per beta class (quadform.BetaClasses), not once per
-beta.  Id 18 keeps its own case tree (_partition_counts).  The scalar
-closed forms (phase_sum, unit_sum, level_count, _partition_counts) depend
-only on small integers and are memoised, so a sweep evaluates each once.
+beta.  Id 18 keeps its own case tree (_partition_counts).
+
+Every closed side is split in two: reading the invariants of its draw,
+f(x_alpha), f(x_beta), Tr(alpha x_beta), z0 and f' (FormAnalysis.f_at_xb,
+solve_xb and in_shifted_image, which a sweep answers from the form's
+solution tables, with no solve), and a function of those plain integers
+and (p, m, rank, sign) that returns (value, label): phase_sum, unit_sum,
+level_count, _s23_case (S2, S3), _s4_case, _s5_case, _partition_counts
+and _square_class_rows.  These are memoised, so a sweep evaluates each
+case once.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -192,27 +202,51 @@ def _count_from_sum(p: int, m: int, total: Fraction) -> int:
     return _as_int((total + p**m) / p**2)
 
 
+def _pair_invariants(an: FormAnalysis, alpha: int, beta: int) -> tuple:
+    """What S4 and S5 see of (alpha, beta), as plain integers
+    (fa, fb, tab, fprime): for alpha in Im(L), fa = f(x_alpha),
+    fb = f(x_beta) and tab = Tr(alpha x_beta), the last two None for beta
+    outside Im(L); for alpha outside Im(L), fa = fb = tab = None and
+    fprime = f(x_(alpha - z0 beta)) for the z0 of in_shifted_image, None
+    when there is none."""
+    if beta == 0:
+        raise PreconditionViolatedError("beta must be nonzero")
+    ctx = an.ctx
+    fa = an.f_at_xb(alpha)
+    if fa is None:
+        z0 = an.in_shifted_image(alpha, beta)
+        if z0 is None:
+            return None, None, None, None
+        return None, None, None, an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
+    xb = an.solve_xb(beta)
+    if xb is None:
+        return fa, None, None, None
+    return fa, an.f_at_xb(beta), ctx.trace(ctx.mul(alpha, xb)), None
+
+
 def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
-    """S5, the Galois-unit sum of S4, by its case tree.
+    """S5, the Galois-unit sum of S4, and its branch (_s5_case)."""
+    return _s5_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
+                    *_pair_invariants(an, alpha, beta))
+
+
+@lru_cache(maxsize=None)
+def _s5_case(p: int, m: int, r: int, s: int, fa: int | None, fb: int | None,
+             tab: int | None, fprime: int | None) -> tuple[Fraction, str]:
+    """S5 by its case tree, from the rank r and sign s of f and the
+    invariants of _pair_invariants.
 
     Rational on every branch: every power of p* it takes is whole.  The
     labels are the finest that ids 14 and 15 need; each id coarsens them
     through _S5_LABELS.
     """
-    if beta == 0:
-        raise PreconditionViolatedError("beta must be nonzero")
-    ctx = an.ctx
-    p, r = ctx.p, an.rank
     even = r % 2 == 0
-    u = an.sign * p**ctx.m * pstar_fraction_power(
+    u = s * p**m * pstar_fraction_power(
         p, -(r // 2) if even else -((r - 1) // 2))
     zero = Fraction(0)
-    fa = an.f_at_xb(alpha)
     if fa is None:
-        z0 = an.in_shifted_image(alpha, beta)
-        if z0 is None:
+        if fprime is None:
             return zero, "II:even:out" if even else "II:odd:out"
-        fprime = an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
         if even:
             if fprime == 0:
                 return (p - 1) * u, "II:even:f0"
@@ -220,13 +254,11 @@ def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
         if fprime == 0:
             return zero, "II:odd:f0"
         return eta_bar(-fprime, p) * u, "II:odd:fnz"
-    xb = an.solve_xb(beta)
-    if xb is not None:
-        fb = an.f_at_xb(beta)
-        tab = ctx.trace(ctx.mul(alpha, xb))
+    bout = fb is None
+    if not bout:
         e = _aux_e(p, fa, fb, tab) if fb else 0
     if even and fa == 0:
-        if xb is None:
+        if bout:
             return (p - 1) * u, "I:ez:bout"
         if fb == 0 and tab == 0:
             return (p - 1) * p * u, "I:ez:zz"
@@ -234,7 +266,7 @@ def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
             return zero, "I:ez:mixed"
         return eta_bar(-1, p) * pstar(p) * u, "I:ez:nznz"
     if even:
-        if xb is None:
+        if bout:
             return -u, "I:en:bout"
         if fb == 0 and tab == 0:
             return -p * u, "I:en:zz"
@@ -242,7 +274,7 @@ def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
             return zero, "I:en:zeros"
         return eta_bar(-fb * e, p) * pstar(p) * u, "I:en:Enz"
     if fa == 0:
-        if xb is None:
+        if bout:
             return zero, "I:oz:bout"
         if fb == 0:
             return zero, "I:oz:fb0"
@@ -250,7 +282,7 @@ def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
             return eta_bar(-fb, p) * (p - 1) * u, "I:oz:tr0"
         return -eta_bar(-fb, p) * u, "I:oz:trnz"
     ea = eta_bar(-fa, p)
-    if xb is None:
+    if bout:
         return ea * u, "I:on:bout"
     if fb == 0 and tab == 0:
         return ea * p * u, "I:on:zz"
@@ -280,8 +312,12 @@ def _aux_e(p: int, fa: int, fb: int, tab: int) -> int:
 # two fixed elements e.  _histogram enumerates GF(q) once into the joint
 # counts H of that tuple; an oracle then reads its level counts off H by
 # indexing, or its exponent and partition counts through a small integer
-# matrix (_read), cached per p, builder and constant.  Every x is counted
-# once, in integers, so the work after the pass does not grow with q.
+# matrix (_cell_map), cached per p, builder and constant.  Every x is
+# counted once, in integers, so the work after the pass does not grow with
+# q.  A readout, and the phase sum and Galois-unit sum built on it, is a
+# pure function of (builder, constants, H), so _Readout memoises them on
+# that key in a _ReadoutMemo, which one id's sweep (or one lone check)
+# owns and drops when it ends; H itself is enumerated for every check.
 
 
 def _histogram(an: FormAnalysis, *elems: int) -> np.ndarray:
@@ -312,9 +348,51 @@ def _cell_map(p: int, k: int, build, *args) -> np.ndarray:
     return out
 
 
-def _read(h: np.ndarray, build, *args) -> list[int]:
-    """The counts H @ M for the cached map M of build over h's cells."""
-    return (h.ravel() @ _cell_map(h.shape[0], h.ndim, build, *args)).tolist()
+class _ReadoutMemo(dict):
+    """Readouts of histograms, keyed on (kind, builder, constants, H's
+    int32 bytes, whose length p^k fixes p and H's k axes); see _Readout."""
+
+
+class _Readout:
+    """One check's joint histogram h and its readouts, memoised in memo
+    (a fresh _ReadoutMemo when None).  Each kind of readout is made from
+    h on a miss, so a memo holds only what its checks asked for."""
+
+    __slots__ = ("h", "_memo", "_key")
+
+    def __init__(self, h: np.ndarray, memo: _ReadoutMemo | None):
+        self.h = h
+        self._memo = _ReadoutMemo() if memo is None else memo
+        # counts stay below q < 2^31: int32 bytes halve the memo's keys
+        self._key = h.astype(np.int32).tobytes()
+
+    def _get(self, kind: str, build, args: tuple, make):
+        key = (kind, build, args, self._key)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = make(self._counts(build, args))
+        return out
+
+    def _counts(self, build, args: tuple) -> list[int]:
+        """H @ M for the cached map M of build over h's cells."""
+        h = self.h
+        return (h.ravel() @ _cell_map(h.shape[0], h.ndim, build, *args)).tolist()
+
+    def read(self, build, *args) -> tuple[int, ...]:
+        """The counts that build's map reads off h."""
+        return self._get("read", build, args, tuple)
+
+    def phase(self, build, *args) -> CycNum:
+        """The phase sum whose exponent map build gives."""
+        return self._get("phase", build, args, self._cyc)
+
+    def unit_sum(self, build, *args) -> CycNum:
+        """The Galois-unit sum of phase(build, *args)."""
+        return self._get("unit_sum", build, args,
+                         lambda counts: sigma_unit_sum(self._cyc(counts)))
+
+    def _cyc(self, counts: list[int]) -> CycNum:
+        return CycNum.from_exponent_counts(self.h.shape[0], counts)
 
 
 def _exponents(p: int, *terms: np.ndarray) -> np.ndarray:
@@ -326,11 +404,6 @@ def _exponents(p: int, *terms: np.ndarray) -> np.ndarray:
     for term in terms:
         out[rows, term % p] += 1
     return out
-
-
-def _phase(h: np.ndarray, build, *args) -> CycNum:
-    """The phase sum whose exponent map build gives, read off h."""
-    return CycNum.from_exponent_counts(h.shape[0], _read(h, build, *args))
 
 
 def _eta_bar_table(p: int) -> np.ndarray:
@@ -410,12 +483,12 @@ def _render(v) -> str:
 
 
 def _result(lemma_id, branch, closed, brute, params, note=None) -> CheckResult:
-    if isinstance(closed, CycNum) or isinstance(brute, CycNum):
-        p = closed.p if isinstance(closed, CycNum) else brute.p
-        if not isinstance(closed, CycNum):
-            closed = CycNum.from_rational(p, closed)
-        if not isinstance(brute, CycNum):
-            brute = CycNum.from_rational(p, brute)
+    if type(closed) is not type(brute):
+        # a rational against a CycNum compares in Q(zeta_p)
+        if isinstance(brute, CycNum):
+            closed = CycNum.from_rational(brute.p, closed)
+        elif isinstance(closed, CycNum):
+            brute = CycNum.from_rational(closed.p, brute)
     return CheckResult(lemma_id, branch, closed, brute, closed == brute,
                        params, note)
 
@@ -429,9 +502,10 @@ def _need(params: LemmaParams, *names) -> None:
 # --- the registry: a cheap closed form and a brute oracle per id ------------
 #
 # closed(params) validates the parameters and returns (branch, value, note)
-# rows; brute(params) returns the exhaustively computed values in the same
-# order.  A brute value may come as (value, note) when the brute reading
-# itself has something to report.
+# rows; brute(params, memo) returns the exhaustively computed values in the
+# same order, with its readouts memoised in memo (a _ReadoutMemo, or None
+# for one of its own).  A brute value may come as (value, note) when the
+# brute reading itself has something to report.
 
 
 def _closed_5(params: LemmaParams) -> list:
@@ -448,10 +522,14 @@ def _closed_5(params: LemmaParams) -> list:
             ("II:in_image", full * CycNum.zeta_pow(p, -fb), None)]
 
 
-def _brute_5(params: LemmaParams) -> list:
-    h = _histogram(params.analysis, params.beta)
-    return [CycNum.from_exponent_counts(h.shape[0], h.sum(axis=1).tolist()),
-            _phase(h, _shift_exponents)]
+def _brute_5(params: LemmaParams, memo=None) -> list:
+    rd = _Readout(_histogram(params.analysis, params.beta), memo)
+    return [rd.phase(_form_exponents), rd.phase(_shift_exponents)]
+
+
+def _form_exponents(p: int, f, t) -> np.ndarray:
+    """f(x)."""
+    return _exponents(p, f)
 
 
 def _shift_exponents(p: int, f, t) -> np.ndarray:
@@ -473,7 +551,7 @@ def _closed_6(params: LemmaParams) -> list:
     return [("degenerate", phase_sum(p, 2, 1, eta_bar(-a, p)), None)]
 
 
-def _brute_6(params: LemmaParams) -> list:
+def _brute_6(params: LemmaParams, memo=None) -> list:
     p = params.p
     a, b, c = params.abc
     counts = [0] * p
@@ -495,7 +573,7 @@ def _closed_7(params: LemmaParams) -> list:
              level_count(p, an.ctx.m, an.rank, an.sign, t), None)]
 
 
-def _brute_7(params: LemmaParams) -> list:
+def _brute_7(params: LemmaParams, memo=None) -> list:
     h = _histogram(params.analysis)
     return [int(h[params.t % h.shape[0]])]
 
@@ -524,7 +602,7 @@ def _closed_8(params: LemmaParams) -> list:
              "verified the Galois-sum variant instead")]
 
 
-def _brute_8(params: LemmaParams) -> list:
+def _brute_8(params: LemmaParams, memo=None) -> list:
     h = _histogram(params.analysis, params.alpha)
     return [int(h[params.t % h.shape[0], 0])]
 
@@ -540,48 +618,54 @@ def _closed_9(params: LemmaParams) -> list:
     return [(branch, count, note)]
 
 
-def _brute_9(params: LemmaParams) -> list:
+def _brute_9(params: LemmaParams, memo=None) -> list:
     # the diagonal f(x) = Tr(alpha x)
     return [int(np.trace(_histogram(params.analysis, params.alpha)))]
 
 
-def _s2_terms(an: FormAnalysis, beta: int) -> tuple[int, int, int, str]:
-    """S2 = c Phi(k, s') as (k, s', c) and its branch: Phi(r, s) outside
-    Im(L), p Phi(r, s) at f(x_b) = 0, else Phi(r-1, s eta_bar(-f(x_b)))."""
+def _s2_s3(an: FormAnalysis, beta: int) -> tuple[CycNum, str, Fraction, str]:
+    """S2 and S3 with their branches (_s23_case), from f(x_beta)."""
     if beta == 0:
         raise PreconditionViolatedError("beta must be nonzero")
-    p, r, s = an.ctx.p, an.rank, an.sign
-    fb = an.f_at_xb(beta)
+    return _s23_case(an.ctx.p, an.ctx.m, an.rank, an.sign, an.f_at_xb(beta))
+
+
+@lru_cache(maxsize=None)
+def _s23_case(p: int, m: int, r: int, s: int,
+              fb: int | None) -> tuple[CycNum, str, Fraction, str]:
+    """(S2, its branch, S3, its branch) for f of rank r and sign s and
+    fb = f(x_beta), None outside Im(L).  S2 = c Phi(k, s'), with (k, s', c)
+    = (r, s, 1) outside Im(L), (r, s, p) at fb = 0, else
+    (r - 1, s eta_bar(-fb), 1); S3, its Galois-unit sum, is c U(k, s', 0)."""
     if fb is None:
-        return r, s, 1, "outside"
-    if fb == 0:
-        return r, s, p, "in_zero"
-    return r - 1, s * eta_bar(-fb, p), 1, "in_nonzero"
+        k, s2, c, branch = r, s, 1, "outside"
+    elif fb == 0:
+        k, s2, c, branch = r, s, p, "in_zero"
+    else:
+        k, s2, c, branch = r - 1, s * eta_bar(-fb, p), 1, "in_nonzero"
+    parity = "even" if r % 2 == 0 else "odd"
+    return (phase_sum(p, m, k, s2).scale(c), f"S2:{branch}",
+            c * unit_sum(p, m, k, s2, 0), f"{parity}:{branch}")
 
 
 def _s3(an: FormAnalysis, beta: int) -> tuple[Fraction, str]:
     """S3, the Galois-unit sum of S2: c U(k, s', 0)."""
-    k, s, c, branch = _s2_terms(an, beta)
-    parity = "even" if an.rank % 2 == 0 else "odd"
-    return c * unit_sum(an.ctx.p, an.ctx.m, k, s, 0), f"{parity}:{branch}"
+    return _s2_s3(an, beta)[2:]
 
 
 def _closed_10(params: LemmaParams) -> list:
     """The three sums S1, S2, S3 over scalar multiples of Tr(beta x)."""
     _need(params, "analysis", "beta")
     an = params.analysis
-    ctx = an.ctx
-    k, s, c, branch = _s2_terms(an, params.beta)
-    s3, s3_branch = _s3(an, params.beta)
-    return [("S1", ctx.q, None),
-            (f"S2:{branch}", phase_sum(ctx.p, ctx.m, k, s).scale(c), None),
+    s2, s2_branch, s3, s3_branch = _s2_s3(an, params.beta)
+    return [("S1", an.ctx.q, None), (s2_branch, s2, None),
             (f"S3:{s3_branch}", s3, None)]
 
 
-def _brute_10(params: LemmaParams) -> list:
-    h = _histogram(params.analysis, params.beta)
-    s2 = _phase(h, _s2_exponents)
-    return [_phase(h, _s1_exponents), s2, sigma_unit_sum(s2)]
+def _brute_10(params: LemmaParams, memo=None) -> list:
+    rd = _Readout(_histogram(params.analysis, params.beta), memo)
+    return [rd.phase(_s1_exponents), rd.phase(_s2_exponents),
+            rd.unit_sum(_s2_exponents)]
 
 
 def _s1_exponents(p: int, f, t) -> np.ndarray:
@@ -603,12 +687,8 @@ def _closed_11(params: LemmaParams) -> list:
     return [(branch, _count_from_sum(an.ctx.p, an.ctx.m, s3), None)]
 
 
-def _brute_11(params: LemmaParams) -> list:
+def _brute_11(params: LemmaParams, memo=None) -> list:
     return [int(_histogram(params.analysis, params.beta)[0, 0])]
-
-
-def _s4_brute(an: FormAnalysis, alpha: int, beta: int) -> CycNum:
-    return _phase(_histogram(an, alpha, beta), _s4_exponents)
 
 
 def _s4_exponents(p: int, f, a, b) -> np.ndarray:
@@ -616,33 +696,31 @@ def _s4_exponents(p: int, f, a, b) -> np.ndarray:
     return _exponents(p, *(f - a + z * b for z in range(p)))
 
 
-def _s4_closed(an: FormAnalysis, alpha: int, beta: int):
-    """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x)):
-    zero, or c Phi(k, s') zeta^z on each branch."""
-    if beta == 0:
-        raise PreconditionViolatedError("beta must be nonzero")
-    ctx = an.ctx
-    p, m, r, s = ctx.p, ctx.m, an.rank, an.sign
+def _s4_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[CycNum, str]:
+    """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x))
+    and its branch (_s4_case)."""
+    return _s4_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
+                    *_pair_invariants(an, alpha, beta))
+
+
+@lru_cache(maxsize=None)
+def _s4_case(p: int, m: int, r: int, s: int, fa: int | None, fb: int | None,
+             tab: int | None, fprime: int | None) -> tuple[CycNum, str]:
+    """S4 from the rank r and sign s of f and the invariants of
+    _pair_invariants: zero, or c Phi(k, s') zeta^z on each branch."""
     full = phase_sum(p, m, r, s)
-    if an.in_image(alpha):
-        fa = an.f_at_xb(alpha)
-        if an.in_image(beta):
-            xb = an.solve_xb(beta)
-            fb = an.f_at_xb(beta)
-            tab = ctx.trace(ctx.mul(alpha, xb))
-            if fb == 0 and tab == 0:
-                return full.scale(p) * CycNum.zeta_pow(p, -fa), "I:in:zero_zero"
-            if fb == 0:
-                return CycNum.zero(p), "I:in:zero_nonzero"
-            closed = phase_sum(p, m, r - 1, s * eta_bar(-fb, p))
-            return (closed * CycNum.zeta_pow(p, _aux_e(p, fa, fb, tab)),
-                    "I:in:nonzero")
+    if fa is None:
+        if fprime is None:
+            return CycNum.zero(p), "II:outside_union"
+        return full * CycNum.zeta_pow(p, -fprime), "II:in_union"
+    if fb is None:
         return full * CycNum.zeta_pow(p, -fa), "I:outside_beta"
-    z0 = an.in_shifted_image(alpha, beta)
-    if z0 is None:
-        return CycNum.zero(p), "II:outside_union"
-    fprime = an.f_at_xb(ctx.sub(alpha, ctx.scalar_mul(z0, beta)))
-    return full * CycNum.zeta_pow(p, -fprime), "II:in_union"
+    if fb == 0 and tab == 0:
+        return full.scale(p) * CycNum.zeta_pow(p, -fa), "I:in:zero_zero"
+    if fb == 0:
+        return CycNum.zero(p), "I:in:zero_nonzero"
+    closed = phase_sum(p, m, r - 1, s * eta_bar(-fb, p))
+    return closed * CycNum.zeta_pow(p, _aux_e(p, fa, fb, tab)), "I:in:nonzero"
 
 
 def _closed_13(params: LemmaParams) -> list:
@@ -656,8 +734,12 @@ def _closed_13(params: LemmaParams) -> list:
     return [(branch, closed, note)]
 
 
-def _brute_13(params: LemmaParams) -> list:
-    return [_s4_brute(params.analysis, params.alpha, params.beta)]
+def _brute_13(params: LemmaParams, memo=None) -> list:
+    return [_s4_readout(params, memo).phase(_s4_exponents)]
+
+
+def _s4_readout(params: LemmaParams, memo) -> _Readout:
+    return _Readout(_histogram(params.analysis, params.alpha, params.beta), memo)
 
 
 def _closed_14(params: LemmaParams) -> list:
@@ -667,8 +749,8 @@ def _closed_14(params: LemmaParams) -> list:
     return [(_S5_LABELS[14].get(branch, branch), s5, None)]
 
 
-def _brute_14(params: LemmaParams) -> list:
-    return [sigma_unit_sum(_s4_brute(params.analysis, params.alpha, params.beta))]
+def _brute_14(params: LemmaParams, memo=None) -> list:
+    return [_s4_readout(params, memo).unit_sum(_s4_exponents)]
 
 
 def _closed_15(params: LemmaParams) -> list:
@@ -681,7 +763,7 @@ def _closed_15(params: LemmaParams) -> list:
              _count_from_sum(an.ctx.p, an.ctx.m, s5), None)]
 
 
-def _brute_15(params: LemmaParams) -> list:
+def _brute_15(params: LemmaParams, memo=None) -> list:
     # f(x) = Tr(alpha x) on the plane Tr(beta x) = 0
     h = _histogram(params.analysis, params.alpha, params.beta)
     return [int(np.trace(h[:, :, 0]))]
@@ -729,11 +811,11 @@ def _inv4(an: FormAnalysis, alpha: int) -> int:
     return pow(4 * an.f_at_xb(alpha), -1, an.ctx.p)
 
 
-def _brute_16(params: LemmaParams) -> list:
+def _brute_16(params: LemmaParams, memo=None) -> list:
     c = _inv4(params.analysis, params.alpha)
-    h = _histogram(params.analysis, params.alpha)
-    s6 = _phase(h, _s6_exponents, c)
-    return [s6, sigma_unit_sum(s6), _read(h, _deflated_exponents, c)[0]]
+    rd = _Readout(_histogram(params.analysis, params.alpha), memo)
+    return [rd.phase(_s6_exponents, c), rd.unit_sum(_s6_exponents, c),
+            rd.read(_deflated_exponents, c)[0]]
 
 
 def _s6_exponents(p: int, f, a, c: int) -> np.ndarray:
@@ -761,12 +843,12 @@ def _closed_17(params: LemmaParams) -> list:
             (branch, level_count(p, m, k, s, t), None)]
 
 
-def _brute_17(params: LemmaParams) -> list:
+def _brute_17(params: LemmaParams, memo=None) -> list:
     an = params.analysis
-    p = an.ctx.p
-    levels = _read(_histogram(an, params.alpha), _deflated_exponents,
-                   _inv4(an, params.alpha))
-    return [CycNum.from_exponent_counts(p, levels), levels[params.t % p]]
+    c = _inv4(an, params.alpha)
+    rd = _Readout(_histogram(an, params.alpha), memo)
+    return [rd.phase(_deflated_exponents, c),
+            rd.read(_deflated_exponents, c)[params.t % an.ctx.p]]
 
 
 def _closed_18(params: LemmaParams) -> list:
@@ -808,7 +890,7 @@ def _partition_counts(p: int, m: int, r: int, s: int, ea: int) -> tuple:
     return tuple((key, _as_int(val)) for key, val in closed.items())
 
 
-def _brute_18(params: LemmaParams) -> list:
+def _brute_18(params: LemmaParams, memo=None) -> list:
     """The partition counts under the plus-sign E, each with a note when
     the printed minus sign counts differently."""
     an, alpha = params.analysis, params.alpha
@@ -816,11 +898,11 @@ def _brute_18(params: LemmaParams) -> list:
     p, r = ctx.p, an.rank
     fa = an.f_at_xb(alpha)
     wants = _partition_counts(p, ctx.m, r, an.sign, eta_bar(-fa, p))
-    h = _histogram(an, alpha)
+    rd = _Readout(_histogram(an, alpha), memo)
     odd = r % 2 == 1
     out = []
-    for (_, want), plus, minus in zip(wants, _read(h, _partition_cells, odd, fa, 1),
-                                      _read(h, _partition_cells, odd, fa, -1)):
+    for (_, want), plus, minus in zip(wants, rd.read(_partition_cells, odd, fa, 1),
+                                      rd.read(_partition_cells, odd, fa, -1)):
         note = None
         if minus != plus:
             verdict = "matches" if minus == want else "fails"
@@ -858,24 +940,30 @@ def _closed_19(params: LemmaParams) -> list:
     counts sum the id-8 counts over the levels a of each class of -a."""
     _need(params, "analysis", "alpha")
     an = params.analysis
-    p, m = an.ctx.p, an.ctx.m
     _require_vanishing_special_value(an, params.alpha)
-    onplane = [sum(_plane_level_count(p, m, an.rank, an.sign, a)
+    return list(_square_class_rows(an.ctx.p, an.ctx.m, an.rank, an.sign))
+
+
+@lru_cache(maxsize=None)
+def _square_class_rows(p: int, m: int, r: int, s: int) -> tuple:
+    """Id 19's (label, count, note) rows for f of rank r and sign s."""
+    onplane = [sum(_plane_level_count(p, m, r, s, a)
                    for a in range(1, p)
                    if eta_bar(-a, p) == sq) for sq in (1, -1)]
     offplane = _as_int(Fraction((p - 1) ** 2, 2) * Fraction(p) ** (m - 2))
-    if an.rank % 2 == 1:
-        return [("sq_tr0", onplane[0], None), ("nsq_tr0", onplane[1], None),
-                ("sq_trnz", offplane, None), ("nsq_trnz", offplane, None)]
+    if r % 2 == 1:
+        return (("sq_tr0", onplane[0], None), ("nsq_tr0", onplane[1], None),
+                ("sq_trnz", offplane, None), ("nsq_trnz", offplane, None))
     note = ("printed closed forms are irrational for even rank; "
             "verified the Galois-sum variants instead")
-    return [("even:sq_tr0", onplane[0], note),
+    return (("even:sq_tr0", onplane[0], note),
             ("even:nsq_tr0", onplane[1], note),
-            ("even:sq_trnz", offplane, note), ("even:nsq_trnz", offplane, note)]
+            ("even:sq_trnz", offplane, note), ("even:nsq_trnz", offplane, note))
 
 
-def _brute_19(params: LemmaParams) -> list:
-    return _read(_histogram(params.analysis, params.alpha), _square_class_cells)
+def _brute_19(params: LemmaParams, memo=None) -> list:
+    rd = _Readout(_histogram(params.analysis, params.alpha), memo)
+    return list(rd.read(_square_class_cells))
 
 
 def _square_class_cells(p: int, f, a) -> np.ndarray:
@@ -897,18 +985,28 @@ _REGISTRY = {
 }
 
 
-def lemma_oracle(lemma_id: int, params: LemmaParams) -> list[CheckResult]:
-    """Evaluate one registry identity head-to-head on given parameters."""
+def lemma_oracle(lemma_id: int, params: LemmaParams, *,
+                 _memo: _ReadoutMemo | None = None) -> list[CheckResult]:
+    """Evaluate one registry identity head-to-head on given parameters.
+
+    _memo is internal: the readout memo of the sweep that makes the call
+    (sweep_one_lemma); a lone call reads with a memo of its own.
+    """
     if lemma_id not in _REGISTRY:
         raise MissingParamError(f"unknown registry id {lemma_id}")
     if params.analysis is not None:
+        q = params.analysis.ctx.q
         check_brute_cap(params.analysis.ctx)
+        for name, v in (("alpha", params.alpha), ("beta", params.beta)):
+            if v is not None and not 0 <= v < q:
+                raise PreconditionViolatedError(
+                    f"{name} encoding {v} outside [0, {q})")
     if params.p is not None:
         _check_cap(params.p, params.p**2)  # id 6 sums over GF(p)^2
     closed, brute = _REGISTRY[lemma_id]
     rows = closed(params)
     out = []
-    for (branch, value, note), seen in zip(rows, brute(params), strict=True):
+    for (branch, value, note), seen in zip(rows, brute(params, _memo), strict=True):
         if isinstance(seen, tuple):
             seen, reading = seen
             note = "; ".join(n for n in (reading, note) if n) or None
@@ -1082,6 +1180,9 @@ def sweep_one_lemma(lemma_id: int, pool_all, trials: int, seed: int,
     be distributed across workers without changing the report."""
     rng = random.Random(seed * 10007 + lemma_id)
     rep = LemmaSweepReport(lemma_id=lemma_id, trials=0)
+    memo = _ReadoutMemo()  # this sweep's, dropped on return
+    for an in pool_all:
+        an.solution_tables()  # x_b and f(x_b) for the closed sides, no solves
     draws = 0
     attempts = 0
     while draws < trials and attempts < 80 * trials:
@@ -1089,10 +1190,10 @@ def sweep_one_lemma(lemma_id: int, pool_all, trials: int, seed: int,
         params = sample_params(lemma_id, pool_all, rng)
         if params is None:
             continue
-        _run_check(rep, lemma_id, params)
+        _run_check(rep, lemma_id, params, memo)
         draws += 1
     rep.trials = draws
-    _fill_missing_branches(rep, lemma_id, pool_all, min_branch)
+    _fill_missing_branches(rep, lemma_id, pool_all, min_branch, memo)
     if not rep.trials:
         rep.notes.append("no parameters were drawn, so nothing was checked")
     return rep
@@ -1144,8 +1245,9 @@ def _sweep_lemma_payload(payload) -> dict:
     return sweep_one_lemma(lemma_id, pool_all, trials, seed, min_branch).to_json()
 
 
-def _run_check(rep: LemmaSweepReport, lemma_id: int, params: LemmaParams):
-    for res in lemma_oracle(lemma_id, params):
+def _run_check(rep: LemmaSweepReport, lemma_id: int, params: LemmaParams,
+               memo: _ReadoutMemo):
+    for res in lemma_oracle(lemma_id, params, _memo=memo):
         rep.branches[res.branch] = rep.branches.get(res.branch, 0) + 1
         if res.note:
             rep.notes.append(res.note)
@@ -1154,7 +1256,7 @@ def _run_check(rep: LemmaSweepReport, lemma_id: int, params: LemmaParams):
 
 
 def _fill_missing_branches(rep: LemmaSweepReport, lemma_id: int,
-                           pool, min_branch: int) -> None:
+                           pool, min_branch: int, memo: _ReadoutMemo) -> None:
     """Deterministic scan for parameters hitting under-covered branches."""
 
     def missing() -> set:
@@ -1172,7 +1274,7 @@ def _fill_missing_branches(rep: LemmaSweepReport, lemma_id: int,
     for params in scan:
         if not {branch for branch, _, _ in closed(params)} & todo:
             continue
-        _run_check(rep, lemma_id, params)
+        _run_check(rep, lemma_id, params, memo)
         rep.trials += 1
         todo = missing()
         if not todo:

@@ -166,13 +166,20 @@ class FormAnalysis:
     lmat : matrix of L on the digit basis (columns are images of x^j).
     ker_basis, im_basis : element encodings spanning Ker(L) and Im(L).
 
-    The registry's draws of alpha in Im(L) read two per-form tables over
-    every w in GF(q), built on the first draw (image_draw) and never on
-    the build or predict paths: alpha(w) = -2 L(w) (int32 encodings, lmat
-    on the digit rows of w) and f(w) (int8, gram on the same rows).
-    Since L(w) = -alpha/2, w is a solution x_alpha up to an element k of
-    Ker(L), and f(w + k) = f(w) because f(k) = Tr(L(k) k) = 0; so f(w) is
-    f(x_alpha), recorded in the f_at_xb memo with no solve.
+    The registry reads two pairs of per-form tables, which the analyze,
+    build and predict paths never build:
+      * solution_tables(): x_b = solve_xb(b) (int32 encodings) and f(x_b)
+        (int8), -1 in both for b outside Im(L), for every b in GF(q), from
+        one vectorised solve (_solutions) on the digit rows of every b;
+        built when a registry sweep starts.  Once they exist, solve_xb,
+        f_at_xb, in_image and in_shifted_image read them and never run
+        the solver.
+      * image_tables(): alpha(w) = -2 L(w) (int32 encodings, lmat on the
+        digit rows of w) and f(w) (int8, gram on the same rows), for every
+        w; built on the first draw of alpha in Im(L) (image_draw).  Since
+        L(w) = -alpha/2, w is a solution x_alpha up to an element k of
+        Ker(L), and f(w + k) = f(w) because f(k) = Tr(L(k) k) = 0; so f(w)
+        is f(x_alpha), and image_draw checks it against the solution table.
     """
 
     def __init__(self, f: QuadraticFunction):
@@ -204,6 +211,8 @@ class FormAnalysis:
         self._neg_half = ctx.neg(ctx.embed_scalar((p + 1) // 2))
         self._xb_cache: dict[int, int | None] = {}
         self._f_xb_cache: dict[int, int | None] = {}
+        self._xb_table: np.ndarray | None = None
+        self._f_xb_table: np.ndarray | None = None
         self._image_alpha: np.ndarray | None = None
         self._image_f: np.ndarray | None = None
         if _spot_check_enabled(ctx):
@@ -238,6 +247,12 @@ class FormAnalysis:
     def in_image(self, b: int) -> bool:
         return self.solve_xb(b) is not None
 
+    def _check_element(self, b: int) -> None:
+        # a negative encoding would wrap in the log and numpy tables
+        if not 0 <= b < self.ctx.q:
+            raise PreconditionViolatedError(
+                f"element encoding {b} outside [0, {self.ctx.q})")
+
     def solve_xb(self, b: int) -> int | None:
         """Solution of L(x) = -b/2 with the smallest encoding, or None.
 
@@ -248,8 +263,13 @@ class FormAnalysis:
         kernel basis in echelon form with pivots on the most significant
         digits: zeroing each pivot digit gives the smallest encoding of
         the coset, since any other kernel shift first changes the coset's
-        digits at a pivot, from 0 to a nonzero digit.
+        digits at a pivot, from 0 to a nonzero digit.  Read off
+        solution_tables() once they exist.
         """
+        self._check_element(b)
+        if self._xb_table is not None:
+            x = int(self._xb_table[b])
+            return None if x < 0 else x
         if b in self._xb_cache:
             return self._xb_cache[b]
         ctx = self.ctx
@@ -268,11 +288,64 @@ class FormAnalysis:
         return result
 
     def f_at_xb(self, b: int) -> int | None:
-        """f(solve_xb(b)), or None when b lies outside Im(L); cached."""
+        """f(solve_xb(b)), or None when b lies outside Im(L); cached, and
+        read off solution_tables() once they exist."""
+        self._check_element(b)
+        if self._f_xb_table is not None:
+            fb = int(self._f_xb_table[b])
+            return None if fb < 0 else fb
         if b not in self._f_xb_cache:
             xb = self.solve_xb(b)
             self._f_xb_cache[b] = None if xb is None else self.f.evaluate(xb)
         return self._f_xb_cache[b]
+
+    def _solutions(self, tb: np.ndarray, smallest: bool = False) -> np.ndarray:
+        """Digits of solutions x of L(x) = -b/2, one per row of
+        TB = digits(b) T^T (mod p), T being the solver's row transform: x
+        holds -TB[:rank]/2 at the solver's pivot columns and 0 elsewhere,
+        and solves L(x) = -b/2 when TB[rank:] = 0.  With smallest, each
+        pivot digit of the kernel echelon basis is then zeroed, as
+        solve_xb does, which gives the coset's smallest encoding."""
+        p = self.ctx.p
+        x = np.zeros_like(tb)
+        x[..., self._solver.pivots] = tb[..., :self._solver.rank]
+        x *= (p - 1) // 2
+        x %= p
+        if smallest:
+            for col, vec in self._ker_echelon:
+                x -= x[..., col, None] * np.asarray(vec, dtype=np.int64)
+                x %= p
+        return x
+
+    def _transform(self) -> np.ndarray:
+        m = self.ctx.m
+        return np.asarray(self._solver.transform, dtype=np.int64).reshape(m, m)
+
+    def solution_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xb, fxb): xb[b] = solve_xb(b) as an int32 encoding and
+        fxb[b] = f(x_b) as int8, both -1 for b outside Im(L), for every b
+        in GF(q); built on the first call, in one pass of _solutions and
+        gram over the digit rows of every b."""
+        if self._xb_table is None:
+            ctx = self.ctx
+            p = ctx.p
+            # transient rows, as in image_tables
+            tb = ctx._digit_rows(np.arange(ctx.q, dtype=np.int64))
+            tb = tb @ self._transform().T
+            tb %= p
+            outside = tb[:, self._solver.rank:].any(axis=1)
+            x = self._solutions(tb, smallest=True)
+            del tb
+            xg = x @ np.asarray(self.gram, dtype=np.int64)
+            xg *= x
+            fx = xg.sum(axis=1) % p
+            del xg
+            xb = x @ p ** np.arange(ctx.m, dtype=np.int64)
+            xb[outside] = -1
+            fx[outside] = -1
+            self._xb_table = xb.astype(np.int32)
+            self._f_xb_table = fx.astype(np.int8)
+        return self._xb_table, self._f_xb_table
 
     def image_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, fw): alpha[w] = -2 L(w) as an int32 encoding and
@@ -296,15 +369,17 @@ class FormAnalysis:
         return self._image_alpha, self._image_f
 
     def image_draw(self, w: int) -> int:
-        """alpha = -2 L(w), read off image_tables(), with f(x_alpha) = f(w)
-        recorded in the f_at_xb memo (see the class docstring)."""
+        """alpha = -2 L(w), read off image_tables(), after checking that
+        f(w) equals the solution table's f(x_alpha) (see the class
+        docstring)."""
         alphas, fw = self.image_tables()
+        fxb = self.solution_tables()[1]
         alpha, fa = int(alphas[w]), int(fw[w])
-        known = self._f_xb_cache.setdefault(alpha, fa)
+        known = int(fxb[alpha])
         if known != fa:
             raise QCodeError(
                 f"f(x_alpha) disagrees at alpha={alpha}: "
-                f"memo {known}, f(w) = {fa} for w={w}")
+                f"solution table {known}, f(w) = {fa} for w={w}")
         return alpha
 
     def in_shifted_image(self, alpha: int, beta: int) -> int | None:
@@ -314,6 +389,7 @@ class FormAnalysis:
         exists, and the caller may then solve L(x') = -(alpha - z*beta)/2.
         """
         ctx = self.ctx
+        self._check_element(beta)
         if self.in_image(alpha):
             raise AlphaInImageError("alpha lies in Im(L); no shifted search applies")
         if beta == 0:
@@ -385,28 +461,20 @@ class BetaClasses:
 
     def __init__(self, an: FormAnalysis):
         ctx = an.ctx
-        p, m = ctx.p, ctx.m
+        p = ctx.p
         self.ctx = ctx
+        self._an = an
         self._rank = an._solver.rank
-        self._t = np.asarray(an._solver.transform, dtype=np.int64).reshape(m, m)
-        self._pivots = an._solver.pivots
+        self._t = an._transform()
         self._gram = np.asarray(an.gram, dtype=np.int64)
         tb = ctx.digits_matrix()[1:] @ self._t.T
         tb %= p
         self._h = tb[:, self._rank:].copy()
-        self._x = self._solution(tb)
+        self._x = an._solutions(tb)
         del tb  # (q, m) arrays set the peak here: reduce in place
         xg = self._x @ self._gram
         xg *= self._x
         self._fx = xg.sum(axis=1) % p
-
-    def _solution(self, tb: np.ndarray) -> np.ndarray:
-        """Digits of the solutions x of L(x) = -b/2, b given by TB rows."""
-        x = np.zeros_like(tb)
-        x[..., self._pivots] = tb[..., :self._rank]
-        x *= (self.ctx.p - 1) // 2
-        x %= self.ctx.p
-        return x
 
     def split(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(keys, cls, reps): cls[beta - 1] is the class of beta, reps[c]
@@ -421,7 +489,7 @@ class BetaClasses:
         ctx = self.ctx
         p = ctx.p
         ta = np.asarray(ctx.digits(alpha), dtype=np.int64) @ self._t.T % p
-        u = self._solution(ta)
+        u = self._an._solutions(ta)
         outside = p * p
         if not ta[self._rank:].any():
             # u = x_alpha

@@ -144,6 +144,16 @@ def test_criterion_4_identity_registry_sweep():
           f"sign/reading discrepancies documented in the report notes")
 
 
+def test_bench_lemma_sweep_input_matches_golden():
+    """The lemma_sweep bench workload's input (trials 1500, seed 7, the
+    acceptance-4 grid), byte for byte as the CLI renders it."""
+    grid = [(p, m) for p in (3, 5) for m in (2, 3, 4, 5)]
+    rep = lemma_sweep(grid, trials=1500, seed=7, min_branch=3)
+    assert rep["all_equal"]
+    assert _sweep_bytes(rep) == (GOLDEN / "lemma_sweep_t1500_s7.json"
+                                 ).read_bytes(), "bench lemma sweep drifted"
+
+
 def test_criterion_5_algebraic_identities():
     primes = [p for p in range(3, 98) if is_prime(p)]
     for p in primes:

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +43,7 @@ from qcode.errors import (
     PreconditionViolatedError,
 )
 from qcode.field import eta_bar
+from qcode.linalg import LinearSolver
 from qcode.quadform import (
     BetaClasses,
     QuadraticFunction,
@@ -418,6 +421,21 @@ def test_missing_and_invalid_params():
         lemma_oracle(16, LemmaParams(analysis=an, alpha=1))  # f(x_a) = 0 here
 
 
+def test_lemma_oracle_refuses_out_of_range_alpha_and_beta():
+    # beta = -1 once wrapped to 26 on 3^3 and reported a passing check
+    F = get_field(3, 3)
+    an = analyze(preset_cor1(F, 1))
+    for bad in (-1, F.q, -F.q - 1):
+        with pytest.raises(PreconditionViolatedError, match="beta encoding"):
+            lemma_oracle(5, LemmaParams(analysis=an, beta=bad))
+        with pytest.raises(PreconditionViolatedError, match="alpha encoding"):
+            lemma_oracle(9, LemmaParams(analysis=an, alpha=bad))
+        with pytest.raises(PreconditionViolatedError, match="alpha encoding"):
+            lemma_oracle(14, LemmaParams(analysis=an, alpha=bad, beta=1))
+        with pytest.raises(PreconditionViolatedError, match="beta encoding"):
+            lemma_oracle(14, LemmaParams(analysis=an, alpha=1, beta=bad))
+
+
 # ---------------------------------------------------------------------------
 # cross-identity consistency ties
 # ---------------------------------------------------------------------------
@@ -513,6 +531,83 @@ def test_image_draws_and_scans_call_neither_l_nor_the_solver(monkeypatch):
         scanned = sweep_one_lemma(lemma_id, pool, trials=0, seed=1)
         assert drawn.trials >= 40 and scanned.trials > 0
         assert drawn.all_equal and scanned.all_equal
+
+
+def test_solving_draws_and_scans_never_run_the_solver(monkeypatch):
+    """Ids 5, 9-11 and 13-15 read x_b and f(x_b) off the solution tables,
+    which the sweep builds first, so LinearSolver.solve never runs, in
+    random draws and in the branch-fill scan alike."""
+
+    def fresh_pool():
+        rng = random.Random(3)
+        return [counting.FormAnalysis(an.f)  # no tables, no memos
+                for an in analysis_pool(3, 3, rng) + analysis_pool(5, 2, rng)]
+
+    def refuse(*_):
+        raise AssertionError("LinearSolver.solve called in a registry sweep")
+
+    monkeypatch.setattr(LinearSolver, "solve", refuse)
+    for lemma_id in (5, 9, 10, 11, 13, 14, 15):
+        drawn = sweep_one_lemma(lemma_id, fresh_pool(), trials=40, seed=1)
+        scanned = sweep_one_lemma(lemma_id, fresh_pool(), trials=0, seed=1)
+        assert drawn.trials >= 40 and scanned.trials > 0
+        assert drawn.all_equal and scanned.all_equal
+
+
+def test_readout_memo_keys_on_the_constants(monkeypatch):
+    """Checks whose histograms are equal but whose constants differ get
+    their own readouts: c = 1/(4 f(x_alpha)) for ids 16 and 17, t for id
+    17 and f(x_alpha) for id 18."""
+    F = get_field(5, 2)
+    an = analyze(preset_cor1(F, 1))
+    alpha_of = {}
+    for a in F.nonzero_elements():
+        alpha_of.setdefault(an.f_at_xb(a), a)
+    a1, a2 = alpha_of[1], alpha_of[2]
+    h = counting._histogram(an, a1)
+    monkeypatch.setattr(counting, "_histogram", lambda *_: h.copy())
+    cases = {
+        16: [LemmaParams(analysis=an, alpha=a) for a in (a1, a2)],
+        17: [LemmaParams(analysis=an, alpha=a1, t=0),
+             LemmaParams(analysis=an, alpha=a2, t=0),
+             LemmaParams(analysis=an, alpha=a1, t=1)],
+        18: [LemmaParams(analysis=an, alpha=a) for a in (a1, a2)],
+    }
+    for lemma_id, draws in cases.items():
+        brute = counting._REGISTRY[lemma_id][1]
+        memo = counting._ReadoutMemo()
+        shared = [brute(params, memo) for params in draws]
+        alone = [brute(params) for params in draws]
+        assert shared == alone, lemma_id
+        # the constants change the readout of this histogram
+        assert len({repr(values) for values in alone}) == len(draws), lemma_id
+        assert memo
+
+
+def test_readout_memos_die_with_their_sweep(monkeypatch):
+    made = []
+
+    class Tracked(counting._ReadoutMemo):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(counting, "_ReadoutMemo", Tracked)
+    pool = analysis_pool(3, 3, random.Random(2))
+    for lemma_id in (5, 10, 13, 14, 16, 17, 18, 19):
+        made.clear()
+        held = []
+        monkeypatch.setattr(Tracked, "__setitem__", lambda self, k, v: (
+            held.append(k), dict.__setitem__(self, k, v)))
+        assert sweep_one_lemma(lemma_id, pool, trials=30, seed=3).all_equal
+        assert len(made) == 1 and held, lemma_id  # one memo, and it was used
+        gc.collect()
+        assert made[0]() is None, lemma_id
+    # a lone check reads with a memo of its own, gone when it returns
+    made.clear()
+    lemma_oracle(14, LemmaParams(analysis=pool[0], alpha=1, beta=2))
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
 
 
 def test_pool_size_clamps_to_tasks_and_cpus():

@@ -403,10 +403,10 @@ IMAGE_FIELDS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)
 
 
 @st.composite
-def fresh_analyses(draw):
+def fresh_analyses(draw, fields=IMAGE_FIELDS):
     """A fresh FormAnalysis (empty memos) of a preset, rank-one or raw
     form over a drawn field and modulus."""
-    p, m = draw(st.sampled_from(IMAGE_FIELDS))
+    p, m = draw(st.sampled_from(fields))
     low = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
     assume(is_irreducible(low + [1], p))
     F = get_field(p, m, low + [1])
@@ -431,9 +431,34 @@ def test_image_tables_match_l_and_the_solver(an):
     F = an.ctx
     alphas, fw = an.image_tables()
     assert alphas.dtype == np.int32 and fw.dtype == np.int8
+    scalar = FormAnalysis(an.f)  # no tables: solve_xb runs the solver
     for w in F.elements():
         alpha = an.image_draw(w)
         assert alpha == F.neg(F.scalar_mul(2, an.l_apply(w))), w
-        recorded = an._f_xb_cache[alpha]
-        assert recorded == an.f.evaluate(an.solve_xb(alpha)), w
-        assert an.f_at_xb(alpha) == recorded
+        assert int(fw[w]) == an.f.evaluate(scalar.solve_xb(alpha)), w
+        assert an.f_at_xb(alpha) == fw[w]
+    assert scalar._xb_table is None
+
+
+# p in {3, 5, 7}, six or more fields, each with a drawn modulus; the forms
+# run from full rank (cor1) through rank m - 1 (trmv) to rank 1
+SOLUTION_FIELDS = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(fresh_analyses(SOLUTION_FIELDS))
+def test_solution_tables_match_the_scalar_solver(an):
+    F = an.ctx
+    scalar = FormAnalysis(an.f)  # no tables: solve_xb runs the solver
+    xb, fxb = an.solution_tables()
+    assert xb.dtype == np.int32 and fxb.dtype == np.int8
+    assert xb.shape == fxb.shape == (F.q,)
+    for b in F.elements():
+        want = scalar.solve_xb(b)
+        assert an.solve_xb(b) == want, b
+        if want is None:
+            assert xb[b] == fxb[b] == -1 and an.f_at_xb(b) is None, b
+        else:
+            assert xb[b] == want and fxb[b] == an.f.evaluate(want), b
+            assert an.f_at_xb(b) == fxb[b]
+    assert scalar._xb_table is None

@@ -318,9 +318,10 @@ def test_analyze_build_and_predict_leave_image_tables_unbuilt(capsys):
         assert main([cmd, *argv]) == 0
     an = analyze(preset_trace_square_minus(get_field(3, 4), 1))
     assert an._image_alpha is None and an._image_f is None
+    assert an._xb_table is None and an._f_xb_table is None
     # control: a registry draw builds them on the same analysis
     an.image_draw(1)
-    assert an._image_alpha is not None
+    assert an._image_alpha is not None and an._xb_table is not None
     capsys.readouterr()
 
 
@@ -330,13 +331,14 @@ def test_image_draw_refuses_a_memo_that_disagrees_with_the_table():
     alphas, fw = an.image_tables()
     w = next(w for w in range(F.q) if alphas[w])
     alpha = int(alphas[w])
-    an._f_xb_cache[alpha] = (int(fw[w]) + 1) % F.p
+    fxb = an.solution_tables()[1]  # the f_at_xb memo, one entry per b
+    fxb[alpha] = (int(fw[w]) + 1) % F.p
     with pytest.raises(QCodeError, match="disagrees"):
         an.image_draw(w)
-    an._f_xb_cache[alpha] = None  # alpha recorded as outside Im(L)
+    fxb[alpha] = -1  # alpha recorded as outside Im(L)
     with pytest.raises(QCodeError, match="disagrees"):
         an.image_draw(w)
-    an._f_xb_cache[alpha] = int(fw[w])
+    fxb[alpha] = fw[w]
     assert an.image_draw(w) == alpha
 
 
@@ -376,6 +378,25 @@ def test_shifted_image_preconditions():
     alpha = next(a for a in F.nonzero_elements() if not an.in_image(a))
     with pytest.raises(PreconditionViolatedError):
         an.in_shifted_image(alpha, 0)
+
+
+@pytest.mark.parametrize("tables", [False, True])
+def test_out_of_range_encodings_are_refused(tables):
+    # -1 once wrapped to the last log-table entry (26 on 3^3) and q raised
+    # a bare IndexError; numpy table reads would wrap the same way
+    F = get_field(3, 3)
+    an = FormAnalysis(_deficient_analysis(F).f)
+    if tables:
+        an.solution_tables()
+    outside = next(a for a in F.nonzero_elements() if not an.in_image(a))
+    for bad in (-1, F.q, -F.q - 1):
+        for call in (an.solve_xb, an.f_at_xb, an.in_image):
+            with pytest.raises(PreconditionViolatedError, match="outside"):
+                call(bad)
+        with pytest.raises(PreconditionViolatedError, match="outside"):
+            an.in_shifted_image(bad, 1)
+        with pytest.raises(PreconditionViolatedError, match="outside"):
+            an.in_shifted_image(outside, bad)
 
 
 def test_shifted_image_unique_z_seeded():
