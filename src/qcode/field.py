@@ -6,6 +6,11 @@ polynomial basis {1, x, ..., x^(m-1)} of GF(p)[x] modulo the field
 modulus.  The encoding round-trips through text as a decimal integer,
 so every CLI value is bit-exact.
 
+The exp, log and trace tables are read-only int64 arrays, built at
+construction by numpy passes over m x m GF(p)-matrices (no per-element
+Python work); the scalar methods read them through memoryviews, so they
+return Python ints.
+
 ExtField is immutable after construction, apart from the digit matrix and
 the log-order trace array it fills on first use, and safe to share between
 workers; every operation is a pure function of its arguments.
@@ -24,10 +29,11 @@ from .errors import (
     ReducibleModulusError,
 )
 
-# The exp/log tables are 2q Python ints and the trace table q int64s, filled
-# by O(sqrt q) Python multiplications and O(q m) numpy work; the cap keeps
-# q at desk scale (covers 5^7, 7^6 and 3^11).  counting.check_brute_cap
-# adds smaller caps on q and p for the exhaustive routes.
+# The exp, log and trace tables are three int64 arrays, 24 bytes per element
+# (33 at the construction peak), filled by O(sqrt q) numpy passes over m x m
+# GF(p)-matrices; the cap keeps q at desk scale (covers 5^7, 7^6 and 3^11).
+# counting.check_brute_cap adds smaller caps on q and p for the exhaustive
+# routes.
 _MAX_FIELD_SIZE = 200_000
 
 
@@ -155,6 +161,20 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p by binary powering, for an m x m int64 matrix or a stack
+    of them.  Entries stay below p, so a product entry is a sum of m terms
+    below p^2, well inside int64 at the field-size cap."""
+    out = np.eye(a.shape[-1], dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ a % p
+        e >>= 1
+        if e:
+            a = a @ a % p
+    return out
+
+
 class ExtField:
     """Arithmetic context for GF(p^m), p an odd prime.
 
@@ -169,13 +189,18 @@ class ExtField:
         two constructions with the same (p, m) are identical.
 
     Elements are ints in [0, p^m).  Multiplication, inversion, powers and
-    Frobenius run on discrete-log tables built once at construction, with
-    g the smallest primitive element and B = isqrt(q - 1) + 1: g^0..g^(B-1)
-    come from polynomial multiplication, and every later block of B powers
-    is that block's digit rows times a power of the m x m GF(p)-matrix of
-    multiplication by g^B.  The trace table is also built at construction;
-    the (q, m) digit matrix is built on the first digits_matrix() call, and
-    the doubled array of Tr(g^j) on the first trace_mul_log() call.
+    Frobenius run on discrete-log tables built once at construction.  All
+    of it works on digit rows and the m x m GF(p)-matrices of
+    multiplication by an element: g is the smallest primitive element,
+    found by matrix powers of each candidate's matrix; with B = isqrt(q-1)
+    + 1, the rows of g^0..g^(B-1) come from repeated doubling, and every
+    later block of B powers is those rows times a power of the matrix of
+    multiplication by g^B.  The same block pass fills the trace table from
+    Tr(x^j), j < m, which Newton's identities give from the modulus.  The
+    exp, log and trace tables are read-only int64 arrays; the scalar
+    methods return Python ints.  The (q, m) digit matrix is built on the
+    first digits_matrix() call, and the doubled array of Tr(g^j) on the
+    first trace_mul_log() call.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -212,14 +237,15 @@ class ExtField:
 
     @staticmethod
     def _default_modulus(p: int, m: int) -> list[int]:
+        if m == 1:
+            return [0, 1]  # every monic linear polynomial is irreducible
+        # a polynomial of degree > 1 with a root in GF(p) is reducible: one
+        # product with the table of x^i (i = 0..m, x in GF(p)) rules most
+        # candidates out before the distinct-degree test
+        powers = np.arange(p, dtype=np.int64) ** np.arange(m + 1, dtype=np.int64)[:, None] % p
         for enc in range(p**m):
-            coeffs = []
-            e = enc
-            for _ in range(m):
-                coeffs.append(e % p)
-                e //= p
-            coeffs.append(1)
-            if is_irreducible(coeffs, p):
+            coeffs = [enc // p**i % p for i in range(m)] + [1]
+            if (np.asarray(coeffs, dtype=np.int64) @ powers % p).all() and is_irreducible(coeffs, p):
                 return coeffs
         raise ReducibleModulusError(f"no irreducible polynomial found for ({p}, {m})")
 
@@ -227,58 +253,104 @@ class ExtField:
 
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        # x^(m+i) mod modulus, i = 0..m-2, as encodings; drives raw multiply
-        red = []
-        cur = [(-c) % p for c in self.modulus[:m]]
-        for _ in range(max(m - 1, 0)):
-            red.append(self._encode(cur))
-            cur = [0] + cur
-            lead = cur.pop()
-            if lead:
-                for j in range(m):
-                    cur[j] = (cur[j] - lead * self.modulus[j]) % p
-        self._reduction = red
-
-        self.generator = self._find_generator()
-        # x -> x * g^width is GF(p)-linear on digit rows, so block s of the
-        # exp table is the first block times step^s, with step the m x m
-        # matrix of that map; transients stay O(width * m).
         n = q - 1
+        # mul_x[j] = C^j, with C the matrix of y -> y x on digit rows
+        # (digits(y) @ C = digits(y x)); multiplication by a is then
+        # sum_j digit_j(a) C^j
+        c = np.zeros((m, m), dtype=np.int64)
+        c[np.arange(m - 1), np.arange(1, m)] = 1
+        c[m - 1] = [(-a) % p for a in self.modulus[:m]]
+        mul_x = np.empty((m, m, m), dtype=np.int64)
+        mul_x[0] = np.eye(m, dtype=np.int64)
+        for j in range(1, m):
+            mul_x[j] = mul_x[j - 1] @ c % p
+        self._mul_x = mul_x
+        self.generator = self._find_generator()
+        mul_g = self._mul_matrix(self.generator)
+
+        # Tr is GF(p)-linear: Tr(y) = digits(y) . tr, tr[j] = Tr(x^j)
+        tr = np.asarray(self._trace_basis(), dtype=np.int64)
+        # y -> y g^width is GF(p)-linear on digit rows, so block s of the
+        # exp table is the first block g^0..g^(width-1) times step^s, with
+        # step the m x m matrix of that map; transients stay O(width m).
+        # The first block comes from doubling: rows of g^0..g^(2^k - 1)
+        # times the matrix of g^(2^k) are the rows of the next 2^k powers.
         width = math.isqrt(n) + 1
-        first = [1]
-        for _ in range(width - 1):
-            first.append(self._raw_mul(first[-1], self.generator))
-        g_width = self._raw_mul(first[-1], self.generator)
-        base = self._digit_rows(np.asarray(first, dtype=np.int64))
-        step = self._digit_rows(np.asarray(
-            [self._raw_mul(p**j, g_width) for j in range(m)], dtype=np.int64))
+        rows = np.zeros((1, m), dtype=np.int64)
+        rows[0, 0] = 1
+        double = mul_g
+        while len(rows) < width:
+            rows = np.vstack([rows, rows @ double % p])
+            double = double @ double % p
+        # float64 products are exact (an entry is a sum of m products of
+        # digits below p, under 2^53 at the field-size cap) and run several
+        # times faster than int64 ones
+        base = rows[:width].astype(np.float64)
+        step = _mat_pow(mul_g, width, p)
         place = p ** np.arange(m, dtype=np.int64)
         exp = np.empty(n, dtype=np.int64)
+        trace_table = np.zeros(q, dtype=np.int64)
         power = np.eye(m, dtype=np.int64)
         for start in range(0, n, width):
-            block = (base @ power % p) @ place
-            exp[start:start + width] = block[:n - start]
+            block = (base @ power.astype(np.float64))[:n - start].astype(np.int64)
+            block %= p
+            enc = block @ place
+            exp[start:start + width] = enc
+            trace_table[enc] = block @ tr % p
             power = power @ step % p
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(n)
-        # Python ints: the scalar hot path and the JSON output index these
-        self._exp = exp.tolist()
-        self._log = log.tolist()
-
+        for table in (exp, log, trace_table):
+            table.flags.writeable = False
+        self._exp, self._log, self._trace_table = exp, log, trace_table
+        # zero-copy views for the scalar methods: indexing one gives a
+        # Python int, so no numpy scalar reaches callers or json.dumps
+        self._exp_at = memoryview(exp)
+        self._log_at = memoryview(log)
+        self._trace_at = memoryview(trace_table)
         self._digits_matrix = None
         self._trace_powers = None
-        tr_basis = [self._trace_slow(p**j) for j in range(m)]
-        # Tr is GF(p)-linear: Tr(x) = sum_j digit_j(x) Tr(x^j)
-        vals = np.arange(q, dtype=np.int64)
-        trace_table = np.zeros(q, dtype=np.int64)
-        for j, t in enumerate(tr_basis):
-            if t:
-                trace_table += vals // p**j % p * t
-        self._trace_table = trace_table % p
+
+    def _trace_basis(self) -> list[int]:
+        """Tr(x^j) for j = 0..m-1: the power sums of the modulus's roots,
+        by Newton's identities on its coefficients c_0..c_(m-1), 1:
+        s_k = -(k c_(m-k) + sum_{i<k} c_(m-i) s_(k-i)), s_0 = m."""
+        p, m, c = self.p, self.m, self.modulus
+        s = [m % p]
+        for k in range(1, m):
+            acc = k * c[m - k] + sum(c[m - i] * s[k - i] for i in range(1, k))
+            s.append(-acc % p)
+        return s
+
+    def _mul_matrix(self, a) -> np.ndarray:
+        """m x m matrix of y -> y a on digit rows; for an array of
+        elements, a stack of them."""
+        return np.tensordot(self._digit_rows(np.asarray(a, dtype=np.int64)),
+                            self._mul_x, axes=1) % self.p
+
+    def _find_generator(self) -> int:
+        """Smallest primitive element: the first a with a^(n/l) != 1 for
+        each prime l dividing n = q - 1, tested on stacked multiplication
+        matrices a chunk of candidates at a time."""
+        p, m, q = self.p, self.m, self.q
+        n = q - 1
+        identity = np.eye(m, dtype=np.int64)
+        # GF(p)* has order p - 1 < n, so for m > 1 the search starts at x
+        lo, size = (p if m > 1 else 1), 8
+        while lo < q:
+            cands = np.arange(lo, min(lo + size, q), dtype=np.int64)
+            mats = self._mul_matrix(cands)
+            primitive = np.ones(len(cands), dtype=bool)
+            for ell in prime_factors(n):
+                primitive &= ~(_mat_pow(mats, n // ell, p) == identity).all(axis=(1, 2))
+            if primitive.any():
+                return int(cands[primitive.argmax()])
+            lo, size = lo + size, 2 * size
+        raise RuntimeError("no primitive element found; tables are inconsistent")
 
     def _digit_rows(self, vals: np.ndarray) -> np.ndarray:
         """(len(vals), m) int64 array: row i holds the digits of vals[i]."""
-        rows = vals[:, None] // self.p ** np.arange(self.m, dtype=np.int64)
+        rows = vals[..., None] // self.p ** np.arange(self.m, dtype=np.int64)
         rows %= self.p  # in place: a second (len, m) temporary raises peak RSS
         return rows
 
@@ -294,50 +366,6 @@ class ExtField:
             out.append(x % self.p)
             x //= self.p
         return tuple(out)
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        enc = self._encode(prod[:m])
-        for i in range(m - 1):
-            if prod[m + i]:
-                enc = self.add(enc, self.scalar_mul(prod[m + i], self._reduction[i]))
-        return enc
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        result, cur = 1, a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, cur)
-            cur = self._raw_mul(cur, cur)
-            e >>= 1
-        return result
-
-    def _order_is_maximal(self, a: int) -> bool:
-        n = self.q - 1
-        if self._raw_pow(a, n) != 1:
-            return False
-        return all(self._raw_pow(a, n // ell) != 1 for ell in prime_factors(n))
-
-    def _find_generator(self) -> int:
-        for a in range(1, self.q):
-            if self._order_is_maximal(a):
-                return a
-        raise RuntimeError("no primitive element found; tables are inconsistent")
-
-    def _trace_slow(self, x: int) -> int:
-        acc = 0
-        cur = x
-        for _ in range(self.m):
-            acc = self.add(acc, cur)
-            cur = self._raw_pow(cur, self.p)
-        assert acc < self.p, "trace left the prime subfield"
-        return acc
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -376,19 +404,19 @@ class ExtField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp_at[(self._log_at[a] + self._log_at[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[-self._log[a] % (self.q - 1)]
+        return self._exp_at[-self._log_at[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.q - 1)]
+        return self._exp_at[self._log_at[a] * e % (self.q - 1)]
 
     def frobenius(self, x: int, i: int) -> int:
         """x^(p^i) for 0 <= i < m."""
@@ -396,16 +424,16 @@ class ExtField:
             raise PreconditionViolatedError(f"frobenius index {i} outside [0, {self.m})")
         if x == 0:
             return 0
-        return self._exp[self._log[x] * pow(self.p, i, self.q - 1) % (self.q - 1)]
+        return self._exp_at[self._log_at[x] * pow(self.p, i, self.q - 1) % (self.q - 1)]
 
     def trace(self, x: int) -> int:
-        return int(self._trace_table[x])
+        return self._trace_at[x]
 
     def eta(self, x: int) -> int:
         """Quadratic character of GF(q), extended by eta(0) = 0."""
         if x == 0:
             return 0
-        return 1 if self._log[x] % 2 == 0 else -1
+        return 1 if self._log_at[x] % 2 == 0 else -1
 
     def embed_scalar(self, t: int) -> int:
         """GF(p) value as a field element (digit 0)."""
@@ -420,6 +448,7 @@ class ExtField:
         """
         if self._digits_matrix is None:
             self._digits_matrix = self._digit_rows(np.arange(self.q, dtype=np.int64))
+            self._digits_matrix.flags.writeable = False
         return self._digits_matrix
 
     def trace_table(self) -> np.ndarray:
@@ -447,10 +476,10 @@ class ExtField:
         if b == 0:
             return np.zeros(n, dtype=np.int64)
         if self._trace_powers is None:
-            powers = self._trace_table[np.asarray(self._exp, dtype=np.int64)]
+            powers = self._trace_table[self._exp]
             self._trace_powers = np.concatenate([powers, powers])
             self._trace_powers.flags.writeable = False
-        start = self._log[b]
+        start = self._log_at[b]
         return self._trace_powers[start:start + n]
 
     def pow_of_basis(self, j: int) -> int:

@@ -56,13 +56,13 @@ class QuadraticFunction:
         if self._log_values is None:
             ctx = self.ctx
             order = ctx.q - 1
-            exp = np.asarray(ctx._exp, dtype=np.int64)
+            exp = ctx._exp
             ks = np.arange(order, dtype=np.int64)
             acc = np.zeros(order, dtype=np.int64)
             for i, a in enumerate(self.coeffs):
                 if a:
                     power = (ctx.p**i + 1) % order
-                    acc += ctx.trace_table()[exp[(ctx._log[a] + ks * power) % order]]
+                    acc += ctx.trace_table()[exp[(ctx._log_at[a] + ks * power) % order]]
             acc %= ctx.p
             acc.flags.writeable = False
             self._log_values = acc

@@ -1,3 +1,9 @@
+import hashlib
+import json
+import pathlib
+import random
+
+import numpy as np
 import pytest
 
 from qcode.counting import get_field
@@ -54,7 +60,7 @@ def test_construction_is_deterministic():
     a, b = ExtField(5, 3), ExtField(5, 3)
     assert a.modulus == b.modulus
     assert a.generator == b.generator
-    assert a._exp == b._exp
+    assert np.array_equal(a._exp, b._exp)
 
 
 def test_is_prime_and_irreducible_helpers():
@@ -237,10 +243,58 @@ def test_generator_of_reference_moduli_is_x():
 # exp/log tables, trace table and digit matrix
 # ---------------------------------------------------------------------------
 
+# Oracles on the digit polynomials, independent of every table and of the
+# matrix construction: schoolbook products reduced modulo F.modulus.
+
+def _oracle_mul(F, a, b):
+    p, m, mod = F.p, F.m, F.modulus
+    da = [a // p**i % p for i in range(m)]
+    db = [b // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    # x^k = x^(k-m) (x^m - modulus), top degree first
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k] % p
+        for j in range(m + 1):
+            prod[k - m + j] -= c * mod[j]
+    return sum(c % p * p**i for i, c in enumerate(prod[:m]))
+
+
+def _oracle_pow(F, a, e):
+    out = 1
+    while e:
+        if e & 1:
+            out = _oracle_mul(F, out, a)
+        a = _oracle_mul(F, a, a)
+        e >>= 1
+    return out
+
+
+def _frobenius_trace(F, x):
+    # Tr(x) = x + x^p + ... + x^(p^(m-1)), digit by digit
+    p, acc, cur = F.p, [0] * F.m, x
+    for _ in range(F.m):
+        for i in range(F.m):
+            acc[i] += cur // p**i % p
+        cur = _oracle_pow(F, cur, p)
+    assert all(c % p == 0 for c in acc[1:]), "trace left the prime subfield"
+    return acc[0] % p
+
+
+def test_oracle_mul_gf9_by_hand():
+    # under x^2 + 1: (1 + x)^2 = 2x, x * x = -1 = 2
+    F = get_field(3, 2)
+    assert _oracle_mul(F, 1 + 3, 1 + 3) == 2 * 3
+    assert _oracle_mul(F, 3, 3) == 2
+
+
 TABLE_FIELDS = [(3, 1, None), (3, 2, None), (3, 3, None), (3, 4, None),
                 (3, 5, None), (3, 6, None), (5, 3, None), (7, 3, None),
                 (13, 2, None), (199999, 1, None),
                 (3, 5, (1, 2, 0, 0, 0, 1)), (3, 4, (2, 0, 0, 2, 1))]
+BENCH_FIELDS = [(3, 8), (3, 9), (5, 6), (7, 5), (3, 11), (7, 6), (11, 5)]
 
 
 def _check_table_steps(F, ks):
@@ -248,36 +302,122 @@ def _check_table_steps(F, ks):
     # multiplication each, independent of the blocked fill
     g, n = F.generator, F.q - 1
     for k in ks:
-        assert F._exp[(k + 1) % n] == F._raw_mul(F._exp[k], g), k
+        assert F._exp[(k + 1) % n] == _oracle_mul(F, int(F._exp[k]), g), k
         assert F._log[F._exp[k]] == k, k
 
 
-@pytest.mark.parametrize("p,m,modulus", TABLE_FIELDS)
+@pytest.mark.parametrize("p,m,modulus", TABLE_FIELDS + [(3, 7, None)])
 def test_tables_follow_generator_recurrence(p, m, modulus):
     F = get_field(p, m, modulus)
     assert len(F._exp) == F.q - 1 and len(F._log) == F.q
     _check_table_steps(F, range(F.q - 1))
-    assert sorted(F._exp) == list(range(1, F.q))
-    assert all(type(v) is int for v in F._exp)
-    assert all(type(v) is int for v in F._log)
+    assert np.array_equal(np.sort(F._exp), np.arange(1, F.q))
+    for table in (F._exp, F._log, F.trace_table()):
+        assert table.dtype == np.int64 and not table.flags.writeable
 
 
 def test_tables_follow_generator_recurrence_sampled_gf3_11():
-    import random
-
     F = get_field(3, 11)
     _check_table_steps(F, random.Random(11).sample(range(F.q - 1), 2000))
     _check_table_steps(F, [0, F.q - 2])
 
 
-# _trace_slow on each of GF(199999)'s elements is too slow for this suite
+@pytest.mark.parametrize("p,m", BENCH_FIELDS)
+def test_tables_follow_generator_recurrence_sampled_bench_sizes(p, m):
+    F = get_field(p, m)
+    _check_table_steps(F, random.Random(p * 100 + m).sample(range(F.q - 1), 200))
+    _check_table_steps(F, [0, F.q - 2])
+
+
+@pytest.mark.parametrize("p,m,modulus", [(3, 1, None), (3, 2, None), (3, 3, None),
+                                         (3, 4, None), (3, 5, None), (5, 1, None),
+                                         (5, 2, None), (5, 3, None), (5, 4, None),
+                                         (7, 2, None), (7, 3, None), (11, 2, None),
+                                         (13, 2, None), (23, 2, None),
+                                         (3, 5, (1, 2, 0, 0, 0, 1))])
+def test_generator_is_smallest_element_of_full_order(p, m, modulus):
+    # brute order counting with the oracle product, for q <= 5^4
+    F = get_field(p, m, modulus)
+
+    def order(a):
+        k, cur = 1, a
+        while cur != 1:
+            cur, k = _oracle_mul(F, cur, a), k + 1
+        return k
+
+    assert order(F.generator) == F.q - 1
+    assert all(order(a) < F.q - 1 for a in range(1, F.generator))
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    # p divides m: Newton's identities meet k c_(m-k) with p | k
+    (3, 3, None), (3, 6, None), (3, 9, None), (5, 5, None),
+    (3, 2, None), (3, 4, None), (5, 3, None), (7, 4, None), (11, 5, None),
+    (13, 3, None), (3, 5, (1, 2, 0, 0, 0, 1)), (3, 4, (2, 0, 0, 2, 1))])
+def test_newton_trace_basis_equals_frobenius_sum(p, m, modulus):
+    F = get_field(p, m, modulus)
+    assert F._trace_basis() == [_frobenius_trace(F, p**j) for j in range(m)]
+    for x in random.Random(q := F.q).sample(range(q), min(q, 60)):
+        assert F.trace(x) == _frobenius_trace(F, x), x
+
+
+# the oracle trace on each of GF(199999)'s elements is too slow for this suite
 @pytest.mark.parametrize("p,m,modulus", [f for f in TABLE_FIELDS if f[0] != 199999])
 def test_digit_matrix_and_trace_table_match_scalar_forms(p, m, modulus):
     F = get_field(p, m, modulus)
     dm = F.digits_matrix()
     assert dm.shape == (F.q, m)
     assert all(tuple(dm[x].tolist()) == F.digits(x) for x in F.elements())
-    assert F.trace_table().tolist() == [F._trace_slow(x) for x in F.elements()]
+    assert F.trace_table().tolist() == [_frobenius_trace(F, x) for x in F.elements()]
+
+
+GOLDEN_TABLES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "field_tables.json").read_text())
+
+
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype="<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("pin", GOLDEN_TABLES, ids=lambda d: f"{d['p']}^{d['m']}")
+def test_field_tables_match_pinned_digests(pin):
+    # digests recorded from the per-element construction this one replaced:
+    # modulus, generator and the exp, log and trace tables byte for byte
+    F = ExtField(pin["p"], pin["m"])
+    assert list(F.modulus) == pin["modulus"]
+    assert F.generator == pin["generator"]
+    assert _sha256(F._exp) == pin["exp_sha256"]
+    assert _sha256(F._log) == pin["log_sha256"]
+    assert _sha256(F.trace_table()) == pin["trace_sha256"]
+
+
+def test_scalar_methods_return_python_ints():
+    # a numpy scalar leaking out of the tables breaks json.dumps on the CLI
+    F = ExtField(3, 5, [1, 2, 0, 0, 0, 1])
+    x, y = 17, 200
+    values = [F.mul(x, y), F.inv(x), F.pow(x, 5), F.pow(x, -3), F.pow(0, 0),
+              F.frobenius(x, 2), F.trace(x), F.eta(x), F.eta(0),
+              F.parse_element("g^7"), F.parse_element("g"), F.generator]
+    assert all(type(v) is int for v in values), [type(v) for v in values]
+    json.dumps(values)
+
+
+def test_field_holds_no_element_length_python_list():
+    F = get_field(3, 7)
+    for name, value in vars(F).items():
+        if isinstance(value, (list, tuple)):
+            assert len(value) < F.m + 2, name
+
+
+def test_table_buffers_are_read_only():
+    F = get_field(3, 4)
+    for table in (F._exp, F._log, F.trace_table(), F.digits_matrix()):
+        with pytest.raises(ValueError):
+            table[1] = 0
+    for view in (F._exp_at, F._log_at, F._trace_at):
+        with pytest.raises(TypeError):
+            view[1] = 0
+    assert F.mul(3, 3) == _oracle_mul(F, 3, 3)
 
 
 def test_predict_leaves_digit_matrix_unbuilt(capsys):
