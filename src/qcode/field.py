@@ -349,7 +349,7 @@ class ExtField:
         raise RuntimeError("no primitive element found; tables are inconsistent")
 
     def _digit_rows(self, vals: np.ndarray) -> np.ndarray:
-        """(len(vals), m) int64 array: row i holds the digits of vals[i]."""
+        """int64 array of shape vals.shape + (m,): the digits of each value."""
         rows = vals[..., None] // self.p ** np.arange(self.m, dtype=np.int64)
         rows %= self.p  # in place: a second (len, m) temporary raises peak RSS
         return rows
