@@ -5,8 +5,10 @@ f(x) - Tr(alpha x) = 0; the code's codewords are
 (Tr(beta d) for d in D), one per beta in GF(q), and
 wt(c_beta) = |D| - #{d in D : Tr(beta d) = 0}.  Weight data comes from
 two independent routes.  The naive one counts the zeros of every
-codeword at once by an exact integer transform of D's indicator over
-the digit space GF(p)^m; it reads only D and the trace table.  The
+codeword at once by the hyperplane-count transform of D's indicator
+over the digit space GF(p)^m (field.hyperplane_counts: one float64
+matrix product per digit axis, exact on these integer counts); it reads
+only D and the trace table.  The
 analytic one evaluates the closed-form solution counters once per
 class of beta (quadform.BetaClasses), at most p^2 + 1 times, since they
 see beta only through a few quadratic invariants.  "both" mode insists
@@ -27,6 +29,7 @@ from .errors import (
     PreconditionViolatedError,
     QCodeError,
 )
+from .field import hyperplane_counts
 from .linalg import rank as gf_rank
 from .quadform import BetaClasses, FormAnalysis
 
@@ -151,26 +154,15 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
 
     Tr(beta d) = digits(d) . t_beta (mod p) with t_beta = T digits(beta),
     where column k of T is trace_mul_vector(x^k).  So the zeros of c_beta
-    number #{d in D : digits(d) . t_beta = 0}, for every t at once: start
-    from D's indicator over digit vectors with a running-sum axis s,
-    then swap each digit axis for its dual coordinate,
-    new[.., t_j, .., s] = sum_{d_j} old[.., d_j, .., s - d_j t_j],
-    until count[t, s] = #{d in D : d . t = s}.  Integer arithmetic
-    throughout, O(m p^2 q) work (MacWilliams-Sloane ch. 5).
+    number #{d in D : digits(d) . t_beta = 0}: hyperplane_counts on D's
+    indicator gives that count for every t at once, and t_beta gathers
+    it onto each beta.
     """
     ctx = ds.ctx
     p, m, q = ctx.p, ctx.m, ctx.q
-    count = np.zeros((q, p), dtype=np.int64)
-    count[list(ds.elements), 0] = 1
-    count = count.reshape((p,) * (m + 1))
-    for axis in range(m):
-        old = np.moveaxis(count, axis, 0)
-        new = np.zeros_like(old)
-        for t in range(p):
-            for d in range(p):
-                new[t] += np.roll(old[d], d * t % p, axis=-1)
-        count = np.moveaxis(new, 0, axis)
-    zeros = count.reshape(q, p)[:, 0]
+    member = np.zeros((1, q), dtype=np.int64)
+    member[0, list(ds.elements)] = 1
+    zeros = hyperplane_counts(p, m, member)[0, :, 0]
     t_rows = np.stack([ctx.trace_mul_vector(ctx.pow_of_basis(k)) for k in range(m)])
     t_beta = ctx.digits_matrix() @ t_rows % p
     return ds.length - zeros[t_beta @ p ** np.arange(m)]

@@ -91,9 +91,10 @@ from .quadform import (
 IDENTITY_IDS = (5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19)
 
 # exhaustive oracles refuse fields past this size, and characteristics past
-# BRUTE_MAX_P: their cost also grows with p (the naive transform makes
-# m p^2 array passes, the registry's oracles and branch scans do Python
-# work in p^2 to p^3 per draw)
+# BRUTE_MAX_P: their cost also grows with p (the naive transform,
+# field.hyperplane_counts, does m matrix products of O(p^3 q) flops; the
+# registry's oracles and branch scans do Python work in p^2 to p^3 per
+# draw).  BRUTE_CAP < 2^53 keeps that transform's float64 counts exact.
 BRUTE_CAP = 5**7
 BRUTE_MAX_P = 19
 
@@ -1271,8 +1272,18 @@ def _fill_missing_branches(rep: LemmaSweepReport, lemma_id: int,
         scan = _class_scan(lemma_id, pool, missing)
     else:
         scan = _param_scan(lemma_id, pool)
+    labels_of = {}
     for params in scan:
-        if not {branch for branch, _, _ in closed(params)} & todo:
+        if lemma_id == 17:
+            # its labels depend on the form and on whether t = 0 alone, so
+            # closed() runs once per such key, not on every (alpha, t)
+            key = (params.analysis, params.t % params.analysis.ctx.p == 0)
+            if key not in labels_of:
+                labels_of[key] = {branch for branch, _, _ in closed(params)}
+            labels = labels_of[key]
+        else:
+            labels = {branch for branch, _, _ in closed(params)}
+        if not labels & todo:
             continue
         _run_check(rep, lemma_id, params, memo)
         rep.trials += 1

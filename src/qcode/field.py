@@ -14,6 +14,10 @@ return Python ints.
 ExtField is immutable after construction, apart from the digit matrix and
 the log-order trace array it fills on first use, and safe to share between
 workers; every operation is a pure function of its arguments.
+
+hyperplane_counts is the exact transform over the digit space GF(p)^m
+that counts a stack of weighted point sets on every hyperplane
+digits(x) . t = s at once; the naive weight route of codes reads it.
 """
 
 from __future__ import annotations
@@ -527,3 +531,38 @@ class ExtField:
 def parse_modulus(text: str) -> list[int]:
     """Comma-separated coefficients c_0,...,c_m."""
     return [int(part) for part in text.split(",")]
+
+
+def hyperplane_counts(p: int, m: int, rows: np.ndarray) -> np.ndarray:
+    """Counts over every digit vector t of every row's points on the
+    hyperplanes digits(x) . t = s.
+
+    rows is a (k, p^m) stack of non-negative integer weights on the
+    points x of GF(p)^m, indexed by the base-p little-endian encoding;
+    the result is the (k, p^m, p) int64 array
+    C[i, t, s] = sum of rows[i, x] over x with digits(x) . t = s (mod p),
+    with t in the same encoding.
+
+    It starts from each row on a running-sum axis s (all weight at s = 0)
+    and swaps one digit axis at a time for its dual coordinate,
+    new[.., t_j, .., s] = sum_{d_j} old[.., d_j, .., s - d_j t_j],
+    as one product of the (d_j, s) pairs with the p^2 x p^2 0/1 matrix
+    K[(d, u), (t, s)] = [u + d t = s (mod p)] (MacWilliams-Sloane
+    ch. 5): m products of a (k p^(m-1), p^2) matrix, O(m k p^3 q) flops.
+    The products run in float64, which is exact while every partial sum
+    stays below 2^53: each is a sum of one row's weights, so at most q
+    for 0/1 rows, and q <= counting.BRUTE_CAP on every exhaustive route.  Only the digits of x are read,
+    no field table and no closed form, so the counts are an independent
+    oracle.
+    """
+    k = rows.shape[0]
+    d, u, t, s = np.indices((p,) * 4).reshape(4, p * p, p * p)
+    kernel = ((u + d * t - s) % p == 0).astype(np.float64)
+    count = np.zeros((k, p**m, p))
+    count[:, :, 0] = rows
+    for _ in range(m):
+        # the lowest digit axis becomes t and moves to the top, so after m
+        # steps t is in the encoding order of x
+        count = (count.reshape(-1, p * p) @ kernel).reshape(
+            k, p ** (m - 1), p, p).transpose(0, 2, 1, 3)
+    return count.reshape(k, p**m, p).astype(np.int64)

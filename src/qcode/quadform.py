@@ -14,6 +14,7 @@ exactly, and it reproduces (-1)^(m-1) eta(-u) for f = Tr(u x^2).
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -424,8 +425,8 @@ class FormAnalysis:
         if ctx.q <= 81:
             xs = list(ctx.elements())
         else:
-            rng = np.random.default_rng(0xC0DE)
-            xs = [int(v) for v in rng.integers(0, ctx.q, size=24)]
+            rng = random.Random(0xC0DE)
+            xs = [rng.randrange(ctx.q) for _ in range(24)]
         for x in xs:
             if self.f.evaluate(x) != fv[x]:
                 raise QCodeError(f"evaluate disagrees with values() at x={x}")

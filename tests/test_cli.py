@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -344,6 +348,32 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["length"] == 8
+
+
+def test_build_and_oracle_leave_numpy_random_unimported(tmp_path):
+    """Past q = 81 the form spot check samples points with the stdlib
+    generator, so a build and a registry check never import numpy.random
+    (about 5 MB of RSS per process).  A fresh interpreter, since the test
+    process has it loaded already."""
+    script = f"""
+import sys
+from qcode.cli import main
+from qcode.counting import LemmaParams, get_field, lemma_oracle
+from qcode.quadform import analyze, preset_cor1
+
+assert main(["build", "--p", "3", "--m", "5", "--preset", "cor1:u=1",
+             "--alpha", "1", "--out", {str(tmp_path / "code.json")!r}]) == 0
+F = get_field(3, 5)
+an = analyze(preset_cor1(F, F.generator))
+assert all(r.equal for r in lemma_oracle(9, LemmaParams(analysis=an, alpha=1)))
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_worker_count_env(monkeypatch):

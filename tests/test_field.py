@@ -6,14 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from qcode.counting import get_field
+from qcode.counting import _histogram, get_field
 from qcode.errors import (
     EvenPrimeError,
     NonPrimeError,
     PreconditionViolatedError,
     ReducibleModulusError,
 )
-from qcode.field import ExtField, eta_bar, is_irreducible, is_prime
+from qcode.field import ExtField, eta_bar, hyperplane_counts, is_irreducible, is_prime
+from qcode.quadform import analyze, preset_cor1, preset_trace_square_minus
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +454,54 @@ def test_size_cap_checked_before_p_to_the_m(p, m):
     # str(); the cap must reject both without forming p^m
     with pytest.raises(PreconditionViolatedError, match="cap"):
         ExtField(p, m)
+
+
+# ---------------------------------------------------------------------------
+# hyperplane counts over GF(p)^m
+# ---------------------------------------------------------------------------
+
+def _digit_vectors(p, m):
+    """(p^m, m) digits of every encoding, by integer division."""
+    x = np.arange(p**m)
+    return np.stack([x // p**j % p for j in range(m)], axis=1)
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (5, 3), (7, 2)])
+def test_level_set_counts_reproduce_the_joint_histogram(p, m):
+    # the p level sets of f as a k = p stack: C[v, t_e, s] counts x with
+    # f(x) = v and Tr(e x) = s, which is _histogram(an, e)
+    F = get_field(p, m)
+    v = next(v for v in F.nonzero_elements() if F.trace(F.mul(v, v)))
+    rng = random.Random(p * 100 + m)
+    place = p ** np.arange(m)
+    for f in (preset_cor1(F, F.generator), preset_trace_square_minus(F, v)):
+        an = analyze(f)
+        fv = f.values()
+        counts = hyperplane_counts(p, m, np.stack([fv == c for c in range(p)]))
+        for e in [rng.randrange(F.q) for _ in range(50)]:
+            t_e = int(F.trace_mul_vector(e) @ place)
+            assert np.array_equal(counts[:, t_e, :], _histogram(an, e)), (f.coeffs, e)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 5), (5, 3), (7, 2),
+                                 (11, 2), (13, 2), (17, 1)])
+def test_hyperplane_counts_match_direct_enumeration(p, m):
+    q = p**m
+    rows = np.random.default_rng(q).integers(0, 2, size=(3, q))
+    digits = _digit_vectors(p, m)
+    dots = digits @ digits.T % p  # dots[x, t] = digits(x) . t
+    expected = np.stack([rows @ (dots == s) for s in range(p)], axis=-1)
+    counts = hyperplane_counts(p, m, rows)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 8), (5, 5), (7, 4), (13, 3), (19, 2)])
+def test_full_space_counts_are_hyperplane_sizes(p, m):
+    # t = 0 puts every point at s = 0; any other t splits GF(p)^m into p
+    # parallel hyperplanes of q/p points
+    q = p**m
+    counts = hyperplane_counts(p, m, np.ones((1, q), dtype=np.int64))
+    assert counts.dtype == np.int64 and counts.shape == (1, q, p)
+    assert counts[0, 0].tolist() == [q] + [0] * (p - 1)
+    assert (counts[0, 1:] == q // p).all()
