@@ -18,7 +18,7 @@ second power moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,11 +36,17 @@ from .quadform import BetaClasses, FormAnalysis
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """Sorted nonzero solutions of f(x) - Tr(alpha x) = 0."""
+    """Sorted nonzero solutions of f(x) - Tr(alpha x) = 0, held as one
+    read-only int64 array of encodings; (analysis, alpha) determines it."""
 
     analysis: FormAnalysis
     alpha: int
-    elements: tuple[int, ...]
+    indices: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """D as a sorted tuple of Python ints, made on each call."""
+        return tuple(self.indices.tolist())
 
     @property
     def ctx(self):
@@ -48,7 +54,7 @@ class DefiningSet:
 
     @property
     def length(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     @property
     def homogeneous(self) -> bool:
@@ -116,14 +122,15 @@ def defining_set(analysis: FormAnalysis, alpha: int) -> DefiningSet:
     fv = analysis.f.values()
     tra = ctx.trace_mul_all(alpha)
     sols = np.flatnonzero((fv - tra) % ctx.p == 0)
-    elements = tuple(int(x) for x in sols if x != 0)
-    if not elements:
+    indices = sols[sols != 0]
+    indices.flags.writeable = False
+    if not indices.size:
         raise EmptyDefiningSetError("defining set is empty; code undefined")
     expected = predict_root_count(analysis, alpha) - 1
-    if len(elements) != expected:
+    if indices.size != expected:
         raise QCodeError(
-            f"defining set size {len(elements)} != predicted {expected}")
-    return DefiningSet(analysis, alpha, elements)
+            f"defining set size {indices.size} != predicted {expected}")
+    return DefiningSet(analysis, alpha, indices)
 
 
 def proportional_pairs(ds: DefiningSet) -> int:
@@ -134,8 +141,8 @@ def proportional_pairs(ds: DefiningSet) -> int:
     ctx = ds.ctx
     p = ctx.p
     member = np.zeros(ctx.q, dtype=bool)
-    member[list(ds.elements)] = True
-    rows = ctx.digits_matrix()[list(ds.elements)]
+    member[ds.indices] = True
+    rows = ctx.digits_matrix()[ds.indices]
     place = p ** np.arange(ctx.m)
     ordered = sum(int(np.count_nonzero(member[rows * lam % p @ place]))
                   for lam in range(2, p))
@@ -161,7 +168,7 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
     ctx = ds.ctx
     p, m, q = ctx.p, ctx.m, ctx.q
     member = np.zeros((1, q), dtype=np.int64)
-    member[0, list(ds.elements)] = 1
+    member[0, ds.indices] = 1
     zeros = hyperplane_counts(p, m, member)[0, :, 0]
     t_rows = np.stack([ctx.trace_mul_vector(ctx.pow_of_basis(k)) for k in range(m)])
     t_beta = ctx.digits_matrix() @ t_rows % p

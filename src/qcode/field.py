@@ -6,14 +6,20 @@ polynomial basis {1, x, ..., x^(m-1)} of GF(p)[x] modulo the field
 modulus.  The encoding round-trips through text as a decimal integer,
 so every CLI value is bit-exact.
 
-The exp, log and trace tables are read-only int64 arrays, built at
-construction by numpy passes over m x m GF(p)-matrices (no per-element
-Python work); the scalar methods read them through memoryviews, so they
-return Python ints.
+Construction keeps only m x m GF(p)-matrices: multiplication by x^j,
+the Frobenius powers y -> y^(p^i) and the trace vector, all on digit
+rows (the regular representation; Lidl-Niederreiter, Finite Fields,
+ch. 2).  The exp, log and trace tables are read-only int64 arrays that
+numpy passes over those matrices fill on the first bulk use
+(trace_table, trace_mul_log, a form's values or log_values, or a read
+of _exp or _log).  Until then the scalar methods compute on digit rows;
+afterwards they read the tables through memoryviews.  Both paths return
+the same Python ints and raise the same errors.
 
-ExtField is immutable after construction, apart from the digit matrix and
-the log-order trace array it fills on first use, and safe to share between
-workers; every operation is a pure function of its arguments.
+Every operation is a pure function of its arguments, but an ExtField is
+not immutable: the tables, the digit matrix and the log-order trace
+array are caches filled on first use.  The lemma pool's workers are
+processes, so no two threads fill one field's caches.
 
 hyperplane_counts is the exact transform over the digit space GF(p)^m
 that counts a stack of weighted point sets on every hyperplane
@@ -33,11 +39,13 @@ from .errors import (
     ReducibleModulusError,
 )
 
-# The exp, log and trace tables are three int64 arrays, 24 bytes per element
-# (33 at the construction peak), filled by O(sqrt q) numpy passes over m x m
-# GF(p)-matrices; the cap keeps q at desk scale (covers 5^7, 7^6 and 3^11).
-# counting.check_brute_cap adds smaller caps on q and p for the exhaustive
-# routes.
+# Once built, the exp, log and trace tables are three int64 arrays, 24 bytes
+# per element (33 at the construction peak), filled by O(sqrt q) numpy passes
+# over m x m GF(p)-matrices.  predict and analyze build them only for the
+# form spot check, which stops at 5^6, and otherwise hold O(m^3) ints per
+# field; the cap still keeps q at desk scale for the routes that build them
+# (covers 5^7, 7^6 and 3^11).  counting.check_brute_cap adds
+# smaller caps on q and p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
 
@@ -156,13 +164,27 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     frob = [x]
     for _ in range(m):
         frob.append(_poly_powmod(frob[-1], p, coeffs, p))
-    if _poly_sub(frob[m], x, p):
-        return False
-    for ell in prime_factors(m):
-        g = _poly_gcd(list(coeffs), _poly_sub(frob[m // ell], x, p), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return not _poly_sub(frob[m], x, p) and _gcd_step(coeffs, frob.__getitem__, p)
+
+
+def _gcd_step(coeffs: list[int], frob, p: int) -> bool:
+    """The gcd half of the distinct-degree test, for f with x^(p^m) = x
+    mod f: gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m,
+    frob(k) giving x^(p^k) mod f as a coefficient list."""
+    m = len(coeffs) - 1
+    return all(len(_poly_gcd(list(coeffs), _poly_sub(frob(m // ell), [0, 1], p), p)) == 1
+               for ell in prime_factors(m))
+
+
+def _companion(low: np.ndarray, p: int) -> np.ndarray:
+    """Matrix C of y -> y x modulo the monic polynomial with low
+    coefficients c_0..c_(m-1), on digit rows: digits(y) @ C = digits(y x).
+    For a stack of coefficient rows, a stack of matrices."""
+    m = low.shape[-1]
+    c = np.zeros(low.shape + (m,), dtype=np.int64)
+    c[..., np.arange(m - 1), np.arange(1, m)] = 1
+    c[..., m - 1, :] = -low % p
+    return c
 
 
 def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -192,19 +214,26 @@ class ExtField:
         coefficients have the smallest base-p encoding is selected, so
         two constructions with the same (p, m) are identical.
 
-    Elements are ints in [0, p^m).  Multiplication, inversion, powers and
-    Frobenius run on discrete-log tables built once at construction.  All
-    of it works on digit rows and the m x m GF(p)-matrices of
-    multiplication by an element: g is the smallest primitive element,
-    found by matrix powers of each candidate's matrix; with B = isqrt(q-1)
-    + 1, the rows of g^0..g^(B-1) come from repeated doubling, and every
-    later block of B powers is those rows times a power of the matrix of
-    multiplication by g^B.  The same block pass fills the trace table from
-    Tr(x^j), j < m, which Newton's identities give from the modulus.  The
-    exp, log and trace tables are read-only int64 arrays; the scalar
-    methods return Python ints.  The (q, m) digit matrix is built on the
-    first digits_matrix() call, and the doubled array of Tr(g^j) on the
-    first trace_mul_log() call.
+    Elements are ints in [0, p^m).  Construction finds the modulus and
+    the generator g, the smallest primitive element (found by matrix
+    powers of each candidate's multiplication matrix), and keeps the
+    m x m GF(p)-matrices of y -> y x^j and y -> y^(p^i) on digit rows
+    with the vector of Tr(x^j), which Newton's identities give from the
+    modulus.  The scalar methods compute on those matrices: a b is
+    digits(a) times the matrix of b, powers, inverses and eta (by Euler's
+    criterion) take matrix powers, Frobenius and trace are one
+    vector-matrix product.
+
+    The exp, log and trace tables are built on the first bulk use
+    (trace_table, trace_mul_log, or a read of _exp, _log or
+    _trace_table), after which the scalar methods read them instead.
+    With B = isqrt(q-1) + 1, the rows of g^0..g^(B-1) come from repeated
+    doubling, and every later block of B powers is those rows times a
+    power of the matrix of multiplication by g^B; the same block pass
+    fills the trace table.  The tables are read-only int64 arrays; the
+    scalar methods return Python ints.  The (q, m) digit matrix is built
+    on the first digits_matrix() call, and the doubled array of Tr(g^j)
+    on the first trace_mul_log() call.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -237,20 +266,67 @@ class ExtField:
                 raise ReducibleModulusError(
                     f"modulus {modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
-        self._build_tables()
+        # mul_x[j] = C^j, with C the matrix of y -> y x on digit rows
+        # (digits(y) @ C = digits(y x)); multiplication by a is then
+        # sum_j digit_j(a) C^j
+        c = _companion(np.asarray(modulus[:m], dtype=np.int64), p)
+        mul_x = np.empty((m, m, m), dtype=np.int64)
+        mul_x[0] = np.eye(m, dtype=np.int64)
+        for j in range(1, m):
+            mul_x[j] = mul_x[j - 1] @ c % p
+        self._mul_x = mul_x
+        # frob[i] = F^i, F the matrix of y -> y^p: row j of F holds the
+        # digits of (x^p)^j, and C^p is the matrix of y -> y x^p
+        frob = np.empty((m, m, m), dtype=np.int64)
+        frob[0] = mul_x[0]
+        if m > 1:
+            step = _mat_pow(c, p, p)
+            f1 = np.empty((m, m), dtype=np.int64)
+            f1[0] = mul_x[0, 0]
+            for j in range(1, m):
+                f1[j] = f1[j - 1] @ step % p
+            for i in range(1, m):
+                frob[i] = frob[i - 1] @ f1 % p
+        self._frob = frob
+        # Tr is GF(p)-linear: Tr(y) = digits(y) . tr, tr[j] = Tr(x^j); the
+        # trace form holds Tr(x^j x^k) = (C^j tr)[k]
+        self._tr = np.asarray(self._trace_basis(), dtype=np.int64)
+        self._trace_form = mul_x @ self._tr % p
+        self._place = p ** np.arange(m, dtype=np.int64)
+        self.generator = self._find_generator()
+        # caches filled on first use; the tables through _build_tables
+        self._exp_array = self._log_array = self._trace_array = None
+        self._exp_at = self._log_at = self._trace_at = None
+        self._digits_matrix = None
+        self._trace_powers = None
 
     @staticmethod
     def _default_modulus(p: int, m: int) -> list[int]:
         if m == 1:
             return [0, 1]  # every monic linear polynomial is irreducible
-        # a polynomial of degree > 1 with a root in GF(p) is reducible: one
-        # product with the table of x^i (i = 0..m, x in GF(p)) rules most
-        # candidates out before the distinct-degree test
+        # the distinct-degree test of is_irreducible, a chunk of candidates
+        # at a time in encoding order.  A polynomial of degree > 1 with a
+        # root in GF(p) is reducible: one product with the table of x^i
+        # (i = 0..m, x in GF(p)) rules most candidates out.  x^(p^m) mod f
+        # is row 0 of C_f^(p^m), C_f the companion matrix of f, so one
+        # stacked matrix power tests the rest; only the survivors take the
+        # gcd step.
+        q = p**m
         powers = np.arange(p, dtype=np.int64) ** np.arange(m + 1, dtype=np.int64)[:, None] % p
-        for enc in range(p**m):
-            coeffs = [enc // p**i % p for i in range(m)] + [1]
-            if (np.asarray(coeffs, dtype=np.int64) @ powers % p).all() and is_irreducible(coeffs, p):
-                return coeffs
+        x = np.eye(m, dtype=np.int64)[1]
+        lo, size = 0, 8
+        while lo < q:
+            low = np.arange(lo, min(lo + size, q), dtype=np.int64)[:, None] // (
+                p ** np.arange(m, dtype=np.int64)) % p
+            low = low[((low @ powers[:m] + powers[m]) % p).all(axis=1)]
+            comps = _companion(low, p)
+            fixed = (_mat_pow(comps, q, p)[:, 0] == x).all(axis=1)
+            for coeffs, comp in zip(low[fixed].tolist(), comps[fixed]):
+                coeffs.append(1)
+                if _gcd_step(coeffs, lambda k: _poly_trim(
+                        _mat_pow(comp, p**k, p)[0].tolist()), p):
+                    return coeffs
+            lo, size = lo + size, 2 * size
         raise ReducibleModulusError(f"no irreducible polynomial found for ({p}, {m})")
 
     # -- construction ------------------------------------------------------
@@ -258,22 +334,7 @@ class ExtField:
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
         n = q - 1
-        # mul_x[j] = C^j, with C the matrix of y -> y x on digit rows
-        # (digits(y) @ C = digits(y x)); multiplication by a is then
-        # sum_j digit_j(a) C^j
-        c = np.zeros((m, m), dtype=np.int64)
-        c[np.arange(m - 1), np.arange(1, m)] = 1
-        c[m - 1] = [(-a) % p for a in self.modulus[:m]]
-        mul_x = np.empty((m, m, m), dtype=np.int64)
-        mul_x[0] = np.eye(m, dtype=np.int64)
-        for j in range(1, m):
-            mul_x[j] = mul_x[j - 1] @ c % p
-        self._mul_x = mul_x
-        self.generator = self._find_generator()
         mul_g = self._mul_matrix(self.generator)
-
-        # Tr is GF(p)-linear: Tr(y) = digits(y) . tr, tr[j] = Tr(x^j)
-        tr = np.asarray(self._trace_basis(), dtype=np.int64)
         # y -> y g^width is GF(p)-linear on digit rows, so block s of the
         # exp table is the first block g^0..g^(width-1) times step^s, with
         # step the m x m matrix of that map; transients stay O(width m).
@@ -291,29 +352,47 @@ class ExtField:
         # times faster than int64 ones
         base = rows[:width].astype(np.float64)
         step = _mat_pow(mul_g, width, p)
-        place = p ** np.arange(m, dtype=np.int64)
         exp = np.empty(n, dtype=np.int64)
         trace_table = np.zeros(q, dtype=np.int64)
         power = np.eye(m, dtype=np.int64)
         for start in range(0, n, width):
             block = (base @ power.astype(np.float64))[:n - start].astype(np.int64)
             block %= p
-            enc = block @ place
+            enc = block @ self._place
             exp[start:start + width] = enc
-            trace_table[enc] = block @ tr % p
+            trace_table[enc] = block @ self._tr % p
             power = power @ step % p
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(n)
         for table in (exp, log, trace_table):
             table.flags.writeable = False
-        self._exp, self._log, self._trace_table = exp, log, trace_table
+        self._exp_array, self._log_array, self._trace_array = exp, log, trace_table
         # zero-copy views for the scalar methods: indexing one gives a
         # Python int, so no numpy scalar reaches callers or json.dumps
         self._exp_at = memoryview(exp)
         self._log_at = memoryview(log)
         self._trace_at = memoryview(trace_table)
-        self._digits_matrix = None
-        self._trace_powers = None
+
+    @property
+    def _exp(self) -> np.ndarray:
+        """(q-1,) exp table: g^k at k; built on first read."""
+        if self._exp_array is None:
+            self._build_tables()
+        return self._exp_array
+
+    @property
+    def _log(self) -> np.ndarray:
+        """(q,) log table: k at g^k, 0 at 0; built on first read."""
+        if self._log_array is None:
+            self._build_tables()
+        return self._log_array
+
+    @property
+    def _trace_table(self) -> np.ndarray:
+        """(q,) trace table; built on first read."""
+        if self._trace_array is None:
+            self._build_tables()
+        return self._trace_array
 
     def _trace_basis(self) -> list[int]:
         """Tr(x^j) for j = 0..m-1: the power sums of the modulus's roots,
@@ -329,8 +408,10 @@ class ExtField:
     def _mul_matrix(self, a) -> np.ndarray:
         """m x m matrix of y -> y a on digit rows; for an array of
         elements, a stack of them."""
-        return np.tensordot(self._digit_rows(np.asarray(a, dtype=np.int64)),
-                            self._mul_x, axes=1) % self.p
+        m = self.m
+        rows = self._digit_rows(np.asarray(a, dtype=np.int64))
+        return (rows @ self._mul_x.reshape(m, m * m)).reshape(
+            rows.shape[:-1] + (m, m)) % self.p
 
     def _find_generator(self) -> int:
         """Smallest primitive element: the first a with a^(n/l) != 1 for
@@ -354,9 +435,17 @@ class ExtField:
 
     def _digit_rows(self, vals: np.ndarray) -> np.ndarray:
         """int64 array of shape vals.shape + (m,): the digits of each value."""
-        rows = vals[..., None] // self.p ** np.arange(self.m, dtype=np.int64)
+        rows = vals[..., None] // self._place
         rows %= self.p  # in place: a second (len, m) temporary raises peak RSS
         return rows
+
+    def _row(self, x: int) -> np.ndarray:
+        """(m,) int64 digits of one element."""
+        return np.array(self.digits(x), dtype=np.int64)
+
+    def _element(self, row: np.ndarray) -> int:
+        """Encoding of a reduced digit row, as a Python int."""
+        return int(row @ self._place)
 
     def _encode(self, coeffs: list[int]) -> int:
         enc = 0
@@ -405,22 +494,44 @@ class ExtField:
             mul *= p
         return out
 
+    # Each scalar method reads the tables inside a try, which costs the
+    # table path nothing; while the tables are unbuilt, indexing None
+    # raises TypeError and the method answers on digit rows instead.  A
+    # TypeError with the tables built comes from the arguments and is
+    # re-raised.
+
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp_at[(self._log_at[a] + self._log_at[b]) % (self.q - 1)]
+        try:
+            return self._exp_at[(self._log_at[a] + self._log_at[b]) % (self.q - 1)]
+        except TypeError:
+            if self._log_at is not None:
+                raise
+        return self._element(self._row(a) @ self._mul_matrix(b) % self.p)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp_at[-self._log_at[a] % (self.q - 1)]
+        try:
+            return self._exp_at[-self._log_at[a] % (self.q - 1)]
+        except TypeError:
+            if self._log_at is not None:
+                raise
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0 if e else 1
-        return self._exp_at[self._log_at[a] * e % (self.q - 1)]
+        try:
+            return self._exp_at[self._log_at[a] * e % (self.q - 1)]
+        except TypeError:
+            if self._log_at is not None:
+                raise
+        # row 0 of M(a)^e holds the digits of 1 * a^e; a^(q-1) = 1
+        return self._element(_mat_pow(self._mul_matrix(a), e % (self.q - 1), self.p)[0])
 
     def frobenius(self, x: int, i: int) -> int:
         """x^(p^i) for 0 <= i < m."""
@@ -428,16 +539,32 @@ class ExtField:
             raise PreconditionViolatedError(f"frobenius index {i} outside [0, {self.m})")
         if x == 0:
             return 0
-        return self._exp_at[self._log_at[x] * pow(self.p, i, self.q - 1) % (self.q - 1)]
+        try:
+            return self._exp_at[self._log_at[x] * pow(self.p, i, self.q - 1) % (self.q - 1)]
+        except TypeError:
+            if self._log_at is not None:
+                raise
+        return self._element(self._row(x) @ self._frob[i] % self.p)
 
     def trace(self, x: int) -> int:
-        return self._trace_at[x]
+        try:
+            return self._trace_at[x]
+        except TypeError:
+            if self._trace_at is not None:
+                raise
+        return int(self._row(x) @ self._tr % self.p)
 
     def eta(self, x: int) -> int:
         """Quadratic character of GF(q), extended by eta(0) = 0."""
         if x == 0:
             return 0
-        return 1 if self._log_at[x] % 2 == 0 else -1
+        try:
+            return 1 if self._log_at[x] % 2 == 0 else -1
+        except TypeError:
+            if self._log_at is not None:
+                raise
+        # Euler's criterion: x^((q-1)/2) is 1 on squares, -1 otherwise
+        return 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
 
     def embed_scalar(self, t: int) -> int:
         """GF(p) value as a field element (digit 0)."""
@@ -456,14 +583,14 @@ class ExtField:
         return self._digits_matrix
 
     def trace_table(self) -> np.ndarray:
-        """(q,) int64 array of traces."""
+        """(q,) int64 array of traces; builds the tables on first use."""
         return self._trace_table
 
     def trace_mul_vector(self, b: int) -> np.ndarray:
-        """(m,) int64 array t with Tr(b*x) = digits(x) . t  (mod p)."""
-        return np.asarray(
-            [self.trace(self.mul(self.pow_of_basis(j), b)) for j in range(self.m)],
-            dtype=np.int64)
+        """(m,) int64 array t with Tr(b*x) = digits(x) . t  (mod p):
+        t_j = Tr(b x^j) = sum_k digit_k(b) Tr(x^k x^j), a row of the
+        trace form."""
+        return self._row(b) @ self._trace_form % self.p
 
     def trace_mul_all(self, b: int) -> np.ndarray:
         """(q,) int64 array of Tr(b*x) for every element x."""

@@ -90,23 +90,21 @@ class QuadraticFunction:
 
 
 def gram_matrix(f: QuadraticFunction) -> list[list[int]]:
-    """Symmetric matrix H over GF(p) with digits(x) H digits(x)^T = f(x)."""
+    """Symmetric matrix H over GF(p) with digits(x) H digits(x)^T = f(x).
+
+    H = (B + B^T)/2 for the bilinear form B(x, y) = sum_i Tr(a_i x^(p^i) y)
+    on the digit basis.  Row j of the Frobenius matrix F_i holds the
+    digits of (x^j)^(p^i), multiplying by x^k is the matrix C^k, and
+    Tr(a y) = digits(y) . t_a with t_a = trace_mul_vector(a); so
+    B[j, k] = sum_i F_i[j] . (C^k t_(a_i)).
+    """
     ctx = f.ctx
     p, m = ctx.p, ctx.m
-    inv2 = (p + 1) // 2
-    basis = [ctx.pow_of_basis(j) for j in range(m)]
-    h = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for k in range(j, m):
-            acc = 0
-            for i, a in enumerate(f.coeffs):
-                if a:
-                    vj, vk = basis[j], basis[k]
-                    term = ctx.add(ctx.mul(ctx.frobenius(vj, i), vk),
-                                   ctx.mul(vj, ctx.frobenius(vk, i)))
-                    acc = (acc + ctx.trace(ctx.mul(a, term))) % p
-            h[j][k] = h[k][j] = acc * inv2 % p
-    return h
+    b = np.zeros((m, m), dtype=np.int64)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            b += ctx._frob[i] @ (ctx._mul_x @ ctx.trace_mul_vector(a)).T % p
+    return ((b + b.T) * ((p + 1) // 2) % p).tolist()
 
 
 def congruence_diagonalize(h: list[list[int]], p: int) -> tuple[int, int, int]:
@@ -196,8 +194,12 @@ class FormAnalysis:
             ctx.scalar_mul(inv2, ctx.add(f.coeffs[i],
                                          ctx.frobenius(f.coeffs[(m - i) % m], i)))
             for i in range(m))
-        cols = [ctx.digits(self.l_apply(ctx.pow_of_basis(j))) for j in range(m)]
-        self.lmat = [[cols[j][i] for j in range(m)] for i in range(m)]
+        # row j of sum_i F_i M(c_i) holds the digits of L(x^j)
+        lrows = np.zeros((m, m), dtype=np.int64)
+        for i, c in enumerate(self.l_coeffs):
+            if c:
+                lrows += ctx._frob[i] @ ctx._mul_matrix(c) % p
+        self.lmat = (lrows.T % p).tolist()
         l_rank = rank(self.lmat, p)
         if l_rank != self.rank:
             raise QCodeError(

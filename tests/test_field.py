@@ -403,6 +403,103 @@ def test_scalar_methods_return_python_ints():
     json.dumps(values)
 
 
+# ---------------------------------------------------------------------------
+# the two scalar paths: digit rows before the tables exist, tables after
+# ---------------------------------------------------------------------------
+
+def _tables_unbuilt(F):
+    return (F._exp_array is None and F._log_array is None
+            and F._trace_array is None and F._exp_at is None)
+
+
+def _scalar_results(F, xs, ys, es):
+    out = []
+    for x, y, e in zip(xs, ys, es):
+        out += [F.mul(x, y), F.trace(x), F.eta(x), F.pow(x, 0), F.pow(y, e),
+                F.pow(x, F.q - 1), F.pow(x, 3 * (F.q - 1) + 2),
+                F.parse_element(f"g^{e}"), F.parse_element(f"g^{-e}")]
+        out += [F.frobenius(x, i) for i in range(F.m)]
+        if x:
+            out += [F.inv(x), F.pow(x, -e), F.pow(x, -1)]
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 3), (7, 4),
+                                 (3, 9), (3, 11), (11, 5)])
+def test_digit_path_and_table_path_agree(p, m):
+    fresh, built = ExtField(p, m), ExtField(p, m)
+    built._exp  # the first read builds the tables
+    assert _tables_unbuilt(fresh) and not _tables_unbuilt(built)
+    rng = random.Random(p**m)
+    xs = [0, 1, fresh.generator, fresh.q - 1] + [rng.randrange(fresh.q) for _ in range(60)]
+    ys = [rng.randrange(fresh.q) for _ in xs]
+    es = [rng.randrange(1, 3 * fresh.q) for _ in xs]
+    digit = _scalar_results(fresh, xs, ys, es)
+    assert _tables_unbuilt(fresh)  # every answer above came from digit rows
+    table = _scalar_results(built, xs, ys, es)
+    assert digit == table
+    assert all(type(v) is int for v in digit + table)
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_both_scalar_paths_raise_the_same_errors(built):
+    F = ExtField(5, 3)
+    if built:
+        F._exp
+    with pytest.raises(ZeroDivisionError, match="0 has no multiplicative inverse"):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError, match="0 has no negative powers"):
+        F.pow(0, -1)
+    for i in (-1, 3, 10):
+        with pytest.raises(PreconditionViolatedError, match=rf"frobenius index {i} outside"):
+            F.frobenius(7, i)
+    if built:
+        # a bad argument's TypeError is not taken for unbuilt tables
+        for op in (F.mul, F.pow, F.frobenius):
+            with pytest.raises(TypeError):
+                op(1.5, 2)
+        for op in (F.inv, F.trace, F.eta):
+            with pytest.raises(TypeError):
+                op(1.5)
+    assert _tables_unbuilt(F) != built
+
+
+@pytest.mark.parametrize("p,m", [(3, 11), (7, 6), (11, 5)])
+def test_predict_builds_no_table_past_the_brute_cap(p, m, capsys):
+    import qcode.counting as counting_mod
+    import qcode.quadform as quadform_mod
+    from qcode.cli import main
+
+    counting_mod.get_field.cache_clear()
+    quadform_mod.analyze.cache_clear()
+    for preset, alpha in (("cor1:u=1", "1"), ("cor1:u=g^3", "g^5")):
+        argv = ["--p", str(p), "--m", str(m), "--preset", preset, "--alpha", alpha]
+        assert main(["predict", *argv]) == 0
+        assert main(["analyze", *argv]) == 0
+    F = get_field(p, m)
+    assert _tables_unbuilt(F)
+    assert F._digits_matrix is None and F._trace_powers is None
+    capsys.readouterr()
+
+
+def _scan_default_modulus(p, m):
+    # the rule as stated: the first monic irreducible in encoding order
+    for enc in range(p**m):
+        coeffs = [enc // p**i % p for i in range(m)] + [1]
+        if is_irreducible(coeffs, p):
+            return coeffs
+    raise AssertionError("no irreducible polynomial")
+
+
+DEFAULT_MODULUS_FIELDS = [(p, m) for p in range(3, 280) if is_prime(p)
+                          for m in range(2, 11) if p**m <= 5**7]
+
+
+def test_default_modulus_matches_the_irreducibility_scan():
+    for p, m in DEFAULT_MODULUS_FIELDS:
+        assert ExtField._default_modulus(p, m) == _scan_default_modulus(p, m), (p, m)
+
+
 def test_field_holds_no_element_length_python_list():
     F = get_field(3, 7)
     for name, value in vars(F).items():
@@ -432,9 +529,10 @@ def test_predict_leaves_digit_matrix_unbuilt(capsys):
     assert main(["predict", *argv]) == 0
     F = get_field(3, 5)
     assert F._digits_matrix is None
-    # control: build reads the matrix, so the check above can fail
+    # control: build reads the matrix and the tables, so the check above
+    # and test_predict_builds_no_table_past_the_brute_cap can fail
     assert main(["build", *argv]) == 0
-    assert F._digits_matrix is not None
+    assert F._digits_matrix is not None and not _tables_unbuilt(F)
     capsys.readouterr()
 
 

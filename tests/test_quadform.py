@@ -86,6 +86,69 @@ def test_gram_reproduces_form_exhaustively_gf81():
             assert val == f.evaluate(x)
 
 
+def _gram_by_elements(f):
+    # the element-loop formula the matrix route replaced: H[j][k] is half
+    # of sum_i Tr(a_i ((x^j)^(p^i) x^k + x^j (x^k)^(p^i)))
+    F = f.ctx
+    p, m = F.p, F.m
+    inv2 = (p + 1) // 2
+    h = [[0] * m for _ in range(m)]
+    for j in range(m):
+        for k in range(j, m):
+            vj, vk = F.pow_of_basis(j), F.pow_of_basis(k)
+            acc = 0
+            for i, a in enumerate(f.coeffs):
+                if a:
+                    term = F.add(F.mul(F.frobenius(vj, i), vk), F.mul(vj, F.frobenius(vk, i)))
+                    acc = (acc + F.trace(F.mul(a, term))) % p
+            h[j][k] = h[k][j] = acc * inv2 % p
+    return h
+
+
+def _rank_deficient_forms(F, rng):
+    # (Tr(v x))^2 = sum_j Tr(v^(p^j+1) x^(p^j+1)) has rank 1, a sum of two
+    # such rank at most 2, and the zero form rank 0
+    def square_of_trace(v):
+        return [F.mul(F.frobenius(v, j), v) for j in range(F.m)]
+
+    one = square_of_trace(rng.randrange(1, F.q))
+    two = [F.add(a, b) for a, b in zip(one, square_of_trace(rng.randrange(1, F.q)))]
+    return [QuadraticFunction(F, c) for c in (one, two, [0] * F.m)]
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 7),
+                                 (3, 8), (3, 9), (5, 3), (7, 4), (13, 3)])
+def test_gram_matrix_matches_the_element_formula(p, m):
+    F = get_field(p, m)
+    rng = random.Random(p * 1000 + m)
+    v = next(v for v in F.nonzero_elements() if F.trace(F.mul(v, v)))
+    forms = [QuadraticFunction(F, [rng.randrange(F.q) for _ in range(m)]) for _ in range(4)]
+    forms += [preset_cor1(F, 1), preset_cor1(F, F.generator),
+              preset_trace_square_minus(F, v)]
+    forms += _rank_deficient_forms(F, rng)
+    ranks = set()
+    for f in forms:
+        h = gram_matrix(f)
+        assert h == _gram_by_elements(f), f.coeffs
+        assert all(type(e) is int for row in h for e in row)
+        ranks.add(congruence_diagonalize(h, p)[0])
+    assert {0, 1, m - 1, m} <= ranks
+
+
+@pytest.mark.parametrize("p,m", [(3, 11), (11, 5)])
+def test_gram_matrix_reproduces_evaluate_past_the_spot_check(p, m):
+    # _spot_check compares the matrix with every f(x) only up to 5^6
+    F = get_field(p, m)
+    rng = random.Random(p * 1000 + m)
+    forms = [QuadraticFunction(F, [rng.randrange(F.q) for _ in range(m)]),
+             preset_cor1(F, F.generator)] + _rank_deficient_forms(F, rng)[:2]
+    for f in forms:
+        h = np.asarray(gram_matrix(f), dtype=np.int64)
+        for x in [rng.randrange(F.q) for _ in range(50)]:
+            d = np.asarray(F.digits(x), dtype=np.int64)
+            assert int(d @ h @ d) % p == f.evaluate(x), (f.coeffs, x)
+
+
 # ---------------------------------------------------------------------------
 # diagonalization: rank, sign
 # ---------------------------------------------------------------------------
