@@ -178,8 +178,8 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
 def _weights_analytic(ds: DefiningSet) -> np.ndarray:
     """Weights via wt(c_beta) = N - N_beta from the closed-form counters.
 
-    N_beta depends on beta only through its class (BetaClasses), so the
-    S5 tree runs once per class, at most p^2 + 1 times, and the counts
+    N_beta depends on beta only through its class (BetaClasses), so S5
+    is evaluated once per class, at most p^2 + 1 times, and the counts
     are gathered back onto every beta.
     """
     an = ds.analysis

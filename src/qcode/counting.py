@@ -31,18 +31,20 @@ root_count_closed (id 9, predict_root_count, predict_length); ids 16 and
 17 are Phi, U and N of the deflated form (rank r - 1, sign
 s eta_bar(-f(x_alpha))).  A count on the hyperplane Tr(beta x) = 0 is
 p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11, and for id 15 and
-predict_hyperplane_root_count the S5 tree of id 14 (_s5_closed), which
-build evaluates once per beta class (quadform.BetaClasses), not once per
-beta.  Id 18 keeps its own case tree (_partition_counts).
+predict_hyperplane_root_count the S5 of id 14 (_s5_closed), which build
+evaluates once per beta class (quadform.BetaClasses), not once per beta.
+S4 (id 13) is c Phi(k, s') zeta^z on every branch, so one case tree
+(_s4_terms) gives S4 and S5 = c U(k, s', z) both.  Id 18 keeps its own
+case tree (_partition_counts).
 
 Every closed side is split in two: reading the invariants of its draw,
 f(x_alpha), f(x_beta), Tr(alpha x_beta), z0 and f' (FormAnalysis.f_at_xb,
 solve_xb and in_shifted_image, which a sweep answers from the form's
 solution tables, with no solve), and a function of those plain integers
 and (p, m, rank, sign) that returns (value, label): phase_sum, unit_sum,
-level_count, _s23_case (S2, S3), _s4_case, _s5_case, _partition_counts
-and _square_class_rows.  These are memoised, so a sweep evaluates each
-case once.
+level_count, _s23_case (S2, S3), _s4_case and _s5_case (both from
+_s4_terms), _partition_counts and _square_class_rows.  These are
+memoised, so a sweep evaluates each case once.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -68,7 +70,6 @@ import numpy as np
 
 from .cyclotomic import (
     CycNum,
-    pstar,
     pstar_fraction_power,
     pstar_half_power,
     sigma_unit_sum,
@@ -193,7 +194,7 @@ def predict_root_count(an: FormAnalysis, alpha: int) -> int:
 
 def predict_hyperplane_root_count(an: FormAnalysis, alpha: int, beta: int) -> int:
     """Number of x with f(x) - Tr(alpha x) = 0 and Tr(beta x) = 0:
-    p^(m-2) + S5/p^2, with S5 from the id-14 tree."""
+    p^(m-2) + S5/p^2, with S5 = c U(k, s', z) from S4's terms."""
     return _count_from_sum(an.ctx.p, an.ctx.m, _s5_closed(an, alpha, beta)[0])
 
 
@@ -225,6 +226,44 @@ def _pair_invariants(an: FormAnalysis, alpha: int, beta: int) -> tuple:
     return fa, an.f_at_xb(beta), ctx.trace(ctx.mul(alpha, xb)), None
 
 
+def _s4_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[CycNum, str]:
+    """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x))
+    and its branch (_s4_case)."""
+    return _s4_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
+                    *_pair_invariants(an, alpha, beta))
+
+
+@lru_cache(maxsize=None)
+def _s4_case(p: int, m: int, r: int, s: int, fa: int | None, fb: int | None,
+             tab: int | None, fprime: int | None) -> tuple[CycNum, str]:
+    """S4 = c Phi(k, s') zeta^z from its terms (_s4_terms), and its branch."""
+    branch, terms = _s4_terms(p, r, s, fa, fb, tab, fprime)
+    if terms is None:
+        return CycNum.zero(p), branch
+    c, k, s_k, z = terms
+    return phase_sum(p, m, k, s_k).scale(c) * CycNum.zeta_pow(p, z), branch
+
+
+def _s4_terms(p: int, r: int, s: int, fa: int | None, fb: int | None,
+              tab: int | None, fprime: int | None) -> tuple[str, tuple | None]:
+    """S4's branch and its terms (c, k, s', z), with S4 = c Phi(k, s') zeta^z,
+    from the rank r and sign s of f and the invariants of _pair_invariants;
+    None for the terms where S4 is zero.  S4 and S5 both read these, so
+    they share one case tree; both memoise on the same key, so this does
+    not."""
+    if fa is None:
+        if fprime is None:
+            return "II:outside_union", None
+        return "II:in_union", (1, r, s, -fprime % p)
+    if fb is None:
+        return "I:outside_beta", (1, r, s, -fa % p)
+    if fb == 0 and tab == 0:
+        return "I:in:zero_zero", (p, r, s, -fa % p)
+    if fb == 0:
+        return "I:in:zero_nonzero", None
+    return "I:in:nonzero", (1, r - 1, s * eta_bar(-fb, p), _aux_e(p, fa, fb, tab))
+
+
 def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
     """S5, the Galois-unit sum of S4, and its branch (_s5_case)."""
     return _s5_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
@@ -234,65 +273,33 @@ def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
 @lru_cache(maxsize=None)
 def _s5_case(p: int, m: int, r: int, s: int, fa: int | None, fb: int | None,
              tab: int | None, fprime: int | None) -> tuple[Fraction, str]:
-    """S5 by its case tree, from the rank r and sign s of f and the
-    invariants of _pair_invariants.
-
-    Rational on every branch: every power of p* it takes is whole.  The
-    labels are the finest that ids 14 and 15 need; each id coarsens them
-    through _S5_LABELS.
-    """
-    even = r % 2 == 0
-    u = s * p**m * pstar_fraction_power(
-        p, -(r // 2) if even else -((r - 1) // 2))
-    zero = Fraction(0)
+    """S5 = sum_y sigma_y(S4) = c U(k, s', z) from S4's terms (_s4_terms),
+    zero where S4 is, and its finest label: ids 14 and 15 coarsen it
+    through _S5_LABELS."""
+    branch, terms = _s4_terms(p, r, s, fa, fb, tab, fprime)
+    value, z = Fraction(0), None
+    if terms is not None:
+        c, k, s_k, z = terms
+        value = c * unit_sum(p, m, k, s_k, z)
     if fa is None:
-        if fprime is None:
-            return zero, "II:even:out" if even else "II:odd:out"
-        if even:
-            if fprime == 0:
-                return (p - 1) * u, "II:even:f0"
-            return -u, "II:even:fnz"
-        if fprime == 0:
-            return zero, "II:odd:f0"
-        return eta_bar(-fprime, p) * u, "II:odd:fnz"
-    bout = fb is None
-    if not bout:
-        e = _aux_e(p, fa, fb, tab) if fb else 0
-    if even and fa == 0:
-        if bout:
-            return (p - 1) * u, "I:ez:bout"
-        if fb == 0 and tab == 0:
-            return (p - 1) * p * u, "I:ez:zz"
-        if fb == 0 or tab == 0:
-            return zero, "I:ez:mixed"
-        return eta_bar(-1, p) * pstar(p) * u, "I:ez:nznz"
-    if even:
-        if bout:
-            return -u, "I:en:bout"
-        if fb == 0 and tab == 0:
-            return -p * u, "I:en:zz"
-        if e == 0:
-            return zero, "I:en:zeros"
-        return eta_bar(-fb * e, p) * pstar(p) * u, "I:en:Enz"
-    if fa == 0:
-        if bout:
-            return zero, "I:oz:bout"
-        if fb == 0:
-            return zero, "I:oz:fb0"
-        if tab == 0:
-            return eta_bar(-fb, p) * (p - 1) * u, "I:oz:tr0"
-        return -eta_bar(-fb, p) * u, "I:oz:trnz"
-    ea = eta_bar(-fa, p)
-    if bout:
-        return ea * u, "I:on:bout"
-    if fb == 0 and tab == 0:
-        return ea * p * u, "I:on:zz"
-    if fb == 0:
-        return zero, "I:on:znz"
-    if e == 0:
-        return ea * (p - 1) * u, "I:on:E0"
-    return -eta_bar(-fb, p) * u, "I:on:Enz"
+        end = "out" if z is None else "fnz" if z else "f0"
+        return value, ("II:even:", "II:odd:")[r % 2] + end
+    if branch == "I:in:nonzero" and z == 0:
+        branch += ":z0"
+    col = 2 * (r % 2) + (fa != 0)
+    return value, f"I:{('ez', 'en', 'oz', 'on')[col]}:{_S5_SUFFIX[branch][col]}"
 
+
+# S5's finest label for alpha in Im(L) is I:<e|o><z|n>:<suffix>, for the
+# rank parity and whether f(x_alpha) = 0; the suffix follows S4's branch,
+# and on I:in:nonzero whether its z is 0
+_S5_SUFFIX = {  # S4 branch: suffix for ez, en, oz, on
+    "I:outside_beta": ("bout", "bout", "bout", "bout"),
+    "I:in:zero_zero": ("zz", "zz", "fb0", "zz"),
+    "I:in:zero_nonzero": ("mixed", "zeros", "fb0", "znz"),
+    "I:in:nonzero:z0": ("mixed", "zeros", "tr0", "E0"),
+    "I:in:nonzero": ("nznz", "Enz", "trnz", "Enz"),
+}
 
 # id -> {finest S5 label: the label that id reports}
 _S5_LABELS = {
@@ -697,33 +704,6 @@ def _s4_exponents(p: int, f, a, b) -> np.ndarray:
     return _exponents(p, *(f - a + z * b for z in range(p)))
 
 
-def _s4_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[CycNum, str]:
-    """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x))
-    and its branch (_s4_case)."""
-    return _s4_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
-                    *_pair_invariants(an, alpha, beta))
-
-
-@lru_cache(maxsize=None)
-def _s4_case(p: int, m: int, r: int, s: int, fa: int | None, fb: int | None,
-             tab: int | None, fprime: int | None) -> tuple[CycNum, str]:
-    """S4 from the rank r and sign s of f and the invariants of
-    _pair_invariants: zero, or c Phi(k, s') zeta^z on each branch."""
-    full = phase_sum(p, m, r, s)
-    if fa is None:
-        if fprime is None:
-            return CycNum.zero(p), "II:outside_union"
-        return full * CycNum.zeta_pow(p, -fprime), "II:in_union"
-    if fb is None:
-        return full * CycNum.zeta_pow(p, -fa), "I:outside_beta"
-    if fb == 0 and tab == 0:
-        return full.scale(p) * CycNum.zeta_pow(p, -fa), "I:in:zero_zero"
-    if fb == 0:
-        return CycNum.zero(p), "I:in:zero_nonzero"
-    closed = phase_sum(p, m, r - 1, s * eta_bar(-fb, p))
-    return closed * CycNum.zeta_pow(p, _aux_e(p, fa, fb, tab)), "I:in:nonzero"
-
-
 def _closed_13(params: LemmaParams) -> list:
     """The sum S4 over the pencil of shifts alpha - beta z."""
     _need(params, "analysis", "alpha", "beta")
@@ -756,7 +736,7 @@ def _brute_14(params: LemmaParams, memo=None) -> list:
 
 def _closed_15(params: LemmaParams) -> list:
     """Hyperplane-restricted solution counts of f(x) - Tr(alpha x) = 0:
-    p^(m-2) + S5/p^2, with S5 from the id-14 tree."""
+    p^(m-2) + S5/p^2, with S5 as id 14 evaluates it."""
     _need(params, "analysis", "alpha", "beta")
     an = params.analysis
     s5, branch = _s5_closed(an, params.alpha, params.beta)

@@ -29,6 +29,7 @@ digits(x) . t = s at once; the naive weight route of codes reads it.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -409,6 +410,8 @@ class ExtField:
         """m x m matrix of y -> y a on digit rows; for an array of
         elements, a stack of them."""
         m = self.m
+        if np.ndim(a) == 0:
+            a = self._index(a)
         rows = self._digit_rows(np.asarray(a, dtype=np.int64))
         return (rows @ self._mul_x.reshape(m, m * m)).reshape(
             rows.shape[:-1] + (m, m)) % self.p
@@ -441,7 +444,15 @@ class ExtField:
 
     def _row(self, x: int) -> np.ndarray:
         """(m,) int64 digits of one element."""
-        return np.array(self.digits(x), dtype=np.int64)
+        return np.array(self.digits(self._index(x)), dtype=np.int64)
+
+    def _index(self, x) -> int:
+        """x as the tables would index it: TypeError for a non-integer,
+        IndexError outside [-q, q), as the tables' memoryviews raise."""
+        x = operator.index(x)
+        if not -self.q <= x < self.q:
+            raise IndexError(f"element {x} outside [-{self.q}, {self.q})")
+        return x
 
     def _element(self, row: np.ndarray) -> int:
         """Encoding of a reduced digit row, as a Python int."""
@@ -498,7 +509,8 @@ class ExtField:
     # table path nothing; while the tables are unbuilt, indexing None
     # raises TypeError and the method answers on digit rows instead.  A
     # TypeError with the tables built comes from the arguments and is
-    # re-raised.
+    # re-raised.  The digit rows take an element as the tables index it
+    # (_index), so both paths raise the same errors on a bad argument.
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

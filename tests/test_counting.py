@@ -34,6 +34,7 @@ import qcode.counting as counting
 from qcode.cyclotomic import (
     CycNum,
     gauss_sum_prime,
+    pstar,
     pstar_fraction_power,
     sigma_unit_sum,
 )
@@ -180,6 +181,95 @@ def test_hyperplane_count_matches_brute_randomized():
                 assert res.equal and res.closed == str(want)
                 seen.add(res.branch)
     assert seen >= set(REQUIRED_BRANCHES[15])
+
+
+def _s5_tree(p, m, r, s, fa, fb, tab, fprime):
+    """S5 and its finest label by the case tree it was once transcribed
+    as, kept as the oracle for the derivation c U(k, s', z) from S4."""
+    even = r % 2 == 0
+    u = s * p**m * pstar_fraction_power(
+        p, -(r // 2) if even else -((r - 1) // 2))
+    zero = Fraction(0)
+    if fa is None:
+        if fprime is None:
+            return zero, "II:even:out" if even else "II:odd:out"
+        if even:
+            if fprime == 0:
+                return (p - 1) * u, "II:even:f0"
+            return -u, "II:even:fnz"
+        if fprime == 0:
+            return zero, "II:odd:f0"
+        return eta_bar(-fprime, p) * u, "II:odd:fnz"
+    bout = fb is None
+    if not bout:
+        e = (-fa + tab * tab * pow(4 * fb, -1, p)) % p if fb else 0
+    if even and fa == 0:
+        if bout:
+            return (p - 1) * u, "I:ez:bout"
+        if fb == 0 and tab == 0:
+            return (p - 1) * p * u, "I:ez:zz"
+        if fb == 0 or tab == 0:
+            return zero, "I:ez:mixed"
+        return eta_bar(-1, p) * pstar(p) * u, "I:ez:nznz"
+    if even:
+        if bout:
+            return -u, "I:en:bout"
+        if fb == 0 and tab == 0:
+            return -p * u, "I:en:zz"
+        if e == 0:
+            return zero, "I:en:zeros"
+        return eta_bar(-fb * e, p) * pstar(p) * u, "I:en:Enz"
+    if fa == 0:
+        if bout:
+            return zero, "I:oz:bout"
+        if fb == 0:
+            return zero, "I:oz:fb0"
+        if tab == 0:
+            return eta_bar(-fb, p) * (p - 1) * u, "I:oz:tr0"
+        return -eta_bar(-fb, p) * u, "I:oz:trnz"
+    ea = eta_bar(-fa, p)
+    if bout:
+        return ea * u, "I:on:bout"
+    if fb == 0 and tab == 0:
+        return ea * p * u, "I:on:zz"
+    if fb == 0:
+        return zero, "I:on:znz"
+    if e == 0:
+        return ea * (p - 1) * u, "I:on:E0"
+    return -eta_bar(-fb, p) * u, "I:on:Enz"
+
+
+def _pair_invariant_tuples(p):
+    """Every (fa, fb, tab, fprime) that _pair_invariants can return."""
+    yield None, None, None, None
+    for v in range(p):
+        yield None, None, None, v
+        yield v, None, None, None
+        for fb in range(p):
+            for tab in range(p):
+                yield v, fb, tab, None
+
+
+def test_s5_from_s4_terms_matches_the_case_tree():
+    # S5 = c U(k, s', z) on S4's terms, with its label from the suffix
+    # table, against the case tree on every invariant tuple, rank and sign
+    derived = counting._s5_case.__wrapped__
+    labels = set()
+    for p in (3, 5, 7, 11):
+        tuples = list(_pair_invariant_tuples(p))
+        for m in range(1, 5):
+            for r in range(m + 1):
+                for s in (1, -1):
+                    for inv in tuples:
+                        want = _s5_tree(p, m, r, s, *inv)
+                        got = derived(p, m, r, s, *inv)
+                        assert got == want and type(got[0]) is Fraction, (
+                            p, m, r, s, inv)
+                        labels.add(got[1])
+    assert len(labels) == 23
+    for lemma_id in (14, 15):
+        reported = {counting._S5_LABELS[lemma_id].get(b, b) for b in labels}
+        assert set(REQUIRED_BRANCHES[lemma_id]) <= reported
 
 
 def test_closed_forms_are_constant_on_beta_classes():

@@ -453,14 +453,21 @@ def test_both_scalar_paths_raise_the_same_errors(built):
     for i in (-1, 3, 10):
         with pytest.raises(PreconditionViolatedError, match=rf"frobenius index {i} outside"):
             F.frobenius(7, i)
-    if built:
-        # a bad argument's TypeError is not taken for unbuilt tables
+    # a non-integer element raises TypeError and one outside [-q, q)
+    # IndexError on both paths; with the tables built, the TypeError is
+    # not taken for unbuilt tables
+    for bad, error in ((1.5, TypeError), (F.q, IndexError),
+                       (-F.q - 1, IndexError), (10**30, IndexError)):
         for op in (F.mul, F.pow, F.frobenius):
-            with pytest.raises(TypeError):
-                op(1.5, 2)
+            with pytest.raises(error):
+                op(bad, 2)
+        with pytest.raises(error):
+            F.mul(2, bad)
         for op in (F.inv, F.trace, F.eta):
-            with pytest.raises(TypeError):
-                op(1.5)
+            with pytest.raises(error):
+                op(bad)
+    # the tables wrap a negative index, and so do the digit rows
+    assert F.trace(-1) == F.trace(F.q - 1) and F.mul(-1, -2) == F.mul(F.q - 1, F.q - 2)
     assert _tables_unbuilt(F) != built
 
 

@@ -1,7 +1,8 @@
 """Property tests: the weight routes agree on drawn codes, integer CycNum
 arithmetic agrees with a Fraction-coordinate reference, the registry's
-histogram oracles agree with per-x whole-field formulas, and the per-form
-alpha in Im(L) tables agree with L and the solver."""
+histogram oracles and the closed S4 and S5 of ids 13-15 agree with per-x
+whole-field formulas, and the per-form alpha in Im(L) tables agree with L
+and the solver."""
 
 from fractions import Fraction
 from math import gcd
@@ -396,6 +397,17 @@ def test_histogram_oracles_match_whole_field_formulas(params, level_zero):
     if fa and level_zero:
         level0 = LemmaParams(analysis=an, alpha=params.alpha, t=0)
         assert counting._brute_17(level0) == _reference(17, level0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(oracle_draws())
+def test_s4_and_s5_closed_sides_match_whole_field_formulas(params):
+    # ids 13-15 read S4 = c Phi(k, s') zeta^z and S5 = c U(k, s', z) off
+    # one set of S4 terms; check the closed sides, not the histograms
+    for lemma_id in (13, 14, 15):
+        (_, got, _), = counting._REGISTRY[lemma_id][0](params)
+        want, = _reference(lemma_id, params)
+        assert got == want, (lemma_id, params.describe())
 
 
 # six or more fields, each with a drawn modulus
