@@ -10,8 +10,8 @@ over the digit space GF(p)^m (field.hyperplane_counts: one float64
 matrix product per digit axis, exact on these integer counts); it reads
 only D and the trace table.  The
 analytic one evaluates the closed-form solution counters once per
-class of beta (quadform.BetaClasses), at most p^2 + 1 times, since they
-see beta only through a few quadratic invariants.  "both" mode insists
+class of beta (FormAnalysis.beta_classes), at most p^2 + 1 times, since
+they see beta only through a few quadratic invariants.  "both" mode insists
 the routes agree before returning; validation then checks the first and
 second power moments.
 """
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import hyperplane_counts
 from .linalg import rank as gf_rank
-from .quadform import BetaClasses, FormAnalysis
+from .quadform import FormAnalysis
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,12 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
 def _weights_analytic(ds: DefiningSet) -> np.ndarray:
     """Weights via wt(c_beta) = N - N_beta from the closed-form counters.
 
-    N_beta depends on beta only through its class (BetaClasses), so S5
-    is evaluated once per class, at most p^2 + 1 times, and the counts
-    are gathered back onto every beta.
+    N_beta depends on beta only through its class
+    (FormAnalysis.beta_classes), so S5 is evaluated once per class, at
+    most p^2 + 1 times, and the counts are gathered back onto every beta.
     """
     an = ds.analysis
-    _, cls, reps = BetaClasses(an).split(ds.alpha)
+    _, cls, reps = an.beta_classes(ds.alpha)
     n_full = predict_root_count(an, ds.alpha)
     per_class = np.asarray(
         [n_full - predict_hyperplane_root_count(an, ds.alpha, int(beta))

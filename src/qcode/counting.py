@@ -32,7 +32,7 @@ root_count_closed (id 9, predict_root_count, predict_length); ids 16 and
 s eta_bar(-f(x_alpha))).  A count on the hyperplane Tr(beta x) = 0 is
 p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11, and for id 15 and
 predict_hyperplane_root_count the S5 of id 14 (_s5_closed), which build
-evaluates once per beta class (quadform.BetaClasses), not once per beta.
+evaluates once per beta class (FormAnalysis.beta_classes), not once per beta.
 S4 (id 13) is c Phi(k, s') zeta^z on every branch, so one case tree
 (_s4_terms) gives S4 and S5 = c U(k, s', z) both.  Id 18 keeps its own
 case tree (_partition_counts).
@@ -81,7 +81,6 @@ from .errors import (
 )
 from .field import ExtField, eta_bar
 from .quadform import (
-    BetaClasses,
     FormAnalysis,
     QuadraticFunction,
     analyze,
@@ -1278,17 +1277,17 @@ def _class_scan(lemma_id: int, pool, missing):
 
     Every form, for ids 13-15 every alpha in steps of q // 48, and beta
     in ascending order, as a plain scan would visit them.  The branches
-    of a check are a function of beta's class key (BetaClasses; for ids
-    10 and 11 under alpha = 0), so closed() runs once per key and form.
+    of a check are a function of beta's class key (beta_classes, read off
+    the solution tables the sweep has built; for ids 10 and 11 under
+    alpha = 0), so closed() runs once per key and form.
     """
     closed = _REGISTRY[lemma_id][0]
     for an in pool:
         q = an.ctx.q
-        classes = BetaClasses(an)
         labels_of = {}
         alphas = [None] if lemma_id in (10, 11) else range(0, q, max(1, q // 48))
         for alpha in alphas:
-            keys, cls, reps = classes.split(alpha or 0)
+            keys, cls, reps = an.beta_classes(alpha or 0)
             for key, beta in zip(keys.tolist(), reps.tolist()):
                 if key not in labels_of:
                     labels_of[key] = {branch for branch, _, _ in closed(

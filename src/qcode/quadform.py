@@ -165,14 +165,15 @@ class FormAnalysis:
     lmat : matrix of L on the digit basis (columns are images of x^j).
     ker_basis, im_basis : element encodings spanning Ker(L) and Im(L).
 
-    The registry reads two pairs of per-form tables, which the analyze,
-    build and predict paths never build:
+    Two pairs of per-form tables, which the analyze and predict paths
+    never build:
       * solution_tables(): x_b = solve_xb(b) (int32 encodings) and f(x_b)
         (int8), -1 in both for b outside Im(L), for every b in GF(q), from
-        one vectorised solve (_solutions) on the digit rows of every b;
-        built when a registry sweep starts.  Once they exist, solve_xb,
-        f_at_xb, in_image and in_shifted_image read them and never run
-        the solver.
+        the one vectorised solve on the digit rows of every b; built when
+        a registry sweep starts, or by beta_classes, which build's
+        analytic route and the branch-fill scans read.  Once they exist,
+        solve_xb, f_at_xb, in_image and in_shifted_image read them and
+        never run the solver.
       * image_tables(): alpha(w) = -2 L(w) (int32 encodings, lmat on the
         digit rows of w) and f(w) (int8, gram on the same rows), for every
         w; built on the first draw of alpha in Im(L) (image_draw).  Since
@@ -302,64 +303,91 @@ class FormAnalysis:
             self._f_xb_cache[b] = None if xb is None else self.f.evaluate(xb)
         return self._f_xb_cache[b]
 
-    def _solutions(self, tb: np.ndarray, smallest: bool = False) -> np.ndarray:
-        """Digits of solutions x of L(x) = -b/2, one per row of
-        TB = digits(b) T^T (mod p), T being the solver's row transform: x
-        holds -TB[:rank]/2 at the solver's pivot columns and 0 elsewhere,
-        and solves L(x) = -b/2 when TB[rank:] = 0.  With smallest, each
-        pivot digit of the kernel echelon basis is then zeroed, as
-        solve_xb does, which gives the coset's smallest encoding."""
-        p = self.ctx.p
-        x = np.zeros_like(tb)
-        x[..., self._solver.pivots] = tb[..., :self._solver.rank]
-        x *= (p - 1) // 2
-        x %= p
-        if smallest:
-            for col, vec in self._ker_echelon:
-                x -= x[..., col, None] * np.asarray(vec, dtype=np.int64)
-                x %= p
-        return x
-
-    def _transform(self) -> np.ndarray:
-        m = self.ctx.m
-        return np.asarray(self._solver.transform, dtype=np.int64).reshape(m, m)
-
     def solution_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(xb, fxb): xb[b] = solve_xb(b) as an int32 encoding and
         fxb[b] = f(x_b) as int8, both -1 for b outside Im(L), for every b
-        in GF(q); built on the first call, in one pass of _solutions and
-        gram over the digit rows of every b."""
+        in GF(q); built on the first call, from one product of the field's
+        digit matrix.
+
+        Every step of the solver is linear in digits(b), so it folds into
+        one m x m matrix: with T the solver's row transform and
+        TB = digits(b) T^T (mod p), b lies in Im(L) iff TB[rank:] = 0, and
+        then x_b has the digits -TB[:rank]/2 at the solver's pivot columns
+        and 0 elsewhere, after which each pivot digit of the kernel
+        echelon basis is zeroed, as solve_xb does, which gives the coset's
+        smallest encoding.
+        """
         if self._xb_table is None:
             ctx = self.ctx
-            p = ctx.p
-            # transient rows, as in image_tables
-            tb = ctx._digit_rows(np.arange(ctx.q, dtype=np.int64))
-            tb = tb @ self._transform().T
-            tb %= p
-            outside = tb[:, self._solver.rank:].any(axis=1)
-            x = self._solutions(tb, smallest=True)
-            del tb
+            p, m = ctx.p, ctx.m
+            solver = self._solver
+            transform = np.asarray(solver.transform, dtype=np.int64).reshape(m, m)
+            solve = np.zeros((m, m), dtype=np.int64)
+            solve[:, solver.pivots] = transform[:solver.rank].T * ((p - 1) // 2) % p
+            for col, vec in self._ker_echelon:
+                solve = (solve - np.outer(solve[:, col], vec)) % p
+            rows = ctx.digits_matrix() @ np.hstack([solve, transform[solver.rank:].T])
+            rows %= p
+            x = rows[:, :m]
+            outside = rows[:, m:].any(axis=1)
             xg = x @ np.asarray(self.gram, dtype=np.int64)
             xg *= x
             fx = xg.sum(axis=1) % p
             del xg
-            xb = x @ p ** np.arange(ctx.m, dtype=np.int64)
+            xb = x @ ctx._place
             xb[outside] = -1
             fx[outside] = -1
             self._xb_table = xb.astype(np.int32)
             self._f_xb_table = fx.astype(np.int8)
         return self._xb_table, self._f_xb_table
 
+    def beta_classes(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, cls, reps): the classes of nonzero beta on which
+        S5(alpha, beta) is constant, read off solution_tables().
+        cls[beta - 1] is the class of beta, reps[c] the smallest beta of
+        class c, and keys[c] its invariants.
+
+        For alpha in Im(L) a key is f(x_beta) p + Tr(alpha x_beta), or p^2
+        for beta outside Im(L), plus (1 + f(x_alpha)) (p^2 + 1).  Since
+        Tr(L(x) y) is symmetric, Tr(alpha x_beta) = Tr(beta x_alpha) for
+        beta in Im(L), so one trace_mul_all(x_alpha) gives every one.
+        For alpha outside Im(L) a key is z0 p + f(x_(alpha - z0 beta)), z0
+        being the unique z in GF(p)* with alpha - z beta in Im(L), or p^2
+        when no z0 exists.  There are at most p^2 + 1 classes, and
+        S5(alpha, beta) is a function of the key alone, across every alpha
+        of the form.
+        """
+        self._check_element(alpha)
+        ctx = self.ctx
+        p = ctx.p
+        xb, fxb = self.solution_tables()
+        fx = fxb.astype(np.int64)  # z p + f' passes the int8 range past p = 11
+        outside = p * p
+        fa = int(fx[alpha])
+        if fa >= 0:
+            tr = ctx.trace_mul_all(int(xb[alpha]))[1:]
+            key = np.where(fx[1:] < 0, outside, fx[1:] * p + tr)
+            key += (1 + fa) * (outside + 1)
+        else:
+            digits = ctx.digits_matrix()[1:]
+            da = ctx._row(alpha)
+            key = np.full(ctx.q - 1, outside, dtype=np.int64)
+            for z in range(1, p):
+                fprime = fx[(da - z * digits) % p @ ctx._place]
+                hit = fprime >= 0
+                key[hit] = z * p + fprime[hit]
+        keys, first, cls = np.unique(key, return_index=True, return_inverse=True)
+        return keys, cls.reshape(-1), first + 1
+
     def image_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, fw): alpha[w] = -2 L(w) as an int32 encoding and
         fw[w] = f(w) as int8, for every w in GF(q); built on the first
-        call from lmat and gram on the digit rows of every w."""
+        call from lmat and gram on the field's digit matrix, which
+        solution_tables reads as well."""
         if self._image_alpha is None:
             ctx = self.ctx
             p = ctx.p
-            # transient rows: a sweep would otherwise keep a (q, m) int64
-            # digit matrix alive for every field it draws from
-            digits = ctx._digit_rows(np.arange(ctx.q, dtype=np.int64))
+            digits = ctx.digits_matrix()
             la = digits @ np.asarray(self.lmat, dtype=np.int64).T
             la *= p - 2  # -2 L(w), reduced in place
             la %= p
@@ -444,72 +472,6 @@ class FormAnalysis:
             i, j = bad[0]
             raise QCodeError(
                 f"bilinear identity fails at ({int(pts[i])}, {int(pts[j])})")
-
-
-class BetaClasses:
-    """The classes of nonzero beta on which S5(alpha, beta) is constant.
-
-    S5 sees beta only through a few quadratic invariants: for alpha in
-    Im(L), whether beta lies in Im(L) and then f(x_beta) and
-    Tr(alpha x_beta); for alpha outside Im(L), the z0 in GF(p)* with
-    alpha - z0 beta in Im(L), if any, and then f(x_(alpha - z0 beta)).
-    All of them come from TB = digits(beta) T^T (mod p), T being the
-    solver's row transform, for every beta at once: beta lies in Im(L)
-    iff TB[rank:] = 0, and x_beta has the digits -TB[:rank]/2 at the
-    pivot columns, so beta -> x_beta is linear.  f(x_beta) and
-    Tr(alpha x_beta) do not depend on the Ker(L) coset representative.
-    The alpha-free part is computed once per form; split(alpha) is then
-    a few vector operations.
-    """
-
-    def __init__(self, an: FormAnalysis):
-        ctx = an.ctx
-        p = ctx.p
-        self.ctx = ctx
-        self._an = an
-        self._rank = an._solver.rank
-        self._t = an._transform()
-        self._gram = np.asarray(an.gram, dtype=np.int64)
-        tb = ctx.digits_matrix()[1:] @ self._t.T
-        tb %= p
-        self._h = tb[:, self._rank:].copy()
-        self._x = an._solutions(tb)
-        del tb  # (q, m) arrays set the peak here: reduce in place
-        xg = self._x @ self._gram
-        xg *= self._x
-        self._fx = xg.sum(axis=1) % p
-
-    def split(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, cls, reps): cls[beta - 1] is the class of beta, reps[c]
-        the smallest beta of class c, and keys[c] its invariants.
-
-        For alpha in Im(L) a key is f(x_beta) p + Tr(alpha x_beta), or p^2
-        for beta outside Im(L), plus (1 + f(x_alpha)) (p^2 + 1); for alpha
-        outside Im(L) it is z0 p + f(x_(alpha - z0 beta)), or p^2 when no
-        z0 exists.  There are at most p^2 + 1 classes, and S5(alpha, beta)
-        is a function of the key alone, across every alpha of the form.
-        """
-        ctx = self.ctx
-        p = ctx.p
-        ta = np.asarray(ctx.digits(alpha), dtype=np.int64) @ self._t.T % p
-        u = self._an._solutions(ta)
-        outside = p * p
-        if not ta[self._rank:].any():
-            # u = x_alpha
-            tr_alpha = self._x @ ctx.trace_mul_vector(alpha) % p
-            key = np.where(self._h.any(axis=1), outside,
-                           self._fx * p + tr_alpha)
-            key += (1 + int(u @ self._gram @ u) % p) * (outside + 1)
-        else:
-            z0 = np.zeros(len(self._x), dtype=np.int64)
-            for z in range(1, p):
-                z0[~((ta[self._rank:] - z * self._h) % p).any(axis=1)] = z
-            # x_(alpha - z0 beta) = u - z0 x_beta
-            cross = self._x @ (self._gram @ u) % p
-            fprime = (u @ self._gram @ u - 2 * z0 * cross + z0 * z0 * self._fx) % p
-            key = np.where(z0 > 0, z0 * p + fprime, outside)
-        keys, first, cls = np.unique(key, return_index=True, return_inverse=True)
-        return keys, cls.reshape(-1), first + 1
 
 
 def _spot_check_enabled(ctx: ExtField) -> bool:

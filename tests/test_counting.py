@@ -46,7 +46,6 @@ from qcode.errors import (
 from qcode.field import eta_bar
 from qcode.linalg import LinearSolver
 from qcode.quadform import (
-    BetaClasses,
     QuadraticFunction,
     analyze,
     preset_cor1,
@@ -284,10 +283,9 @@ def test_closed_forms_are_constant_on_beta_classes():
     outside = 0
     for an in pool:
         F = an.ctx
-        classes = BetaClasses(an)
         by_key = {}
         for alpha in F.elements():
-            keys, cls, reps = classes.split(alpha)
+            keys, cls, reps = an.beta_classes(alpha)
             s5 = [_s5_closed(an, alpha, beta) for beta in reps.tolist()]
             s4 = [_s4_closed(an, alpha, beta) for beta in reps.tolist()]
             for key, value in zip(keys.tolist(), zip(s5, s4)):
@@ -297,7 +295,7 @@ def test_closed_forms_are_constant_on_beta_classes():
                 assert _s5_closed(an, alpha, beta) == s5[c]
                 assert _s4_closed(an, alpha, beta) == s4[c]
             outside += not an.in_image(alpha)
-        _, cls, reps = classes.split(0)
+        _, cls, reps = an.beta_classes(0)
         s3 = [_s3(an, beta) for beta in reps.tolist()]
         for beta in F.nonzero_elements():
             assert _s3(an, beta) == s3[cls[beta - 1]]

@@ -345,14 +345,43 @@ def _reference(lemma_id, params):
     return [_cyc(p, gv), int(np.sum(gv == t % p))]  # id 17
 
 
+def _irreducible_from(p, m, start):
+    """Low coefficients of the first monic irreducible polynomial of degree
+    m over GF(p) at or after the one numbered start, wrapping around."""
+    for k in range(start, start + p**m):
+        low = [k // p**j % p for j in range(m)]
+        if is_irreducible(low + [1], p):
+            return low
+
+
+def _image_element(draw, an):
+    """alpha = -2 L(w) for a drawn w, so that w is a solution x_alpha; half
+    the draws take w among the x with f(x) != 0, so that f(x_alpha) != 0."""
+    F = an.ctx
+    nonzero = np.flatnonzero(an.f.values())
+    if nonzero.size and draw(st.booleans()):
+        w = int(nonzero[draw(st.integers(0, nonzero.size - 1))])
+    else:
+        w = draw(st.integers(0, F.q - 1))
+    return F.neg(F.scalar_mul(2, an.l_apply(w)))
+
+
 @st.composite
 def oracle_draws(draw):
     """A form over a drawn field and modulus (preset or raw coefficients,
-    any rank), and alpha, beta, t for every field-backed registry id."""
+    any rank), and alpha, beta, t for every field-backed registry id.
+
+    Small integers and alpha = 0 would make f(x_alpha), f' and
+    Tr(alpha x_beta) mostly zero, and with them the z of S4's terms, so
+    alpha in Im(L) is drawn with f(x_alpha) != 0 half the time, and half
+    the beta are (alpha - gamma)/z for gamma in Im(L) drawn the same way:
+    such a beta lies in Im(L) for alpha in Im(L), and has z0 = z, with
+    f' = f(x_gamma), for alpha outside it."""
     p = draw(st.sampled_from(PRIMES))
     m = draw(st.integers(1, {3: 5, 5: 3, 7: 3, 11: 2, 13: 2}[p]))
-    low = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
-    assume(is_irreducible(low + [1], p))
+    # rejecting reducible moduli would leave mostly m = 1, where every draw
+    # has z = 0 on I:in:nonzero
+    low = _irreducible_from(p, m, draw(st.integers(0, p**m - 1)))
     F = get_field(p, m, low + [1])
     kind = draw(st.sampled_from(("cor1", "trmv", "coeffs")))
     if kind == "cor1":
@@ -369,14 +398,19 @@ def oracle_draws(draw):
     if how == "zero":
         alpha = 0
     elif how == "image":
-        alpha = F.neg(F.scalar_mul(2, an.l_apply(draw(st.integers(0, F.q - 1)))))
+        alpha = _image_element(draw, an)
     else:
-        alpha = draw(st.integers(0, F.q - 1))
+        alpha = draw(st.integers(1, F.q - 1))  # "zero" draws alpha = 0
         if how == "outside" and an.rank < m and an.in_image(alpha):
             alpha = F.add(alpha, next(F.pow_of_basis(j) for j in range(m)
                                       if not an.in_image(F.pow_of_basis(j))))
-    return LemmaParams(analysis=an, alpha=alpha,
-                       beta=draw(st.integers(1, F.q - 1)),
+    beta = 0
+    if draw(st.booleans()):
+        z = draw(st.integers(1, p - 1))
+        beta = F.scalar_mul(pow(z, -1, p), F.sub(alpha, _image_element(draw, an)))
+    if beta == 0:
+        beta = draw(st.integers(1, F.q - 1))
+    return LemmaParams(analysis=an, alpha=alpha, beta=beta,
                        t=draw(st.integers(1, p - 1)))
 
 

@@ -9,7 +9,6 @@ from qcode.errors import AlphaInImageError, PreconditionViolatedError, QCodeErro
 from qcode.field import eta_bar
 from qcode.linalg import mat_mul, mat_transpose, rank
 from qcode.quadform import (
-    BetaClasses,
     FormAnalysis,
     QuadraticFunction,
     analyze,
@@ -377,14 +376,19 @@ def test_analyze_build_and_predict_leave_image_tables_unbuilt(capsys):
 
     analyze.cache_clear()
     argv = ["--p", "3", "--m", "4", "--preset", "trmv:v=1", "--alpha", "1"]
-    for cmd in ("analyze", "predict", "build"):
+    for cmd in ("analyze", "predict"):
         assert main([cmd, *argv]) == 0
     an = analyze(preset_trace_square_minus(get_field(3, 4), 1))
     assert an._image_alpha is None and an._image_f is None
     assert an._xb_table is None and an._f_xb_table is None
-    # control: a registry draw builds them on the same analysis
+    # build's analytic route reads its beta classes off the solution tables
+    assert main(["build", *argv]) == 0
+    assert analyze(an.f) is an
+    assert an._image_alpha is None and an._image_f is None
+    assert an._xb_table is not None and an._f_xb_table is not None
+    # control: a registry draw builds the image tables on the same analysis
     an.image_draw(1)
-    assert an._image_alpha is not None and an._xb_table is not None
+    assert an._image_alpha is not None
     capsys.readouterr()
 
 
@@ -453,7 +457,7 @@ def test_out_of_range_encodings_are_refused(tables):
         an.solution_tables()
     outside = next(a for a in F.nonzero_elements() if not an.in_image(a))
     for bad in (-1, F.q, -F.q - 1):
-        for call in (an.solve_xb, an.f_at_xb, an.in_image):
+        for call in (an.solve_xb, an.f_at_xb, an.in_image, an.beta_classes):
             with pytest.raises(PreconditionViolatedError, match="outside"):
                 call(bad)
         with pytest.raises(PreconditionViolatedError, match="outside"):
@@ -483,50 +487,56 @@ def test_shifted_image_unique_z_seeded():
 def test_beta_classes_read_the_scalar_invariants():
     # every (alpha, beta): the key is f(x_b) p + Tr(alpha x_b), or p^2, plus
     # (1 + f(x_alpha)) (p^2 + 1) for alpha in Im(L), and z0 p +
-    # f(x_(alpha - z0 beta)), or p^2, outside it, as the scalar solvers give
-    # them; reps are each class's first beta
+    # f(x_(alpha - z0 beta)), or p^2, outside it, as the scalar solvers of a
+    # fresh analysis give them (beta_classes builds the tables on an, which
+    # an's own solvers would then read); reps are each class's first beta
     rng = random.Random(41)
     pool = [an for p, m in [(3, 2), (3, 3), (5, 2), (3, 4)]
             for an in analysis_pool(p, m, rng, extra=1)]
     for an in pool:
         F = an.ctx
         p = F.p
-        classes = BetaClasses(an)
+        scalar = FormAnalysis(an.f)
         for alpha in F.elements():
-            keys, cls, reps = classes.split(alpha)
+            keys, cls, reps = an.beta_classes(alpha)
             assert len(keys) <= p * p + 1
             assert reps.tolist() == [1 + int(np.flatnonzero(cls == c)[0])
                                      for c in range(len(keys))]
             got = keys[cls].tolist()
             for beta in F.nonzero_elements():
-                if an.in_image(alpha):
-                    xb = an.solve_xb(beta)
+                if scalar.in_image(alpha):
+                    xb = scalar.solve_xb(beta)
                     want = (p * p if xb is None else
-                            an.f_at_xb(beta) * p + F.trace(F.mul(alpha, xb)))
-                    want += (1 + an.f_at_xb(alpha)) * (p * p + 1)
+                            scalar.f_at_xb(beta) * p + F.trace(F.mul(alpha, xb)))
+                    want += (1 + scalar.f_at_xb(alpha)) * (p * p + 1)
                 else:
-                    z0 = an.in_shifted_image(alpha, beta)
-                    want = (p * p if z0 is None else
-                            z0 * p + an.f_at_xb(F.sub(alpha, F.scalar_mul(z0, beta))))
+                    z0 = scalar.in_shifted_image(alpha, beta)
+                    want = (p * p if z0 is None else z0 * p + scalar.f_at_xb(
+                        F.sub(alpha, F.scalar_mul(z0, beta))))
                 assert got[beta - 1] == want, (an, alpha, beta)
+        assert scalar._xb_table is None
 
 
 def test_beta_classes_outside_image_split_by_z0():
-    # alpha outside Im(L) reaches both the no-z0 class and classes with z0
-    for p, m in [(3, 4), (5, 3), (7, 2)]:
+    # alpha outside Im(L) reaches both the no-z0 class and classes with z0;
+    # at p = 13 the key z0 p + f' reaches 168, past the int8 tables' range
+    for p, m in [(3, 4), (5, 3), (7, 2), (13, 2)]:
         F = get_field(p, m)
         an = _deficient_analysis(F)
-        classes = BetaClasses(an)
+        scalar = FormAnalysis(an.f)
         kinds = set()
-        for alpha in (a for a in F.nonzero_elements() if not an.in_image(a)):
-            keys, _, reps = classes.split(alpha)
+        for alpha in (a for a in F.nonzero_elements() if not scalar.in_image(a)):
+            keys, _, reps = an.beta_classes(alpha)
             for key, beta in zip(keys.tolist(), reps.tolist()):
-                z0 = an.in_shifted_image(alpha, beta)
+                z0 = scalar.in_shifted_image(alpha, beta)
                 assert (z0 is None) == (key == p * p)
                 if z0 is not None:
                     assert key // p == z0
+                    assert key % p == scalar.f_at_xb(
+                        F.sub(alpha, F.scalar_mul(z0, beta)))
                 kinds.add(z0 is None)
         assert kinds == {True, False}, (p, m)
+        assert scalar._xb_table is None
 
 
 # ---------------------------------------------------------------------------
