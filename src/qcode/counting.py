@@ -15,7 +15,7 @@ f(x) is QuadraticFunction.log_values() and Tr(e x) a window of one doubled
 trace array, and x = 0 adds one more count.  The id's phase sums and counts
 are then read off the histogram through small integer maps cached per p
 and constant.  Every x is still counted once, in integers, and nothing on
-this side reads the closed forms, the Gram matrix, L or its solver, only
+this side reads the closed forms, the Gram matrix, L or its solve matrix, only
 the coefficient formula of f and the field tables.  A readout is a pure
 integer function of the histogram, so a sweep memoises the readouts, and
 the phase and Galois-unit sums built on them, on (builder, constants,
@@ -39,12 +39,13 @@ case tree (_partition_counts).
 
 Every closed side is split in two: reading the invariants of its draw,
 f(x_alpha), f(x_beta), Tr(alpha x_beta), z0 and f' (FormAnalysis.f_at_xb,
-solve_xb and in_shifted_image, which a sweep answers from the form's
-solution tables, with no solve), and a function of those plain integers
-and (p, m, rank, sign) that returns (value, label): phase_sum, unit_sum,
-level_count, _s23_case (S2, S3), _s4_case and _s5_case (both from
-_s4_terms), _partition_counts and _square_class_rows.  These are
-memoised, so a sweep evaluates each case once.
+solve_xb and in_shifted_image, which a sweep reads off the form's solution
+tables: x_b, f(x_b) and the syndromes whose ratio is z0), and a function
+of those plain integers and (p, m, rank, sign) that returns (value,
+label): phase_sum, unit_sum, level_count, _s23_case (S2, S3), _s4_case
+and _s5_case (both from _s4_terms), _partition_counts and
+_square_class_rows.  These are memoised, so a sweep evaluates each case
+once.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -1044,7 +1045,8 @@ def analysis_pool(p: int, m: int, rng: random.Random, extra: int = 6
 
 
 def _sample_alpha_in_image(an: FormAnalysis, rng: random.Random) -> int:
-    """alpha = -2 L(w) for a random w, with f(x_alpha) memoised."""
+    """alpha = -2 L(w) for a random w, with f(x_alpha) checked against
+    the solution table (FormAnalysis.image_draw)."""
     return an.image_draw(rng.randrange(an.ctx.q))
 
 
@@ -1162,7 +1164,7 @@ def sweep_one_lemma(lemma_id: int, pool_all, trials: int, seed: int,
     rep = LemmaSweepReport(lemma_id=lemma_id, trials=0)
     memo = _ReadoutMemo()  # this sweep's, dropped on return
     for an in pool_all:
-        an.solution_tables()  # x_b and f(x_b) for the closed sides, no solves
+        an.solution_tables()  # x_b, f(x_b) and syndromes for the closed sides
     draws = 0
     attempts = 0
     while draws < trials and attempts < 80 * trials:

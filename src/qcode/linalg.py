@@ -2,8 +2,8 @@
 
 Matrices are lists of row lists of ints in [0, p).  Sizes here are tiny
 (m x m, with m <= 11 under the field-size cap), so clarity beats
-asymptotics; whole-field work applies the solver's transform with numpy
-instead.
+asymptotics; whole-field work multiplies the digit rows by a form's
+solve matrix (quadform.FormAnalysis) with numpy instead.
 """
 
 from __future__ import annotations
@@ -75,36 +75,3 @@ def nullspace(a, p: int) -> list[list[int]]:
         basis.append(vec)
     return basis
 
-
-class LinearSolver:
-    """Repeated exact solves of A x = b over GF(p) for a fixed A.
-
-    Row-reduces the augmented identity once; solve() is then O(n^2).
-    """
-
-    def __init__(self, a: list[list[int]], p: int):
-        self.p = p
-        rows = len(a)
-        cols = len(a[0]) if rows else 0
-        aug = [list(a[i]) + [1 if j == i else 0 for j in range(rows)]
-               for i in range(rows)]
-        red, pivots = rref(aug, p)
-        # pivots inside the original columns only; identity columns record
-        # the row transform applied to any right-hand side
-        self.pivots = [c for c in pivots if c < cols]
-        self.rank = len(self.pivots)
-        self.rows, self.cols = rows, cols
-        self.reduced = [row[:cols] for row in red]
-        self.transform = [row[cols:] for row in red]
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        """A particular solution with free variables set to 0, or None."""
-        p = self.p
-        tb = [sum(t * v for t, v in zip(trow, b)) % p for trow in self.transform]
-        for r in range(self.rank, self.rows):
-            if tb[r]:
-                return None
-        x = [0] * self.cols
-        for r, c in enumerate(self.pivots):
-            x[c] = tb[r]
-        return x

@@ -2,9 +2,9 @@
 
 Provides evaluation, the symmetric coordinate matrix of the form, its
 rank and sign, the companion linearized map L with
-f(x+y) = f(x) + f(y) + 2 Tr(L(x) y), kernel/image data, solvers for
-L(x) = -b/2, and the two preset families Tr(u x^2) and
-Tr(x^2) - (Tr(vx))^2 / Tr(v^2).
+f(x+y) = f(x) + f(y) + 2 Tr(L(x) y), kernel/image data, one m x m solve
+matrix for L(x) = -b/2 with the syndromes that test b in Im(L), and the
+two preset families Tr(u x^2) and Tr(x^2) - (Tr(vx))^2 / Tr(v^2).
 
 Sign convention: after congruence diagonalization with nonzero diagonal
 d_1..d_r, the sign is the product of eta_bar(-d_i).  This is the unique
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AlphaInImageError, PreconditionViolatedError, QCodeError
 from .field import ExtField, eta_bar
-from .linalg import LinearSolver, mat_copy, mat_transpose, nullspace, rank, rref
+from .linalg import mat_copy, mat_transpose, nullspace, rref
 
 
 class QuadraticFunction:
@@ -165,15 +165,23 @@ class FormAnalysis:
     lmat : matrix of L on the digit basis (columns are images of x^j).
     ker_basis, im_basis : element encodings spanning Ker(L) and Im(L).
 
+    Every solve reads one m x (2m - rank) matrix [S | Y], built from the
+    rref of [lmat | I]: digits(b) S is X(b), the digits of the smallest
+    solution x_b of L(x) = -b/2 for b in Im(L), and digits(b) Y is the
+    syndrome of b, which is 0 iff b lies in Im(L).  X is linear in b
+    everywhere, so for alpha - z beta in Im(L) the solution is
+    X(alpha) - z X(beta).
+
     Two pairs of per-form tables, which the analyze and predict paths
     never build:
       * solution_tables(): x_b = solve_xb(b) (int32 encodings) and f(x_b)
         (int8), -1 in both for b outside Im(L), for every b in GF(q), from
-        the one vectorised solve on the digit rows of every b; built when
-        a registry sweep starts, or by beta_classes, which build's
-        analytic route and the branch-fill scans read.  Once they exist,
-        solve_xb, f_at_xb, in_image and in_shifted_image read them and
-        never run the solver.
+        one product of [S | Y] with the digit rows of every b, which also
+        keeps each b's syndrome code and Q(X(b)); built when a registry
+        sweep starts, or by beta_classes, which build's analytic route
+        and the branch-fill scans read.  Once they exist, solve_xb,
+        f_at_xb, in_image and in_shifted_image read them and never
+        multiply a digit row by [S | Y].
       * image_tables(): alpha(w) = -2 L(w) (int32 encodings, lmat on the
         digit rows of w) and f(w) (int8, gram on the same rows), for every
         w; built on the first draw of alpha in Im(L) (image_draw).  Since
@@ -201,22 +209,34 @@ class FormAnalysis:
             if c:
                 lrows += ctx._frob[i] @ ctx._mul_matrix(c) % p
         self.lmat = (lrows.T % p).tolist()
-        l_rank = rank(self.lmat, p)
+        # rref([lmat | I]) = [R | T] with T lmat = R, so L(x) = c is
+        # solvable iff T[l_rank:] c = 0 (Y), and then x = T[:l_rank] c at
+        # R's pivot columns, 0 elsewhere (S, for c = -b/2)
+        red, pivots = rref([row + [int(i == j) for j in range(m)]
+                            for i, row in enumerate(self.lmat)], p)
+        l_rank = sum(c < m for c in pivots)
         if l_rank != self.rank:
             raise QCodeError(
                 f"rank disagreement: matrix {self.rank} vs linear map {l_rank}")
-        self._solver = LinearSolver(self.lmat, p)
+        transform = np.asarray([row[m:] for row in red], dtype=np.int64)
+        solve = np.zeros((m, m), dtype=np.int64)
+        solve[:, pivots[:l_rank]] = transform[:l_rank].T * ((p - 1) // 2) % p
         ker = nullspace(self.lmat, p)
+        # zero each pivot digit of the kernel echelon basis: the coset's
+        # smallest encoding, since any other kernel shift first changes
+        # the coset's digits at a pivot, from 0 to a nonzero digit
+        for col, vec in _top_echelon(ker, p):
+            solve = (solve - np.outer(solve[:, col], vec)) % p
+        self._solve = np.hstack([solve, transform[l_rank:].T])
+        self._solve_cols = self._solve.T.tolist()
         self.ker_basis = tuple(ctx._encode(list(v)) for v in ker)
-        self._ker_echelon = _top_echelon(ker, p)
-        red, pivots = _column_space(self.lmat, p)
-        self.im_basis = tuple(ctx._encode(list(v)) for v in red)
+        image, _ = _column_space(self.lmat, p)
+        self.im_basis = tuple(ctx._encode(list(v)) for v in image)
         self._kernel_elements: tuple[int, ...] | None = None
-        self._neg_half = ctx.neg(ctx.embed_scalar((p + 1) // 2))
-        self._xb_cache: dict[int, int | None] = {}
-        self._f_xb_cache: dict[int, int | None] = {}
         self._xb_table: np.ndarray | None = None
         self._f_xb_table: np.ndarray | None = None
+        self._qx_table: np.ndarray | None = None
+        self._syn_table: np.ndarray | None = None
         self._image_alpha: np.ndarray | None = None
         self._image_f: np.ndarray | None = None
         if _spot_check_enabled(ctx):
@@ -257,88 +277,81 @@ class FormAnalysis:
             raise PreconditionViolatedError(
                 f"element encoding {b} outside [0, {self.ctx.q})")
 
+    def _solve_row(self, b: int) -> list[int]:
+        """digits(b) [S | Y] (mod p) on Python ints: the m digits of X(b),
+        then the syndrome of b."""
+        p = self.ctx.p
+        digits = self.ctx.digits(b)
+        return [sum(d * c for d, c in zip(digits, col)) % p
+                for col in self._solve_cols]
+
+    def _syndrome(self, b: int) -> list[int]:
+        """The syndrome of b, zero iff b lies in Im(L); decoded from the
+        solution tables once they exist."""
+        k = self.ctx.m - self.rank
+        if self._syn_table is not None:
+            p, code = self.ctx.p, int(self._syn_table[b])
+            return [code // p**j % p for j in range(k)]
+        return self._solve_row(b)[self.ctx.m:]
+
     def solve_xb(self, b: int) -> int | None:
-        """Solution of L(x) = -b/2 with the smallest encoding, or None.
+        """Solution of L(x) = -b/2 with the smallest encoding, or None:
+        a zero-syndrome test, then X(b) = digits(b) S.
 
         The value f(solve_xb(b)) does not depend on the coset
         representative (f vanishes on Ker(L) and Tr(b * Ker(L)) = 0 for
         b in Im(L)), but a deterministic representative keeps reports
-        reproducible.  The particular solution is reduced against the
-        kernel basis in echelon form with pivots on the most significant
-        digits: zeroing each pivot digit gives the smallest encoding of
-        the coset, since any other kernel shift first changes the coset's
-        digits at a pivot, from 0 to a nonzero digit.  Read off
-        solution_tables() once they exist.
+        reproducible; S folds in the reduction to the smallest one (see
+        __init__).  Read off solution_tables() once they exist.
         """
         self._check_element(b)
         if self._xb_table is not None:
             x = int(self._xb_table[b])
             return None if x < 0 else x
-        if b in self._xb_cache:
-            return self._xb_cache[b]
-        ctx = self.ctx
-        p = ctx.p
-        target = ctx.mul(self._neg_half, b)
-        x = self._solver.solve(list(ctx.digits(target)))
-        if x is None:
-            result = None
-        else:
-            for col, vec in self._ker_echelon:
-                c = x[col]
-                if c:
-                    x = [(xi - c * vi) % p for xi, vi in zip(x, vec)]
-            result = ctx._encode(x)
-        self._xb_cache[b] = result
-        return result
+        row = self._solve_row(b)
+        m = self.ctx.m
+        return None if any(row[m:]) else self.ctx._encode(row[:m])
 
     def f_at_xb(self, b: int) -> int | None:
-        """f(solve_xb(b)), or None when b lies outside Im(L); cached, and
-        read off solution_tables() once they exist."""
+        """f(solve_xb(b)), or None when b lies outside Im(L); read off
+        solution_tables() once they exist."""
         self._check_element(b)
         if self._f_xb_table is not None:
             fb = int(self._f_xb_table[b])
             return None if fb < 0 else fb
-        if b not in self._f_xb_cache:
-            xb = self.solve_xb(b)
-            self._f_xb_cache[b] = None if xb is None else self.f.evaluate(xb)
-        return self._f_xb_cache[b]
+        xb = self.solve_xb(b)
+        return None if xb is None else self.f.evaluate(xb)
 
     def solution_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(xb, fxb): xb[b] = solve_xb(b) as an int32 encoding and
         fxb[b] = f(x_b) as int8, both -1 for b outside Im(L), for every b
         in GF(q); built on the first call, from one product of the field's
-        digit matrix.
+        digit matrix with [S | Y].
 
-        Every step of the solver is linear in digits(b), so it folds into
-        one m x m matrix: with T the solver's row transform and
-        TB = digits(b) T^T (mod p), b lies in Im(L) iff TB[rank:] = 0, and
-        then x_b has the digits -TB[:rank]/2 at the solver's pivot columns
-        and 0 elsewhere, after which each pivot digit of the kernel
-        echelon basis is zeroed, as solve_xb does, which gives the coset's
-        smallest encoding.
+        The same product keeps, for beta_classes and in_shifted_image,
+        each b's syndrome code (int32, 0 iff b is in Im(L)) and
+        Q(X(b)) = X(b) G X(b)^T (int8) with G the Gram matrix, which is
+        f(x_b) for b in Im(L).
         """
         if self._xb_table is None:
             ctx = self.ctx
             p, m = ctx.p, ctx.m
-            solver = self._solver
-            transform = np.asarray(solver.transform, dtype=np.int64).reshape(m, m)
-            solve = np.zeros((m, m), dtype=np.int64)
-            solve[:, solver.pivots] = transform[:solver.rank].T * ((p - 1) // 2) % p
-            for col, vec in self._ker_echelon:
-                solve = (solve - np.outer(solve[:, col], vec)) % p
-            rows = ctx.digits_matrix() @ np.hstack([solve, transform[solver.rank:].T])
+            rows = ctx.digits_matrix() @ self._solve
             rows %= p
             x = rows[:, :m]
-            outside = rows[:, m:].any(axis=1)
+            syn = rows[:, m:] @ ctx._place[:m - self.rank]
+            outside = syn != 0
             xg = x @ np.asarray(self.gram, dtype=np.int64)
             xg *= x
-            fx = xg.sum(axis=1) % p
+            qx = xg.sum(axis=1) % p
             del xg
             xb = x @ ctx._place
             xb[outside] = -1
-            fx[outside] = -1
             self._xb_table = xb.astype(np.int32)
-            self._f_xb_table = fx.astype(np.int8)
+            self._qx_table = qx.astype(np.int8)
+            qx[outside] = -1
+            self._f_xb_table = qx.astype(np.int8)
+            self._syn_table = syn.astype(np.int32)
         return self._xb_table, self._f_xb_table
 
     def beta_classes(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,26 +369,38 @@ class FormAnalysis:
         when no z0 exists.  There are at most p^2 + 1 classes, and
         S5(alpha, beta) is a function of the key alone, across every alpha
         of the form.
+
+        Outside Im(L), z0 is the z with syn(beta) = syn(alpha)/z, read
+        from a lookup indexed by syndrome code, and f' = Q(X(alpha) - z0
+        X(beta)) = Q(X(alpha)) - 2 z0 B(X(alpha), X(beta)) + z0^2 Q(X(beta))
+        with B(u, v) = u G v^T, which is digits(beta) . (S G X(alpha)^T).
         """
         self._check_element(alpha)
         ctx = self.ctx
-        p = ctx.p
+        p, m = ctx.p, ctx.m
         xb, fxb = self.solution_tables()
-        fx = fxb.astype(np.int64)  # z p + f' passes the int8 range past p = 11
         outside = p * p
-        fa = int(fx[alpha])
+        fa = int(fxb[alpha])
         if fa >= 0:
+            fx = fxb[1:].astype(np.int64)  # z p + f' passes the int8 range past p = 11
             tr = ctx.trace_mul_all(int(xb[alpha]))[1:]
-            key = np.where(fx[1:] < 0, outside, fx[1:] * p + tr)
+            key = np.where(fx < 0, outside, fx * p + tr)
             key += (1 + fa) * (outside + 1)
         else:
-            digits = ctx.digits_matrix()[1:]
-            da = ctx._row(alpha)
-            key = np.full(ctx.q - 1, outside, dtype=np.int64)
-            for z in range(1, p):
-                fprime = fx[(da - z * digits) % p @ ctx._place]
-                hit = fprime >= 0
-                key[hit] = z * p + fprime[hit]
+            digits = ctx.digits_matrix()
+            row = digits[alpha] @ self._solve % p
+            xa, sa = row[:m], row[m:]
+            # w syn(alpha) is syn(beta) for z0 = 1/w
+            ws = np.arange(1, p, dtype=np.int64)
+            lookup = np.zeros(p ** sa.size, dtype=np.int64)
+            lookup[np.outer(ws, sa) % p @ ctx._place[:sa.size]] = [
+                pow(w, -1, p) for w in range(1, p)]
+            z0 = lookup[self._syn_table[1:]]
+            gxa = np.asarray(self.gram, dtype=np.int64) @ xa % p
+            cross = digits[1:] @ (self._solve[:, :m] @ gxa % p) % p
+            fprime = (int(self._qx_table[alpha]) - 2 * z0 * cross
+                      + z0 * z0 * self._qx_table[1:]) % p
+            key = np.where(z0 > 0, z0 * p + fprime, outside)
         keys, first, cls = np.unique(key, return_index=True, return_inverse=True)
         return keys, cls.reshape(-1), first + 1
 
@@ -416,20 +441,24 @@ class FormAnalysis:
     def in_shifted_image(self, alpha: int, beta: int) -> int | None:
         """The unique z in GF(p)* with alpha - z*beta in Im(L), if any.
 
-        Requires alpha outside Im(L) and beta nonzero; at most one such z
-        exists, and the caller may then solve L(x') = -(alpha - z*beta)/2.
+        Requires alpha outside Im(L) and beta nonzero.  z is the ratio
+        syn(alpha) = z syn(beta), which is unique since syn(alpha) != 0;
+        the caller may then solve L(x') = -(alpha - z*beta)/2.
         """
-        ctx = self.ctx
+        p = self.ctx.p
         self._check_element(beta)
-        if self.in_image(alpha):
+        self._check_element(alpha)
+        sa = self._syndrome(alpha)
+        if not any(sa):
             raise AlphaInImageError("alpha lies in Im(L); no shifted search applies")
         if beta == 0:
             raise PreconditionViolatedError("beta must be nonzero")
-        hits = [z for z in range(1, ctx.p)
-                if self.in_image(ctx.sub(alpha, ctx.scalar_mul(z, beta)))]
-        if len(hits) > 1:
-            raise QCodeError(f"shifted-image z is not unique: {hits}")
-        return hits[0] if hits else None
+        sb = self._syndrome(beta)
+        i = next(j for j, s in enumerate(sa) if s)
+        if not sb[i]:
+            return None
+        z = sa[i] * pow(sb[i], -1, p) % p
+        return z if all(s == z * t % p for s, t in zip(sa, sb)) else None
 
     def __repr__(self) -> str:
         return (f"FormAnalysis(rank={self.rank}, sign={self.sign}, "

@@ -44,7 +44,6 @@ from qcode.errors import (
     PreconditionViolatedError,
 )
 from qcode.field import eta_bar
-from qcode.linalg import LinearSolver
 from qcode.quadform import (
     QuadraticFunction,
     analyze,
@@ -622,19 +621,27 @@ def test_image_draws_and_scans_call_neither_l_nor_the_solver(monkeypatch):
 
 
 def test_solving_draws_and_scans_never_run_the_solver(monkeypatch):
-    """Ids 5, 9-11 and 13-15 read x_b and f(x_b) off the solution tables,
-    which the sweep builds first, so LinearSolver.solve never runs, in
-    random draws and in the branch-fill scan alike."""
+    """Ids 5, 9-11 and 13-15 read x_b, f(x_b) and syndromes off the
+    solution tables, which the sweep builds first, so the scalar
+    per-element solve (a digit row times the solve matrix, _solve_row)
+    never runs, in random draws and in the branch-fill scan alike."""
 
     def fresh_pool():
         rng = random.Random(3)
-        return [counting.FormAnalysis(an.f)  # no tables, no memos
+        return [counting.FormAnalysis(an.f)  # no tables
                 for an in analysis_pool(3, 3, rng) + analysis_pool(5, 2, rng)]
 
     def refuse(*_):
-        raise AssertionError("LinearSolver.solve called in a registry sweep")
+        raise AssertionError("scalar solve called in a registry sweep")
 
-    monkeypatch.setattr(LinearSolver, "solve", refuse)
+    monkeypatch.setattr(counting.FormAnalysis, "_solve_row", refuse)
+    # control: without tables, solve_xb and in_shifted_image run it
+    an = fresh_pool()[2]
+    outside = next(b for b in range(1, an.ctx.q) if an.solution_tables()[0][b] < 0)
+    for call in (lambda: counting.FormAnalysis(an.f).solve_xb(1),
+                 lambda: counting.FormAnalysis(an.f).in_shifted_image(outside, 1)):
+        with pytest.raises(AssertionError, match="scalar solve"):
+            call()
     for lemma_id in (5, 9, 10, 11, 13, 14, 15):
         drawn = sweep_one_lemma(lemma_id, fresh_pool(), trials=40, seed=1)
         scanned = sweep_one_lemma(lemma_id, fresh_pool(), trials=0, seed=1)

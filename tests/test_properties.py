@@ -1,8 +1,8 @@
 """Property tests: the weight routes agree on drawn codes, integer CycNum
 arithmetic agrees with a Fraction-coordinate reference, the registry's
 histogram oracles and the closed S4 and S5 of ids 13-15 agree with per-x
-whole-field formulas, and the per-form alpha in Im(L) tables agree with L
-and the solver."""
+whole-field formulas, and the per-form solution and alpha in Im(L) tables
+agree with L and a search over GF(q)."""
 
 from fractions import Fraction
 from math import gcd
@@ -56,6 +56,15 @@ def test_naive_and_analytic_weights_agree(ds):
     assert _weights_naive(ds).tolist() == _weights_analytic(ds).tolist()
 
 
+def _irreducible_from(p, m, start):
+    """Low coefficients of the first monic irreducible polynomial of degree
+    m over GF(p) at or after the one numbered start, wrapping around."""
+    for k in range(start, start + p**m):
+        low = [k // p**j % p for j in range(m)]
+        if is_irreducible(low + [1], p):
+            return low
+
+
 @st.composite
 def codes_over_drawn_moduli(draw):
     """A code over GF(p^m) with a drawn irreducible modulus, from a
@@ -63,8 +72,8 @@ def codes_over_drawn_moduli(draw):
     half the draws where that is possible."""
     p, m = draw(st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
                                  (7, 2), (7, 3), (11, 2), (13, 2)]))
-    low = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
-    assume(is_irreducible(low + [1], p))
+    # rejecting reducible moduli would leave few draws of the larger fields
+    low = _irreducible_from(p, m, draw(st.integers(0, p**m - 1)))
     F = get_field(p, m, low + [1])
     kind = draw(st.sampled_from(("cor1", "trmv", "coeffs")))
     if kind == "cor1":
@@ -345,15 +354,6 @@ def _reference(lemma_id, params):
     return [_cyc(p, gv), int(np.sum(gv == t % p))]  # id 17
 
 
-def _irreducible_from(p, m, start):
-    """Low coefficients of the first monic irreducible polynomial of degree
-    m over GF(p) at or after the one numbered start, wrapping around."""
-    for k in range(start, start + p**m):
-        low = [k // p**j % p for j in range(m)]
-        if is_irreducible(low + [1], p):
-            return low
-
-
 def _image_element(draw, an):
     """alpha = -2 L(w) for a drawn w, so that w is a solution x_alpha; half
     the draws take w among the x with f(x) != 0, so that f(x_alpha) != 0."""
@@ -453,8 +453,7 @@ def fresh_analyses(draw, fields=IMAGE_FIELDS):
     """A fresh FormAnalysis (empty memos) of a preset, rank-one or raw
     form over a drawn field and modulus."""
     p, m = draw(st.sampled_from(fields))
-    low = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
-    assume(is_irreducible(low + [1], p))
+    low = _irreducible_from(p, m, draw(st.integers(0, p**m - 1)))
     F = get_field(p, m, low + [1])
     kind = draw(st.sampled_from(("cor1", "trmv", "rank1", "coeffs")))
     v = draw(st.integers(1, F.q - 1))
@@ -473,15 +472,19 @@ def fresh_analyses(draw, fields=IMAGE_FIELDS):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(fresh_analyses())
-def test_image_tables_match_l_and_the_solver(an):
+def test_image_tables_match_l_and_the_solver(brute, an):
+    # f(x_alpha) from the search over GF(q), which the scalar solve of a
+    # fresh analysis (no tables) matches
     F = an.ctx
     alphas, fw = an.image_tables()
     assert alphas.dtype == np.int32 and fw.dtype == np.int8
-    scalar = FormAnalysis(an.f)  # no tables: solve_xb runs the solver
+    ref = brute(an)
+    scalar = FormAnalysis(an.f)
     for w in F.elements():
         alpha = an.image_draw(w)
         assert alpha == F.neg(F.scalar_mul(2, an.l_apply(w))), w
-        assert int(fw[w]) == an.f.evaluate(scalar.solve_xb(alpha)), w
+        assert int(fw[w]) == ref.f_xb(alpha), w
+        assert scalar.solve_xb(alpha) == ref.xb(alpha), w
         assert an.f_at_xb(alpha) == fw[w]
     assert scalar._xb_table is None
 
@@ -493,18 +496,23 @@ SOLUTION_FIELDS = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(fresh_analyses(SOLUTION_FIELDS))
-def test_solution_tables_match_the_scalar_solver(an):
+def test_solution_tables_match_the_scalar_solver(brute, an):
+    # x_b and f(x_b) from the search over GF(q); the tables and the scalar
+    # solve of a fresh analysis (no tables) both match it
     F = an.ctx
-    scalar = FormAnalysis(an.f)  # no tables: solve_xb runs the solver
+    ref = brute(an)
+    scalar = FormAnalysis(an.f)
     xb, fxb = an.solution_tables()
     assert xb.dtype == np.int32 and fxb.dtype == np.int8
     assert xb.shape == fxb.shape == (F.q,)
     for b in F.elements():
-        want = scalar.solve_xb(b)
+        want = ref.xb(b)
+        assert scalar.solve_xb(b) == want, b
+        assert scalar.f_at_xb(b) == ref.f_xb(b), b
         assert an.solve_xb(b) == want, b
         if want is None:
             assert xb[b] == fxb[b] == -1 and an.f_at_xb(b) is None, b
         else:
-            assert xb[b] == want and fxb[b] == an.f.evaluate(want), b
+            assert xb[b] == want and fxb[b] == ref.f_xb(b), b
             assert an.f_at_xb(b) == fxb[b]
     assert scalar._xb_table is None

@@ -418,22 +418,37 @@ def _deficient_analysis(F):
         F, next(x for x in F.nonzero_elements() if F.trace(F.mul(x, x)))))
 
 
+def _rank_one_analyses():
+    # m - 1 = 2 syndrome columns, where a ratio read off one coordinate
+    # alone would give a z0 for beta whose syndrome is not a multiple
+    out = []
+    for p, m in [(5, 3), (7, 3)]:
+        F = get_field(p, m)
+        v = next(x for x in F.nonzero_elements() if F.trace(F.mul(x, x)))
+        out.append(analyze(_rank_one_form(F, v)))
+    return out
+
+
+def _shifted_image_analyses():
+    return [_deficient_analysis(get_field(3, 4))] + _rank_one_analyses()
+
+
 def test_shifted_image_exact_multiple():
-    F = get_field(3, 4)
-    an = _deficient_analysis(F)
-    alpha = next(a for a in F.nonzero_elements() if not an.in_image(a))
-    for zprime in range(1, F.p):
-        beta = F.scalar_mul(zprime, alpha)
-        z0 = an.in_shifted_image(alpha, beta)
-        assert z0 == pow(zprime, F.p - 2, F.p)
+    for an in _shifted_image_analyses():
+        F = an.ctx
+        alpha = next(a for a in F.nonzero_elements() if not an.in_image(a))
+        for zprime in range(1, F.p):
+            beta = F.scalar_mul(zprime, alpha)
+            z0 = an.in_shifted_image(alpha, beta)
+            assert z0 == pow(zprime, F.p - 2, F.p)
 
 
 def test_shifted_image_absent_for_image_beta():
-    F = get_field(3, 4)
-    an = _deficient_analysis(F)
-    alpha = next(a for a in F.nonzero_elements() if not an.in_image(a))
-    beta = next(b for b in F.nonzero_elements() if an.in_image(b))
-    assert an.in_shifted_image(alpha, beta) is None
+    for an in _shifted_image_analyses():
+        F = an.ctx
+        alpha = next(a for a in F.nonzero_elements() if not an.in_image(a))
+        beta = next(b for b in F.nonzero_elements() if an.in_image(b))
+        assert an.in_shifted_image(alpha, beta) is None
 
 
 def test_shifted_image_preconditions():
@@ -466,36 +481,44 @@ def test_out_of_range_encodings_are_refused(tables):
             an.in_shifted_image(outside, bad)
 
 
-def test_shifted_image_unique_z_seeded():
+def test_shifted_image_unique_z_seeded(brute):
+    # hits from the search over GF(q), against a fresh analysis (syndromes
+    # from one digit row) and one with tables (syndromes decoded from them)
     rng = random.Random(100)
-    F = get_field(3, 4)
-    an = _deficient_analysis(F)
-    outside = [a for a in F.nonzero_elements() if not an.in_image(a)]
-    for _ in range(100):
-        alpha = outside[rng.randrange(len(outside))]
-        beta = rng.randrange(1, F.q)
-        hits = [z for z in range(1, F.p)
-                if an.in_image(F.sub(alpha, F.scalar_mul(z, beta)))]
-        assert len(hits) <= 1
-        assert an.in_shifted_image(alpha, beta) == (hits[0] if hits else None)
+    for base in _shifted_image_analyses():
+        F = base.ctx
+        ref = brute(base)
+        fresh, tabled = FormAnalysis(base.f), FormAnalysis(base.f)
+        tabled.solution_tables()
+        outside = [a for a in F.nonzero_elements() if not ref.in_image(a)]
+        for _ in range(100):
+            alpha = outside[rng.randrange(len(outside))]
+            beta = rng.randrange(1, F.q)
+            hits = [z for z in range(1, F.p)
+                    if ref.in_image(F.sub(alpha, F.scalar_mul(z, beta)))]
+            assert len(hits) <= 1
+            for an in (fresh, tabled):
+                assert an.in_shifted_image(alpha, beta) == (hits[0] if hits else None)
+        assert fresh._xb_table is None
 
 
 # ---------------------------------------------------------------------------
 # beta classes
 # ---------------------------------------------------------------------------
 
-def test_beta_classes_read_the_scalar_invariants():
+def test_beta_classes_read_the_scalar_invariants(brute):
     # every (alpha, beta): the key is f(x_b) p + Tr(alpha x_b), or p^2, plus
     # (1 + f(x_alpha)) (p^2 + 1) for alpha in Im(L), and z0 p +
-    # f(x_(alpha - z0 beta)), or p^2, outside it, as the scalar solvers of a
-    # fresh analysis give them (beta_classes builds the tables on an, which
-    # an's own solvers would then read); reps are each class's first beta
+    # f(x_(alpha - z0 beta)), or p^2, outside it, as the search over GF(q)
+    # gives them; the scalar solves of a fresh analysis, which builds no
+    # tables, agree with the search; reps are each class's first beta
     rng = random.Random(41)
     pool = [an for p, m in [(3, 2), (3, 3), (5, 2), (3, 4)]
             for an in analysis_pool(p, m, rng, extra=1)]
     for an in pool:
         F = an.ctx
         p = F.p
+        ref = brute(an)
         scalar = FormAnalysis(an.f)
         for alpha in F.elements():
             keys, cls, reps = an.beta_classes(alpha)
@@ -503,36 +526,45 @@ def test_beta_classes_read_the_scalar_invariants():
             assert reps.tolist() == [1 + int(np.flatnonzero(cls == c)[0])
                                      for c in range(len(keys))]
             got = keys[cls].tolist()
+            assert scalar.solve_xb(alpha) == ref.xb(alpha), (an, alpha)
+            assert scalar.f_at_xb(alpha) == ref.f_xb(alpha), (an, alpha)
             for beta in F.nonzero_elements():
-                if scalar.in_image(alpha):
-                    xb = scalar.solve_xb(beta)
+                if ref.in_image(alpha):
+                    xb = ref.xb(beta)
                     want = (p * p if xb is None else
-                            scalar.f_at_xb(beta) * p + F.trace(F.mul(alpha, xb)))
-                    want += (1 + scalar.f_at_xb(alpha)) * (p * p + 1)
+                            ref.f_xb(beta) * p + F.trace(F.mul(alpha, xb)))
+                    want += (1 + ref.f_xb(alpha)) * (p * p + 1)
                 else:
-                    z0 = scalar.in_shifted_image(alpha, beta)
-                    want = (p * p if z0 is None else z0 * p + scalar.f_at_xb(
+                    z0 = ref.z0(alpha, beta)
+                    assert scalar.in_shifted_image(alpha, beta) == z0
+                    want = (p * p if z0 is None else z0 * p + ref.f_xb(
                         F.sub(alpha, F.scalar_mul(z0, beta))))
                 assert got[beta - 1] == want, (an, alpha, beta)
         assert scalar._xb_table is None
 
 
-def test_beta_classes_outside_image_split_by_z0():
+def test_beta_classes_outside_image_split_by_z0(brute):
     # alpha outside Im(L) reaches both the no-z0 class and classes with z0;
-    # at p = 13 the key z0 p + f' reaches 168, past the int8 tables' range
-    for p, m in [(3, 4), (5, 3), (7, 2), (13, 2)]:
-        F = get_field(p, m)
-        an = _deficient_analysis(F)
+    # at p = 13 the key z0 p + f' reaches 168, past the int8 tables' range;
+    # z0 and f' from the search over GF(q), which a fresh analysis's
+    # scalar z0 matches
+    cases = [_deficient_analysis(get_field(p, m))
+             for p, m in [(3, 4), (5, 3), (7, 2), (13, 2)]]
+    for an in cases + _rank_one_analyses():
+        F = an.ctx
+        p, m = F.p, F.m
+        ref = brute(an)
         scalar = FormAnalysis(an.f)
         kinds = set()
-        for alpha in (a for a in F.nonzero_elements() if not scalar.in_image(a)):
+        for alpha in (a for a in F.nonzero_elements() if not ref.in_image(a)):
             keys, _, reps = an.beta_classes(alpha)
             for key, beta in zip(keys.tolist(), reps.tolist()):
-                z0 = scalar.in_shifted_image(alpha, beta)
+                z0 = ref.z0(alpha, beta)
+                assert scalar.in_shifted_image(alpha, beta) == z0
                 assert (z0 is None) == (key == p * p)
                 if z0 is not None:
                     assert key // p == z0
-                    assert key % p == scalar.f_at_xb(
+                    assert key % p == ref.f_xb(
                         F.sub(alpha, F.scalar_mul(z0, beta)))
                 kinds.add(z0 is None)
         assert kinds == {True, False}, (p, m)
