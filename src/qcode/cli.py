@@ -201,9 +201,9 @@ def cmd_lemmas(args) -> int:
         raise QCodeError("--seed and --trials are required for lemmas")
     if args.trials < 1:
         raise QCodeError(f"--trials must be positive, got {args.trials}")
-    ids = (args.lemma,) if args.lemma else IDENTITY_IDS
-    if args.lemma and args.lemma not in IDENTITY_IDS:
+    if args.lemma is not None and args.lemma not in IDENTITY_IDS:
         raise QCodeError(f"--lemma must be one of {list(IDENTITY_IDS)}")
+    ids = IDENTITY_IDS if args.lemma is None else (args.lemma,)
     workers = worker_count()
     report = lemma_sweep([(args.p, args.m)], trials=args.trials,
                          seed=args.seed, lemma_ids=ids, workers=workers)

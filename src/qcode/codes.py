@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import predict_hyperplane_root_count, predict_root_count
+from .counting import (
+    check_brute_cap,
+    predict_hyperplane_root_count,
+    predict_root_count,
+)
 from .errors import (
     DimensionCollapseError,
     EmptyDefiningSetError,
@@ -115,8 +119,6 @@ class WeightDistribution:
 def defining_set(analysis: FormAnalysis, alpha: int) -> DefiningSet:
     """Materialize D, sorted ascending, with its size cross-checked
     against the closed-form solution count."""
-    from .counting import check_brute_cap
-
     check_brute_cap(analysis.ctx)
     ctx = analysis.ctx
     fv = analysis.f.values()

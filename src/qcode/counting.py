@@ -25,25 +25,25 @@ Each closed form has one source.  Most are instances of one quadratic
 Gauss-sum evaluation: a rank-k, sign-s form on GF(p)^m has phase sum
 Phi(k, s) = s p^m (p*)^(-k/2) (phase_sum), rational Galois-unit sums
 U(k, s, z) (unit_sum), and level counts N(k, s, t) = p^(m-1) + U(k, s, -t)/p
-(level_count).  Phi gives ids 5, 6, 13 and the S2 of id 10; U gives the
-S3 of id 10, id 8 and the on-plane rows of id 19; N gives id 7 and
-root_count_closed (id 9, predict_root_count, predict_length); ids 16 and
-17 are Phi, U and N of the deflated form (rank r - 1, sign
-s eta_bar(-f(x_alpha))).  A count on the hyperplane Tr(beta x) = 0 is
-p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11, and for id 15 and
-predict_hyperplane_root_count the S5 of id 14 (_s5_closed), which build
-evaluates once per beta class (FormAnalysis.beta_classes), not once per beta.
-S4 (id 13) is c Phi(k, s') zeta^z on every branch, so one case tree
-(_s4_terms) gives S4 and S5 = c U(k, s', z) both.  Id 18 keeps its own
-case tree (_partition_counts).
+(level_count).  Phi gives ids 5 and 6; U gives id 8 and the on-plane rows
+of id 19; N gives id 7 and root_count_closed (id 9, predict_root_count,
+predict_length); ids 16 and 17 are Phi, U and N of the deflated form
+(rank r - 1, sign s eta_bar(-f(x_alpha))).  The sums over the pencil
+alpha - z beta have one case tree (_s4_terms): S4 (id 13) is
+c Phi(k, s') zeta^z on every branch, and S5 (id 14), its Galois-unit sum,
+is c U(k, s', z).  S2 and S3 (id 10) are S4 and S5 at alpha = 0.  A count
+on the hyperplane Tr(beta x) = 0 is p^(m-2) + S/p^2 for a Galois-unit sum
+S: S3 for id 11, and S5 for id 15 and predict_hyperplane_root_count, which
+build evaluates once per beta class (FormAnalysis.beta_classes), not once
+per beta.  Id 18 keeps its own case tree (_partition_counts).
 
 Every closed side is split in two: reading the invariants of its draw,
 f(x_alpha), f(x_beta), Tr(alpha x_beta), z0 and f' (FormAnalysis.f_at_xb,
 solve_xb and in_shifted_image, which a sweep reads off the form's solution
 tables: x_b, f(x_b) and the syndromes whose ratio is z0), and a function
 of those plain integers and (p, m, rank, sign) that returns (value,
-label): phase_sum, unit_sum, level_count, _s23_case (S2, S3), _s4_case
-and _s5_case (both from _s4_terms), _partition_counts and
+label): phase_sum, unit_sum, level_count, _pencil_case (S4 and S5, and
+at alpha = 0 S2 and S3, from one memo), _partition_counts and
 _square_class_rows.  These are memoised, so a sweep evaluates each case
 once.
 
@@ -195,7 +195,7 @@ def predict_root_count(an: FormAnalysis, alpha: int) -> int:
 def predict_hyperplane_root_count(an: FormAnalysis, alpha: int, beta: int) -> int:
     """Number of x with f(x) - Tr(alpha x) = 0 and Tr(beta x) = 0:
     p^(m-2) + S5/p^2, with S5 = c U(k, s', z) from S4's terms."""
-    return _count_from_sum(an.ctx.p, an.ctx.m, _s5_closed(an, alpha, beta)[0])
+    return _count_from_sum(an.ctx.p, an.ctx.m, _pencil_closed(an, alpha, beta)[2])
 
 
 def _count_from_sum(p: int, m: int, total: Fraction) -> int:
@@ -226,31 +226,43 @@ def _pair_invariants(an: FormAnalysis, alpha: int, beta: int) -> tuple:
     return fa, an.f_at_xb(beta), ctx.trace(ctx.mul(alpha, xb)), None
 
 
-def _s4_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[CycNum, str]:
-    """Closed form of sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x))
-    and its branch (_s4_case)."""
-    return _s4_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
-                    *_pair_invariants(an, alpha, beta))
+def _pencil_closed(an: FormAnalysis, alpha: int,
+                   beta: int) -> tuple[CycNum, str, Fraction, str]:
+    """S4 and its branch, S5 and its finest label (_pencil_case), for
+    sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x)) and its Galois-unit
+    sum."""
+    return _pencil_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
+                        *_pair_invariants(an, alpha, beta))
 
 
 @lru_cache(maxsize=None)
-def _s4_case(p: int, m: int, r: int, s: int, fa: int | None, fb: int | None,
-             tab: int | None, fprime: int | None) -> tuple[CycNum, str]:
-    """S4 = c Phi(k, s') zeta^z from its terms (_s4_terms), and its branch."""
+def _pencil_case(p: int, m: int, r: int, s: int, fa: int | None,
+                 fb: int | None, tab: int | None,
+                 fprime: int | None) -> tuple[CycNum, str, Fraction, str]:
+    """(S4, its branch, S5, its finest label) from S4's terms (_s4_terms):
+    S4 = c Phi(k, s') zeta^z and S5 = sum_y sigma_y(S4) = c U(k, s', z),
+    both zero where the terms are None.  Ids 14 and 15 coarsen the label
+    through _S5_LABELS."""
     branch, terms = _s4_terms(p, r, s, fa, fb, tab, fprime)
-    if terms is None:
-        return CycNum.zero(p), branch
-    c, k, s_k, z = terms
-    return phase_sum(p, m, k, s_k).scale(c) * CycNum.zeta_pow(p, z), branch
+    s4, s5, z = CycNum.zero(p), Fraction(0), None
+    if terms is not None:
+        c, k, s_k, z = terms
+        s4 = phase_sum(p, m, k, s_k).scale(c) * CycNum.zeta_pow(p, z)
+        s5 = c * unit_sum(p, m, k, s_k, z)
+    if fa is None:
+        end = "out" if z is None else "fnz" if z else "f0"
+        return s4, branch, s5, ("II:even:", "II:odd:")[r % 2] + end
+    row = branch + ":z0" if branch == "I:in:nonzero" and z == 0 else branch
+    col = 2 * (r % 2) + (fa != 0)
+    return (s4, branch, s5,
+            f"I:{('ez', 'en', 'oz', 'on')[col]}:{_S5_SUFFIX[row][col]}")
 
 
 def _s4_terms(p: int, r: int, s: int, fa: int | None, fb: int | None,
               tab: int | None, fprime: int | None) -> tuple[str, tuple | None]:
     """S4's branch and its terms (c, k, s', z), with S4 = c Phi(k, s') zeta^z,
     from the rank r and sign s of f and the invariants of _pair_invariants;
-    None for the terms where S4 is zero.  S4 and S5 both read these, so
-    they share one case tree; both memoise on the same key, so this does
-    not."""
+    None for the terms where S4 is zero."""
     if fa is None:
         if fprime is None:
             return "II:outside_union", None
@@ -262,32 +274,6 @@ def _s4_terms(p: int, r: int, s: int, fa: int | None, fb: int | None,
     if fb == 0:
         return "I:in:zero_nonzero", None
     return "I:in:nonzero", (1, r - 1, s * eta_bar(-fb, p), _aux_e(p, fa, fb, tab))
-
-
-def _s5_closed(an: FormAnalysis, alpha: int, beta: int) -> tuple[Fraction, str]:
-    """S5, the Galois-unit sum of S4, and its branch (_s5_case)."""
-    return _s5_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
-                    *_pair_invariants(an, alpha, beta))
-
-
-@lru_cache(maxsize=None)
-def _s5_case(p: int, m: int, r: int, s: int, fa: int | None, fb: int | None,
-             tab: int | None, fprime: int | None) -> tuple[Fraction, str]:
-    """S5 = sum_y sigma_y(S4) = c U(k, s', z) from S4's terms (_s4_terms),
-    zero where S4 is, and its finest label: ids 14 and 15 coarsen it
-    through _S5_LABELS."""
-    branch, terms = _s4_terms(p, r, s, fa, fb, tab, fprime)
-    value, z = Fraction(0), None
-    if terms is not None:
-        c, k, s_k, z = terms
-        value = c * unit_sum(p, m, k, s_k, z)
-    if fa is None:
-        end = "out" if z is None else "fnz" if z else "f0"
-        return value, ("II:even:", "II:odd:")[r % 2] + end
-    if branch == "I:in:nonzero" and z == 0:
-        branch += ":z0"
-    col = 2 * (r % 2) + (fa != 0)
-    return value, f"I:{('ez', 'en', 'oz', 'on')[col]}:{_S5_SUFFIX[branch][col]}"
 
 
 # S5's finest label for alpha in Im(L) is I:<e|o><z|n>:<suffix>, for the
@@ -631,41 +617,38 @@ def _brute_9(params: LemmaParams, memo=None) -> list:
     return [int(np.trace(_histogram(params.analysis, params.alpha)))]
 
 
-def _s2_s3(an: FormAnalysis, beta: int) -> tuple[CycNum, str, Fraction, str]:
-    """S2 and S3 with their branches (_s23_case), from f(x_beta)."""
+# S4's branches at alpha = 0, where f(x_alpha) = Tr(alpha x_beta) = 0, as
+# the labels of S2 = S4(0, beta) and S3 = S5(0, beta) (ids 10 and 11)
+_S23_LABELS = {"I:outside_beta": "outside", "I:in:zero_zero": "in_zero",
+               "I:in:nonzero": "in_nonzero"}
+
+
+def _s23_closed(an: FormAnalysis,
+                beta: int) -> tuple[CycNum, str, Fraction, str]:
+    """S2 and S3 with their branches (_pencil_at_zero), from f(x_beta)."""
     if beta == 0:
         raise PreconditionViolatedError("beta must be nonzero")
-    return _s23_case(an.ctx.p, an.ctx.m, an.rank, an.sign, an.f_at_xb(beta))
+    return _pencil_at_zero(an.ctx.p, an.ctx.m, an.rank, an.sign,
+                           an.f_at_xb(beta))
 
 
-@lru_cache(maxsize=None)
-def _s23_case(p: int, m: int, r: int, s: int,
-              fb: int | None) -> tuple[CycNum, str, Fraction, str]:
-    """(S2, its branch, S3, its branch) for f of rank r and sign s and
-    fb = f(x_beta), None outside Im(L).  S2 = c Phi(k, s'), with (k, s', c)
-    = (r, s, 1) outside Im(L), (r, s, p) at fb = 0, else
-    (r - 1, s eta_bar(-fb), 1); S3, its Galois-unit sum, is c U(k, s', 0)."""
-    if fb is None:
-        k, s2, c, branch = r, s, 1, "outside"
-    elif fb == 0:
-        k, s2, c, branch = r, s, p, "in_zero"
-    else:
-        k, s2, c, branch = r - 1, s * eta_bar(-fb, p), 1, "in_nonzero"
+def _pencil_at_zero(p: int, m: int, r: int, s: int,
+                    fb: int | None) -> tuple[CycNum, str, Fraction, str]:
+    """(S2, its branch, S3, its branch) as S4 and S5 at alpha = 0, for f of
+    rank r and sign s.  There f(x_alpha) = Tr(alpha x_beta) = 0, so beta
+    enters only through fb = f(x_beta), None outside Im(L)."""
+    s2, branch, s3, _ = _pencil_case(p, m, r, s, 0, fb,
+                                     None if fb is None else 0, None)
+    label = _S23_LABELS[branch]
     parity = "even" if r % 2 == 0 else "odd"
-    return (phase_sum(p, m, k, s2).scale(c), f"S2:{branch}",
-            c * unit_sum(p, m, k, s2, 0), f"{parity}:{branch}")
-
-
-def _s3(an: FormAnalysis, beta: int) -> tuple[Fraction, str]:
-    """S3, the Galois-unit sum of S2: c U(k, s', 0)."""
-    return _s2_s3(an, beta)[2:]
+    return s2, f"S2:{label}", s3, f"{parity}:{label}"
 
 
 def _closed_10(params: LemmaParams) -> list:
     """The three sums S1, S2, S3 over scalar multiples of Tr(beta x)."""
     _need(params, "analysis", "beta")
     an = params.analysis
-    s2, s2_branch, s3, s3_branch = _s2_s3(an, params.beta)
+    s2, s2_branch, s3, s3_branch = _s23_closed(an, params.beta)
     return [("S1", an.ctx.q, None), (s2_branch, s2, None),
             (f"S3:{s3_branch}", s3, None)]
 
@@ -691,7 +674,7 @@ def _closed_11(params: LemmaParams) -> list:
     p^(m-2) + S3/p^2, with S3 from id 10."""
     _need(params, "analysis", "beta")
     an = params.analysis
-    s3, branch = _s3(an, params.beta)
+    _, _, s3, branch = _s23_closed(an, params.beta)
     return [(branch, _count_from_sum(an.ctx.p, an.ctx.m, s3), None)]
 
 
@@ -707,7 +690,8 @@ def _s4_exponents(p: int, f, a, b) -> np.ndarray:
 def _closed_13(params: LemmaParams) -> list:
     """The sum S4 over the pencil of shifts alpha - beta z."""
     _need(params, "analysis", "alpha", "beta")
-    closed, branch = _s4_closed(params.analysis, params.alpha, params.beta)
+    closed, branch, _, _ = _pencil_closed(params.analysis, params.alpha,
+                                          params.beta)
     note = None
     if branch == "II:in_union":
         note = ("x' read as the solution of L(x') = -(alpha - beta z0)/2; "
@@ -726,8 +710,8 @@ def _s4_readout(params: LemmaParams, memo) -> _Readout:
 def _closed_14(params: LemmaParams) -> list:
     """S5: the Galois-unit sum of S4."""
     _need(params, "analysis", "alpha", "beta")
-    s5, branch = _s5_closed(params.analysis, params.alpha, params.beta)
-    return [(_S5_LABELS[14].get(branch, branch), s5, None)]
+    _, _, s5, label = _pencil_closed(params.analysis, params.alpha, params.beta)
+    return [(_S5_LABELS[14].get(label, label), s5, None)]
 
 
 def _brute_14(params: LemmaParams, memo=None) -> list:
@@ -739,8 +723,8 @@ def _closed_15(params: LemmaParams) -> list:
     p^(m-2) + S5/p^2, with S5 as id 14 evaluates it."""
     _need(params, "analysis", "alpha", "beta")
     an = params.analysis
-    s5, branch = _s5_closed(an, params.alpha, params.beta)
-    return [(_S5_LABELS[15].get(branch, branch),
+    _, _, s5, label = _pencil_closed(an, params.alpha, params.beta)
+    return [(_S5_LABELS[15].get(label, label),
              _count_from_sum(an.ctx.p, an.ctx.m, s5), None)]
 
 

@@ -191,7 +191,7 @@ class PredictionReport:
     case: CaseLabel
     n_predicted: int
     rows: dict[int, int]
-    computed: WeightDistribution | None
+    computed: WeightDistribution
     witnesses: list
 
     @property
@@ -199,7 +199,7 @@ class PredictionReport:
         return not self.witnesses
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "case": self.case.to_json(),
             "predicted": {
                 "length": self.n_predicted,
@@ -207,17 +207,8 @@ class PredictionReport:
             },
             "match": self.match,
             "witnesses": self.witnesses,
+            "computed": self.computed.to_json(),
         }
-        if self.computed is not None:
-            out["computed"] = self.computed.to_json()
-        return out
-
-
-def predict(an: FormAnalysis, alpha: int) -> PredictionReport:
-    case = classify(an, alpha)
-    n = predict_length(an, case)
-    rows = predict_distribution(an, case)
-    return PredictionReport(case, n, rows, None, [])
 
 
 def verify(an: FormAnalysis, alpha: int, mode: str = "both"

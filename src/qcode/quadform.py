@@ -14,6 +14,7 @@ exactly, and it reproduces (-1)^(m-1) eta(-u) for f = Tr(u x^2).
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 
@@ -28,7 +29,11 @@ class QuadraticFunction:
     """Coefficient list (a_0, ..., a_{m-1}) over GF(q) defining the form."""
 
     def __init__(self, ctx: ExtField, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        try:
+            coeffs = tuple(operator.index(c) for c in coeffs)
+        except TypeError:
+            raise PreconditionViolatedError(
+                "coefficient encodings must be integers") from None
         if len(coeffs) != ctx.m:
             raise PreconditionViolatedError(
                 f"need {ctx.m} coefficients, got {len(coeffs)}")

@@ -155,6 +155,8 @@ def test_verify_exit_codes(capsys, monkeypatch):
      "--alpha", "1"),
     ("predict", "--p", "3", "--m", "1000000", "--preset", "cor1:u=1",
      "--alpha", "1"),
+    ("lemmas", "--p", "3", "--m", "3", "--trials", "5", "--seed", "1",
+     "--lemma", "0"),
 ])
 def test_bad_configs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -26,9 +26,8 @@ from qcode.counting import (
     unit_sum,
     _closed_18,
     _partition_counts,
-    _s3,
-    _s4_closed,
-    _s5_closed,
+    _pencil_closed,
+    _s23_closed,
 )
 import qcode.counting as counting
 from qcode.cyclotomic import (
@@ -251,7 +250,7 @@ def _pair_invariant_tuples(p):
 def test_s5_from_s4_terms_matches_the_case_tree():
     # S5 = c U(k, s', z) on S4's terms, with its label from the suffix
     # table, against the case tree on every invariant tuple, rank and sign
-    derived = counting._s5_case.__wrapped__
+    derived = counting._pencil_case.__wrapped__
     labels = set()
     for p in (3, 5, 7, 11):
         tuples = list(_pair_invariant_tuples(p))
@@ -260,7 +259,7 @@ def test_s5_from_s4_terms_matches_the_case_tree():
                 for s in (1, -1):
                     for inv in tuples:
                         want = _s5_tree(p, m, r, s, *inv)
-                        got = derived(p, m, r, s, *inv)
+                        got = derived(p, m, r, s, *inv)[2:]
                         assert got == want and type(got[0]) is Fraction, (
                             p, m, r, s, inv)
                         labels.add(got[1])
@@ -268,6 +267,40 @@ def test_s5_from_s4_terms_matches_the_case_tree():
     for lemma_id in (14, 15):
         reported = {counting._S5_LABELS[lemma_id].get(b, b) for b in labels}
         assert set(REQUIRED_BRANCHES[lemma_id]) <= reported
+
+
+def _s23_tree(p, m, r, s, fb):
+    """(S2, its branch, S3, its branch) by the case tree they were once
+    transcribed as, kept as the oracle for S4 and S5 at alpha = 0."""
+    if fb is None:
+        k, s2, c, branch = r, s, 1, "outside"
+    elif fb == 0:
+        k, s2, c, branch = r, s, p, "in_zero"
+    else:
+        k, s2, c, branch = r - 1, s * eta_bar(-fb, p), 1, "in_nonzero"
+    parity = "even" if r % 2 == 0 else "odd"
+    return (phase_sum(p, m, k, s2).scale(c), f"S2:{branch}",
+            c * unit_sum(p, m, k, s2, 0), f"{parity}:{branch}")
+
+
+def test_s2_s3_from_the_pencil_at_alpha_zero_match_the_case_tree():
+    # S2 = S4(0, beta) and S3 = S5(0, beta) with their labels, against the
+    # case tree on every f(x_beta), rank and sign
+    labels_10, labels_11 = {"S1"}, set()
+    for p in (3, 5, 7, 11):
+        for m in range(1, 5):
+            for r in range(m + 1):
+                for s in (1, -1):
+                    for fb in (None, *range(p)):
+                        want = _s23_tree(p, m, r, s, fb)
+                        got = counting._pencil_at_zero(p, m, r, s, fb)
+                        assert got == want, (p, m, r, s, fb)
+                        assert type(got[0]) is CycNum, (p, m, r, s, fb)
+                        assert type(got[2]) is Fraction, (p, m, r, s, fb)
+                        labels_10 |= {got[1], f"S3:{got[3]}"}
+                        labels_11.add(got[3])
+    assert set(REQUIRED_BRANCHES[10]) <= labels_10
+    assert set(REQUIRED_BRANCHES[11]) <= labels_11
 
 
 def test_closed_forms_are_constant_on_beta_classes():
@@ -285,19 +318,17 @@ def test_closed_forms_are_constant_on_beta_classes():
         by_key = {}
         for alpha in F.elements():
             keys, cls, reps = an.beta_classes(alpha)
-            s5 = [_s5_closed(an, alpha, beta) for beta in reps.tolist()]
-            s4 = [_s4_closed(an, alpha, beta) for beta in reps.tolist()]
-            for key, value in zip(keys.tolist(), zip(s5, s4)):
+            s45 = [_pencil_closed(an, alpha, beta) for beta in reps.tolist()]
+            for key, value in zip(keys.tolist(), s45):
                 assert by_key.setdefault(key, value) == value
             for beta in F.nonzero_elements():
                 c = cls[beta - 1]
-                assert _s5_closed(an, alpha, beta) == s5[c]
-                assert _s4_closed(an, alpha, beta) == s4[c]
+                assert _pencil_closed(an, alpha, beta) == s45[c]
             outside += not an.in_image(alpha)
         _, cls, reps = an.beta_classes(0)
-        s3 = [_s3(an, beta) for beta in reps.tolist()]
+        s3 = [_s23_closed(an, beta)[2:] for beta in reps.tolist()]
         for beta in F.nonzero_elements():
-            assert _s3(an, beta) == s3[cls[beta - 1]]
+            assert _s23_closed(an, beta)[2:] == s3[cls[beta - 1]]
     assert outside
 
 
@@ -591,6 +622,13 @@ def test_sweep_is_deterministic():
     a = lemma_sweep([(3, 3)], trials=6, seed=77, lemma_ids=(9, 11))
     b = lemma_sweep([(3, 3)], trials=6, seed=77, lemma_ids=(9, 11))
     assert a == b
+
+
+def test_sweep_report_does_not_depend_on_workers():
+    # the worker pool sweeps each id in a process of its own, seeded per
+    # id; its report must equal the one-process report
+    pooled = lemma_sweep([(3, 2), (3, 3)], trials=20, seed=5, workers=2)
+    assert pooled == lemma_sweep([(3, 2), (3, 3)], trials=20, seed=5, workers=1)
 
 
 def test_sweep_covers_required_branches():

@@ -14,7 +14,6 @@ from qcode.errors import (
 from qcode.predictor import (
     classify,
     paper_examples,
-    predict,
     predict_distribution,
     predict_length,
     theorem_sweep,

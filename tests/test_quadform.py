@@ -575,6 +575,14 @@ def test_beta_classes_outside_image_split_by_z0(brute):
 # presets
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("coeffs", [[1.7, 0], [np.float64(1.0), 0], ["1", 0]])
+def test_quadratic_function_rejects_non_integer_coefficients(coeffs):
+    with pytest.raises(PreconditionViolatedError, match="integers"):
+        QuadraticFunction(get_field(3, 2), coeffs)
+    # integer types of any width are taken as they are
+    assert QuadraticFunction(get_field(3, 2), [np.int64(1), 0]).coeffs == (1, 0)
+
+
 def test_preset_cor1_rejects_zero():
     with pytest.raises(PreconditionViolatedError):
         preset_cor1(get_field(3, 2), 0)
