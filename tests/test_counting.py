@@ -624,9 +624,11 @@ def test_sweep_is_deterministic():
     assert a == b
 
 
-def test_sweep_report_does_not_depend_on_workers():
+def test_sweep_report_does_not_depend_on_workers(monkeypatch):
     # the worker pool sweeps each id in a process of its own, seeded per
-    # id; its report must equal the one-process report
+    # id; its report must equal the one-process report.  Two CPUs are
+    # reported so that the pool starts on any machine.
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     pooled = lemma_sweep([(3, 2), (3, 3)], trials=20, seed=5, workers=2)
     assert pooled == lemma_sweep([(3, 2), (3, 3)], trials=20, seed=5, workers=1)
 
