@@ -106,6 +106,8 @@ def _preset_cross_check(ctx, args, an) -> dict | None:
 
 def cmd_analyze(args) -> int:
     ctx, f = _field_and_form(args)
+    if args.alpha is not None:  # not reported, but refused when meaningless
+        ctx.parse_element(args.alpha)
     an = analyze(f)
     payload = {
         "p": ctx.p,

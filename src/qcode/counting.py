@@ -25,27 +25,27 @@ Each closed form has one source.  Most are instances of one quadratic
 Gauss-sum evaluation: a rank-k, sign-s form on GF(p)^m has phase sum
 Phi(k, s) = s p^m (p*)^(-k/2) (phase_sum), rational Galois-unit sums
 U(k, s, z) (unit_sum), and level counts N(k, s, t) = p^(m-1) + U(k, s, -t)/p
-(level_count).  Phi gives ids 5 and 6; U gives id 8 and the on-plane rows
-of id 19; N gives id 7 and root_count_closed (id 9, predict_root_count,
-predict_length); ids 16 and 17 are Phi, U and N of the deflated form
-(rank r - 1, sign s eta_bar(-f(x_alpha))).  The sums over the pencil
-alpha - z beta have one case tree (_s4_terms): S4 (id 13) is
-c Phi(k, s') zeta^z on every branch, and S5 (id 14), its Galois-unit sum,
-is c U(k, s', z).  S2 and S3 (id 10) are S4 and S5 at alpha = 0.  A count
-on the hyperplane Tr(beta x) = 0 is p^(m-2) + S/p^2 for a Galois-unit sum
-S: S3 for id 11, and S5 for id 15 and predict_hyperplane_root_count, which
-build evaluates once per beta class (FormAnalysis.beta_classes), not once
-per beta.  Id 18 keeps its own case tree (_partition_counts).
+(level_count).  Phi gives ids 5 and 6; N gives id 7 and root_count_closed
+(id 9, predict_root_count, predict_length); ids 16 and 17 are Phi, U and N
+of the deflated form (rank r - 1, sign s eta_bar(-f(x_alpha))), and so is
+the closed histogram of (f(x), Tr(alpha x)) (_closed_histogram), which ids
+8, 18 and 19 read through the cell maps their brute sides apply to the
+enumerated one.  The sums over the pencil alpha - z beta have
+one case tree (_s4_terms): S4 (id 13) is c Phi(k, s') zeta^z on every
+branch, and S5 (id 14), its Galois-unit sum, is c U(k, s', z).  S2 and S3
+(id 10) are S4 and S5 at alpha = 0.  A count on the hyperplane
+Tr(beta x) = 0 is p^(m-2) + S/p^2 for a Galois-unit sum S: S3 for id 11,
+and S5 for id 15 and predict_hyperplane_root_count, which build evaluates
+once per beta class (FormAnalysis.beta_classes), not once per beta.
 
 Every closed side is split in two: reading the invariants of its draw,
 f(x_alpha), f(x_beta), Tr(alpha x_beta), z0 and f' (FormAnalysis.f_at_xb,
 solve_xb and in_shifted_image, which a sweep reads off the form's solution
 tables: x_b, f(x_b) and the syndromes whose ratio is z0), and a function
-of those plain integers and (p, m, rank, sign) that returns (value,
-label): phase_sum, unit_sum, level_count, _pencil_case (S4 and S5, and
-at alpha = 0 S2 and S3, from one memo), _partition_counts and
-_square_class_rows.  These are memoised, so a sweep evaluates each case
-once.
+of those plain integers and (p, m, rank, sign), memoised so that a sweep
+evaluates each case once: phase_sum, unit_sum, level_count,
+_closed_histogram and _pencil_case (S4's terms and S5, and at alpha = 0
+S2's terms and S3).
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -163,6 +163,27 @@ def level_count(p: int, m: int, k: int, s: int, t: int) -> int:
     return _as_int(Fraction(p) ** (m - 1) + unit_sum(p, m, k, s, -t) / p)
 
 
+@lru_cache(maxsize=None)
+def _closed_histogram(p: int, m: int, r: int, s: int, fa: int) -> np.ndarray:
+    """H[v, t] = #{x : f(x) = v, Tr(alpha x) = t} for f of rank r, sign s
+    and a nonzero alpha in Im(L) with f(x_alpha) = fa, as a read-only
+    (p, p) int64 array from U and N alone, never by enumeration.  For
+    fa != 0, f = g + Tr(alpha x)^2/(4 fa) with g deflated (rank r - 1, sign
+    s eta_bar(-fa)): N of g on GF(p)^(m-1) at v - t^2/(4 fa).  For fa = 0,
+    H[v, 0] = p^(m-2) + U(r, s, -v)/p, and H[v, t] = p^(m-2) off the plane."""
+    if fa:
+        s_g, inv = s * eta_bar(-fa, p), pow(4 * fa, -1, p)
+        rows = [[level_count(p, m - 1, r - 1, s_g, (v - t * t * inv) % p)
+                 for t in range(p)] for v in range(p)]
+    else:
+        plane = Fraction(p) ** (m - 2)
+        rows = [[_as_int(plane + unit_sum(p, m, r, s, -v) / p if t == 0
+                         else plane) for t in range(p)] for v in range(p)]
+    out = np.asarray(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 # --- closed-form counts feeding the code predictor --------------------------
 
 
@@ -227,8 +248,8 @@ def _pair_invariants(an: FormAnalysis, alpha: int, beta: int) -> tuple:
 
 
 def _pencil_closed(an: FormAnalysis, alpha: int,
-                   beta: int) -> tuple[CycNum, str, Fraction, str]:
-    """S4 and its branch, S5 and its finest label (_pencil_case), for
+                   beta: int) -> tuple[tuple | None, str, Fraction, str]:
+    """S4's terms and branch, S5 and its finest label (_pencil_case), for
     sum_z sum_x zeta^(f(x) - Tr((alpha - beta z) x)) and its Galois-unit
     sum."""
     return _pencil_case(an.ctx.p, an.ctx.m, an.rank, an.sign,
@@ -238,24 +259,33 @@ def _pencil_closed(an: FormAnalysis, alpha: int,
 @lru_cache(maxsize=None)
 def _pencil_case(p: int, m: int, r: int, s: int, fa: int | None,
                  fb: int | None, tab: int | None,
-                 fprime: int | None) -> tuple[CycNum, str, Fraction, str]:
-    """(S4, its branch, S5, its finest label) from S4's terms (_s4_terms):
-    S4 = c Phi(k, s') zeta^z and S5 = sum_y sigma_y(S4) = c U(k, s', z),
-    both zero where the terms are None.  Ids 14 and 15 coarsen the label
-    through _S5_LABELS."""
+                 fprime: int | None) -> tuple[tuple | None, str, Fraction, str]:
+    """(S4's terms, S4's branch, S5, S5's finest label) from _s4_terms:
+    S5 = sum_y sigma_y(S4) = c U(k, s', z), zero where the terms are None.
+    Only ids 10 and 13 read S4 itself, which _s4_value forms from the
+    terms.  Ids 14 and 15 coarsen the label through _S5_LABELS."""
     branch, terms = _s4_terms(p, r, s, fa, fb, tab, fprime)
-    s4, s5, z = CycNum.zero(p), Fraction(0), None
+    s5, z = Fraction(0), None
     if terms is not None:
         c, k, s_k, z = terms
-        s4 = phase_sum(p, m, k, s_k).scale(c) * CycNum.zeta_pow(p, z)
         s5 = c * unit_sum(p, m, k, s_k, z)
     if fa is None:
         end = "out" if z is None else "fnz" if z else "f0"
-        return s4, branch, s5, ("II:even:", "II:odd:")[r % 2] + end
+        return terms, branch, s5, ("II:even:", "II:odd:")[r % 2] + end
     row = branch + ":z0" if branch == "I:in:nonzero" and z == 0 else branch
     col = 2 * (r % 2) + (fa != 0)
-    return (s4, branch, s5,
+    return (terms, branch, s5,
             f"I:{('ez', 'en', 'oz', 'on')[col]}:{_S5_SUFFIX[row][col]}")
+
+
+def _s4_value(p: int, m: int, terms: tuple | None) -> CycNum:
+    """S4 = c Phi(k, s') zeta^z from its terms (c, k, s', z), zero where
+    they are None; no multiplication where z = 0, as on every S2."""
+    if terms is None:
+        return CycNum.zero(p)
+    c, k, s_k, z = terms
+    s4 = phase_sum(p, m, k, s_k).scale(c)
+    return s4 * CycNum.zeta_pow(p, z) if z else s4
 
 
 def _s4_terms(p: int, r: int, s: int, fa: int | None, fb: int | None,
@@ -342,6 +372,12 @@ def _cell_map(p: int, k: int, build, *args) -> np.ndarray:
     return out
 
 
+def _read_cells(h: np.ndarray, build, *args) -> list[int]:
+    """H @ M for the cached map M of build over h's cells: the counts that
+    build's columns read off the histogram h, enumerated or closed."""
+    return (h.ravel() @ _cell_map(h.shape[0], h.ndim, build, *args)).tolist()
+
+
 class _ReadoutMemo(dict):
     """Readouts of histograms, keyed on (kind, builder, constants, H's
     int32 bytes, whose length p^k fixes p and H's k axes); see _Readout."""
@@ -364,13 +400,8 @@ class _Readout:
         key = (kind, build, args, self._key)
         out = self._memo.get(key)
         if out is None:
-            out = self._memo[key] = make(self._counts(build, args))
+            out = self._memo[key] = make(_read_cells(self.h, build, *args))
         return out
-
-    def _counts(self, build, args: tuple) -> list[int]:
-        """H @ M for the cached map M of build over h's cells."""
-        h = self.h
-        return (h.ravel() @ _cell_map(h.shape[0], h.ndim, build, *args)).tolist()
 
     def read(self, build, *args) -> tuple[int, ...]:
         """The counts that build's map reads off h."""
@@ -572,23 +603,16 @@ def _brute_7(params: LemmaParams, memo=None) -> list:
     return [int(h[params.t % h.shape[0]])]
 
 
-@lru_cache(maxsize=None)
-def _plane_level_count(p: int, m: int, r: int, s: int, a: int) -> int:
-    """Count of f(x) = a != 0 on the hyperplane Tr(alpha x) = 0, for alpha
-    in Im(L) with vanishing special value and f of rank r and sign s:
-    p^(m-2) + U(r, s, -a)/p."""
-    return _as_int(Fraction(p) ** (m - 2) + unit_sum(p, m, r, s, -a) / p)
-
-
 def _closed_8(params: LemmaParams) -> list:
     """Count of f(x) = a on the hyperplane Tr(alpha x) = 0, given
     alpha in Im(L) with vanishing special value."""
     _need(params, "analysis", "alpha", "t")
     an, a = params.analysis, params.t
-    if a % an.ctx.p == 0:
+    p = an.ctx.p
+    if a % p == 0:
         raise PreconditionViolatedError("level a must be nonzero")
     _require_vanishing_special_value(an, params.alpha)
-    count = _plane_level_count(an.ctx.p, an.ctx.m, an.rank, an.sign, a)
+    count = int(_closed_histogram(p, an.ctx.m, an.rank, an.sign, 0)[a % p, 0])
     if an.rank % 2 == 1:
         return [("odd_rank", count, None)]
     return [("even_rank_derived_variant", count,
@@ -624,8 +648,8 @@ _S23_LABELS = {"I:outside_beta": "outside", "I:in:zero_zero": "in_zero",
 
 
 def _s23_closed(an: FormAnalysis,
-                beta: int) -> tuple[CycNum, str, Fraction, str]:
-    """S2 and S3 with their branches (_pencil_at_zero), from f(x_beta)."""
+                beta: int) -> tuple[tuple | None, str, Fraction, str]:
+    """S2's terms, S3 and their branches (_pencil_at_zero), from f(x_beta)."""
     if beta == 0:
         raise PreconditionViolatedError("beta must be nonzero")
     return _pencil_at_zero(an.ctx.p, an.ctx.m, an.rank, an.sign,
@@ -633,23 +657,24 @@ def _s23_closed(an: FormAnalysis,
 
 
 def _pencil_at_zero(p: int, m: int, r: int, s: int,
-                    fb: int | None) -> tuple[CycNum, str, Fraction, str]:
-    """(S2, its branch, S3, its branch) as S4 and S5 at alpha = 0, for f of
-    rank r and sign s.  There f(x_alpha) = Tr(alpha x_beta) = 0, so beta
-    enters only through fb = f(x_beta), None outside Im(L)."""
-    s2, branch, s3, _ = _pencil_case(p, m, r, s, 0, fb,
-                                     None if fb is None else 0, None)
+                    fb: int | None) -> tuple[tuple | None, str, Fraction, str]:
+    """(S2's terms, S2's branch, S3, S3's branch) as S4 and S5 at alpha = 0,
+    for f of rank r and sign s.  There f(x_alpha) = Tr(alpha x_beta) = 0,
+    so beta enters only through fb = f(x_beta), None outside Im(L)."""
+    terms, branch, s3, _ = _pencil_case(p, m, r, s, 0, fb,
+                                        None if fb is None else 0, None)
     label = _S23_LABELS[branch]
     parity = "even" if r % 2 == 0 else "odd"
-    return s2, f"S2:{label}", s3, f"{parity}:{label}"
+    return terms, f"S2:{label}", s3, f"{parity}:{label}"
 
 
 def _closed_10(params: LemmaParams) -> list:
     """The three sums S1, S2, S3 over scalar multiples of Tr(beta x)."""
     _need(params, "analysis", "beta")
     an = params.analysis
-    s2, s2_branch, s3, s3_branch = _s23_closed(an, params.beta)
-    return [("S1", an.ctx.q, None), (s2_branch, s2, None),
+    terms, s2_branch, s3, s3_branch = _s23_closed(an, params.beta)
+    return [("S1", an.ctx.q, None),
+            (s2_branch, _s4_value(an.ctx.p, an.ctx.m, terms), None),
             (f"S3:{s3_branch}", s3, None)]
 
 
@@ -690,13 +715,13 @@ def _s4_exponents(p: int, f, a, b) -> np.ndarray:
 def _closed_13(params: LemmaParams) -> list:
     """The sum S4 over the pencil of shifts alpha - beta z."""
     _need(params, "analysis", "alpha", "beta")
-    closed, branch, _, _ = _pencil_closed(params.analysis, params.alpha,
-                                          params.beta)
+    an = params.analysis
+    terms, branch, _, _ = _pencil_closed(an, params.alpha, params.beta)
     note = None
     if branch == "II:in_union":
         note = ("x' read as the solution of L(x') = -(alpha - beta z0)/2; "
                 "this reading matches brute force")
-    return [(branch, closed, note)]
+    return [(branch, _s4_value(an.ctx.p, an.ctx.m, terms), note)]
 
 
 def _brute_13(params: LemmaParams, memo=None) -> list:
@@ -820,39 +845,21 @@ def _closed_18(params: LemmaParams) -> list:
     """Partition counts of GF(q) by f, Tr(alpha x), and the auxiliary E."""
     _need(params, "analysis", "alpha")
     an = params.analysis
-    ea = eta_bar(-_nonzero_special_value(an, params.alpha), an.ctx.p)
+    fa = _nonzero_special_value(an, params.alpha)
+    counts = _partition_closed(an.ctx.p, an.ctx.m, an.rank, an.sign, fa)
+    keys = ("J1", "J2", "J3", "J4", "J5", "J6") if an.rank % 2 else (
+        "I1", "I2", "I3", "I4")
     return [(key, count,
              "definition restricted to E != 0 (the closed form excludes "
              "the E = 0 slice)" if key == "J2" else None)
-            for key, count in _partition_counts(an.ctx.p, an.ctx.m, an.rank,
-                                                an.sign, ea)]
+            for key, count in zip(keys, counts)]
 
 
-@lru_cache(maxsize=None)
-def _partition_counts(p: int, m: int, r: int, s: int, ea: int) -> tuple:
-    """Id 18's (label, count) pairs for rank r, sign s and
-    ea = eta_bar(-f(x_alpha))."""
-    base = Fraction(p) ** (m - 2)
-    if r % 2 == 0:
-        x = s * p * pstar_fraction_power(p, -(r // 2))
-        closed = {
-            "I1": base,
-            "I2": (p - 1) * base * (2 + x),
-            "I3": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - x),
-            "I4": Fraction((p - 1) * (p - 2), 2) * base * (1 + x),
-        }
-    else:
-        w = s * ea * pstar_fraction_power(p, -((r - 1) // 2))
-        closed = {
-            "J1": (p - 1) * base * (1 + (p - 1) * w),
-            "J2": Fraction((p - 1) * (p - 2), 2) * base * (1 - w),
-            "J3": base + ea * s * (p - 1) * base
-                  * pstar_fraction_power(p, -((r - 1) // 2)),
-            "J4": (p - 1) * base * (1 - w),
-            "J5": (p - 1) * base * (1 + (p - 1) * w),
-            "J6": Fraction(p - 1, 2) * Fraction(p) ** (m - 1) * (1 - w),
-        }
-    return tuple((key, _as_int(val)) for key, val in closed.items())
+def _partition_closed(p: int, m: int, r: int, s: int, fa: int) -> list[int]:
+    """Id 18's counts for rank r, sign s and f(x_alpha) = fa: the plus-sign
+    classes of _partition_cells, read off the closed histogram."""
+    return _read_cells(_closed_histogram(p, m, r, s, fa), _partition_cells,
+                       r % 2 == 1, fa, 1)
 
 
 def _brute_18(params: LemmaParams, memo=None) -> list:
@@ -862,12 +869,12 @@ def _brute_18(params: LemmaParams, memo=None) -> list:
     ctx = an.ctx
     p, r = ctx.p, an.rank
     fa = an.f_at_xb(alpha)
-    wants = _partition_counts(p, ctx.m, r, an.sign, eta_bar(-fa, p))
+    wants = _partition_closed(p, ctx.m, r, an.sign, fa)
     rd = _Readout(_histogram(an, alpha), memo)
     odd = r % 2 == 1
     out = []
-    for (_, want), plus, minus in zip(wants, rd.read(_partition_cells, odd, fa, 1),
-                                      rd.read(_partition_cells, odd, fa, -1)):
+    for want, plus, minus in zip(wants, rd.read(_partition_cells, odd, fa, 1),
+                                 rd.read(_partition_cells, odd, fa, -1)):
         note = None
         if minus != plus:
             verdict = "matches" if minus == want else "fails"
@@ -901,29 +908,19 @@ def _partition_cells(p: int, f, a, odd: bool, fa: int, sign: int) -> np.ndarray:
 
 def _closed_19(params: LemmaParams) -> list:
     """Square-class counts of -f on and off the hyperplane Tr(alpha x)=0,
-    given alpha in Im(L) with vanishing special value.  The on-plane
+    given alpha in Im(L) with vanishing special value: the cells of
+    _square_class_cells read off the closed histogram, so the on-plane
     counts sum the id-8 counts over the levels a of each class of -a."""
     _need(params, "analysis", "alpha")
     an = params.analysis
     _require_vanishing_special_value(an, params.alpha)
-    return list(_square_class_rows(an.ctx.p, an.ctx.m, an.rank, an.sign))
-
-
-@lru_cache(maxsize=None)
-def _square_class_rows(p: int, m: int, r: int, s: int) -> tuple:
-    """Id 19's (label, count, note) rows for f of rank r and sign s."""
-    onplane = [sum(_plane_level_count(p, m, r, s, a)
-                   for a in range(1, p)
-                   if eta_bar(-a, p) == sq) for sq in (1, -1)]
-    offplane = _as_int(Fraction((p - 1) ** 2, 2) * Fraction(p) ** (m - 2))
-    if r % 2 == 1:
-        return (("sq_tr0", onplane[0], None), ("nsq_tr0", onplane[1], None),
-                ("sq_trnz", offplane, None), ("nsq_trnz", offplane, None))
-    note = ("printed closed forms are irrational for even rank; "
-            "verified the Galois-sum variants instead")
-    return (("even:sq_tr0", onplane[0], note),
-            ("even:nsq_tr0", onplane[1], note),
-            ("even:sq_trnz", offplane, note), ("even:nsq_trnz", offplane, note))
+    counts = _read_cells(_closed_histogram(an.ctx.p, an.ctx.m, an.rank,
+                                           an.sign, 0), _square_class_cells)
+    odd = an.rank % 2 == 1
+    note = None if odd else ("printed closed forms are irrational for even "
+                             "rank; verified the Galois-sum variants instead")
+    return [(("" if odd else "even:") + label, count, note) for label, count
+            in zip(("sq_tr0", "nsq_tr0", "sq_trnz", "nsq_trnz"), counts)]
 
 
 def _brute_19(params: LemmaParams, memo=None) -> list:

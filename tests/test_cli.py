@@ -157,6 +157,9 @@ def test_verify_exit_codes(capsys, monkeypatch):
      "--alpha", "1"),
     ("lemmas", "--p", "3", "--m", "3", "--trials", "5", "--seed", "1",
      "--lemma", "0"),
+    ("analyze", "--p", "3", "--m", "2", "--coeffs", "1,0", "--alpha", "1.5"),
+    ("analyze", "--p", "3", "--m", "2", "--coeffs", "1,0", "--alpha", "9"),
+    ("analyze", "--p", "3", "--m", "2", "--coeffs", "1,0", "--alpha", "-1"),
 ])
 def test_bad_configs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -25,7 +25,7 @@ from qcode.counting import (
     sweep_one_lemma,
     unit_sum,
     _closed_18,
-    _partition_counts,
+    _partition_closed,
     _pencil_closed,
     _s23_closed,
 )
@@ -293,7 +293,8 @@ def test_s2_s3_from_the_pencil_at_alpha_zero_match_the_case_tree():
                 for s in (1, -1):
                     for fb in (None, *range(p)):
                         want = _s23_tree(p, m, r, s, fb)
-                        got = counting._pencil_at_zero(p, m, r, s, fb)
+                        terms, *rest = counting._pencil_at_zero(p, m, r, s, fb)
+                        got = (counting._s4_value(p, m, terms), *rest)
                         assert got == want, (p, m, r, s, fb)
                         assert type(got[0]) is CycNum, (p, m, r, s, fb)
                         assert type(got[2]) is Fraction, (p, m, r, s, fb)
@@ -431,8 +432,8 @@ def test_identity_18_flags_printed_e_sign():
 
 
 def _partition_tree(p, m, r, s, ea):
-    """Id 18's case tree as written out before it was cached: exact
-    Fractions, recomputed on every call."""
+    """Id 18's case tree as it was once transcribed, in exact Fractions,
+    kept as the oracle for the counts read off the closed histogram."""
     base = Fraction(p) ** (m - 2)
     if r % 2 == 0:
         x = s * p * pstar_fraction_power(p, -(r // 2))
@@ -457,20 +458,24 @@ def _partition_tree(p, m, r, s, ea):
 
 
 def test_cached_partition_counts_match_the_case_tree():
+    # the derived counts take f(x_alpha) itself, the tree only its square
+    # class eta_bar(-f(x_alpha)), so every f(x_alpha) of a class must agree;
+    # where the tree is no integer, the closed histogram has none either
     integral = 0
     for p in (3, 5, 7, 11, 13):
         for m in range(1, 7):
             for r in range(1, m + 1):
                 for s in (1, -1):
-                    for ea in (1, -1):
-                        want = _partition_tree(p, m, r, s, ea)
+                    for fa in range(1, p):
+                        want = _partition_tree(p, m, r, s, eta_bar(-fa, p))
                         if any(v.denominator != 1 for v in want.values()):
                             with pytest.raises(NonIntegralPredictionError):
-                                _partition_counts(p, m, r, s, ea)
+                                _partition_closed(p, m, r, s, fa)
                             continue
-                        got = _partition_counts(p, m, r, s, ea)
-                        assert got == tuple((k, int(v)) for k, v in want.items())
-                        assert all(type(v) is int for _, v in got)
+                        got = _partition_closed(p, m, r, s, fa)
+                        assert got == [int(v) for v in want.values()], (
+                            p, m, r, s, fa)
+                        assert all(type(v) is int for v in got)
                         integral += 1
     assert integral > 400
     # _closed_18 reads those counts on the forms and alphas of real pools
@@ -496,20 +501,129 @@ def test_identity_18_brute_reads_the_cached_counts(monkeypatch):
     F = an.ctx
     alpha = next(a for a in F.nonzero_elements()
                  if an.f_at_xb(a) not in (None, 0))
-    cached = counting._partition_counts
+    cached = counting._closed_histogram
     calls = []
 
     def counted(*key):
         calls.append(key)
         return cached(*key)
 
-    monkeypatch.setattr(counting, "_partition_counts", counted)
+    monkeypatch.setattr(counting, "_closed_histogram", counted)
     cached.cache_clear()
     results = lemma_oracle(18, LemmaParams(analysis=an, alpha=alpha))
     assert all(r.equal for r in results)
-    # closed() and brute() each read the counts once; the tree ran once
+    # closed() and brute() each read the closed histogram once; it was
+    # built once
     assert len(calls) == 2 and calls[0] == calls[1]
     assert cached.cache_info().misses == 1
+
+
+def _plane_level_tree(p, m, r, s, a):
+    """Id 8's count as it was once transcribed, p^(m-2) + U(r, s, -a)/p in
+    exact Fractions, kept as the oracle for the closed histogram."""
+    return Fraction(p) ** (m - 2) + unit_sum(p, m, r, s, -a) / p
+
+
+def _square_class_tree(p, m, r, s):
+    """Id 19's (label, count, note) rows as they were once transcribed:
+    the on-plane counts sum id 8's over the levels a of each square class
+    of -a, and the off-plane counts are (p - 1)^2/2 p^(m-2) each."""
+    onplane = [sum(_plane_level_tree(p, m, r, s, a) for a in range(1, p)
+                   if eta_bar(-a, p) == sq) for sq in (1, -1)]
+    offplane = Fraction((p - 1) ** 2, 2) * Fraction(p) ** (m - 2)
+    if r % 2 == 1:
+        return [("sq_tr0", onplane[0], None), ("nsq_tr0", onplane[1], None),
+                ("sq_trnz", offplane, None), ("nsq_trnz", offplane, None)]
+    note = ("printed closed forms are irrational for even rank; "
+            "verified the Galois-sum variants instead")
+    return [("even:sq_tr0", onplane[0], note),
+            ("even:nsq_tr0", onplane[1], note),
+            ("even:sq_trnz", offplane, note), ("even:nsq_trnz", offplane, note)]
+
+
+def test_ids_8_and_19_from_the_closed_histogram_match_the_printed_rows():
+    # H[a, 0] of the closed histogram at f(x_alpha) = 0 (id 8) and its
+    # square-class cells (id 19), against the formulas once transcribed;
+    # where those are no integers, the closed histogram has none either
+    integral = 0
+    for p in (3, 5, 7, 11, 13):
+        for m in range(1, 7):
+            for r in range(1, m + 1):
+                for s in (1, -1):
+                    want8 = [_plane_level_tree(p, m, r, s, a) for a in range(1, p)]
+                    want19 = [v for _, v, _ in _square_class_tree(p, m, r, s)]
+                    if any(v.denominator != 1 for v in want8 + want19):
+                        with pytest.raises(NonIntegralPredictionError):
+                            counting._closed_histogram(p, m, r, s, 0)
+                        continue
+                    h = counting._closed_histogram(p, m, r, s, 0)
+                    assert [h[a, 0] for a in range(1, p)] == want8, (p, m, r, s)
+                    assert counting._read_cells(
+                        h, counting._square_class_cells) == want19, (p, m, r, s)
+                    integral += 1
+    assert integral > 100
+    # _closed_8 and _closed_19 read them, labels and notes included, on the
+    # forms and alphas of real pools
+    rng = random.Random(19)
+    checked = set()
+    for an in analysis_pool(3, 4, rng) + analysis_pool(5, 3, rng):
+        F = an.ctx
+        alphas, fw = an.image_tables()
+        for alpha in np.unique(alphas[(alphas != 0) & (fw == 0)]).tolist():
+            rows = counting._closed_19(LemmaParams(analysis=an, alpha=alpha))
+            want = _square_class_tree(F.p, F.m, an.rank, an.sign)
+            assert rows == [(b, int(v), note) for b, v, note in want]
+            for a in range(1, F.p):
+                (branch, count, _), = counting._closed_8(
+                    LemmaParams(analysis=an, alpha=alpha, t=a))
+                assert count == _plane_level_tree(F.p, F.m, an.rank, an.sign, a)
+                checked.add(branch)
+    assert checked == set(REQUIRED_BRANCHES[8])
+
+
+def test_closed_histogram_matches_the_enumerated_one():
+    # H from Phi, U and N against _histogram(an, alpha) for every nonzero
+    # alpha in Im(L) of each pool form, degree 1 included
+    rng = random.Random(20)
+    specs = [(3, 1), (13, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+             (11, 2), (13, 2)]
+    seen = {True: 0, False: 0}
+    for p, m in specs:
+        for an in analysis_pool(p, m, rng, extra=3):
+            alphas, _ = an.image_tables()
+            for alpha in np.unique(alphas[alphas != 0]).tolist():
+                fa = an.f_at_xb(alpha)
+                got = counting._closed_histogram(p, m, an.rank, an.sign, fa)
+                assert np.array_equal(got, counting._histogram(an, alpha)), (
+                    p, m, an.f.coeffs, alpha)
+                seen[fa == 0] += 1
+    assert seen[True] > 100 and seen[False] > 1000
+
+
+def test_closed_sides_of_ids_8_18_and_19_enumerate_nothing(monkeypatch):
+    # the two sides share _cell_map, so the closed side must read the
+    # closed histogram, never f over the field nor an enumerated one
+    rng = random.Random(21)
+    pool = analysis_pool(3, 4, rng) + analysis_pool(5, 3, rng)
+    draws = [(lemma_id, params) for lemma_id in (8, 18, 19)
+             for params in counting._param_scan(lemma_id, pool)]
+    for an in pool:
+        an.solution_tables()
+
+    def refuse(*_):
+        raise AssertionError("a closed side enumerated the field")
+
+    monkeypatch.setattr(counting, "_histogram", refuse)
+    monkeypatch.setattr(QuadraticFunction, "log_values", refuse)
+    monkeypatch.setattr(QuadraticFunction, "values", refuse)
+    counting._closed_histogram.cache_clear()
+    rows = {lemma_id: [] for lemma_id in (8, 18, 19)}
+    for lemma_id, params in draws:
+        rows[lemma_id].append(counting._REGISTRY[lemma_id][0](params))
+    monkeypatch.undo()
+    assert all(len(got) > 20 for got in rows.values())
+    for lemma_id, params in draws[::5]:
+        assert all(r.equal for r in lemma_oracle(lemma_id, params))
 
 
 def test_identity_19_partition_of_offplane_counts():

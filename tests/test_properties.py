@@ -277,7 +277,7 @@ def _ref_18(an, alpha):
     ctx = an.ctx
     p, r = ctx.p, an.rank
     fa = an.f_at_xb(alpha)
-    wants = counting._partition_counts(p, ctx.m, r, an.sign, eta_bar(-fa, p))
+    wants = counting._partition_closed(p, ctx.m, r, an.sign, fa)
     fv, tra = an.f.values(), ctx.trace_mul_all(alpha)
     nz = fv != 0
     inv4f = np.asarray([pow(4 * int(v), -1, p) if v else 0 for v in fv])
@@ -297,7 +297,7 @@ def _ref_18(an, alpha):
                 np.sum(nz & (e == 0)), np.sum(nz & (e != 0) & ~same)]
 
     out = []
-    for (_, want), plus, minus in zip(wants, counts_with(1), counts_with(-1)):
+    for want, plus, minus in zip(wants, counts_with(1), counts_with(-1)):
         note = None
         if minus != plus:
             verdict = "matches" if minus == want else "fails"
@@ -437,10 +437,19 @@ def test_histogram_oracles_match_whole_field_formulas(params, level_zero):
 @given(oracle_draws())
 def test_s4_and_s5_closed_sides_match_whole_field_formulas(params):
     # ids 13-15 read S4 = c Phi(k, s') zeta^z and S5 = c U(k, s', z) off
-    # one set of S4 terms; check the closed sides, not the histograms
-    for lemma_id in (13, 14, 15):
-        (_, got, _), = counting._REGISTRY[lemma_id][0](params)
-        want, = _reference(lemma_id, params)
+    # one set of S4 terms, and ids 8, 18 and 19 the closed histogram of
+    # (f(x), Tr(alpha x)); check the closed sides, not the histograms
+    fa = params.analysis.f_at_xb(params.alpha)
+    ids = [13, 14, 15]
+    if params.alpha and fa == 0:
+        ids += [8, 19]
+    if fa:
+        ids.append(18)
+    for lemma_id in ids:
+        got = [value for _, value, _ in counting._REGISTRY[lemma_id][0](params)]
+        want = _reference(lemma_id, params)
+        if lemma_id == 18:
+            want = [plus for plus, _ in want]
         assert got == want, (lemma_id, params.describe())
 
 
