@@ -5,15 +5,15 @@ f(x) - Tr(alpha x) = 0; the code's codewords are
 (Tr(beta d) for d in D), one per beta in GF(q), and
 wt(c_beta) = |D| - #{d in D : Tr(beta d) = 0}.  Weight data comes from
 two independent routes.  The naive one counts the zeros of every
-codeword at once by the hyperplane-count transform of D's indicator
-over the digit space GF(p)^m (field.hyperplane_counts: one float64
-matrix product per digit axis, exact on these integer counts); it reads
-only D and the trace table.  The
-analytic one evaluates the closed-form solution counters once per
-class of beta (FormAnalysis.beta_classes), at most p^2 + 1 times, since
-they see beta only through a few quadratic invariants.  "both" mode insists
-the routes agree before returning; validation then checks the first and
-second power moments.
+codeword at once by the hyperplane-count transform of the indicator of
+D's trace-dual coordinates over the digit space GF(p)^m
+(field.hyperplane_counts: one float32 matrix product per digit axis,
+exact on these integer counts); it reads only D's digits and the trace
+form Tr(x^j x^k).  The analytic one evaluates the closed-form solution
+counters once per class of beta (FormAnalysis.beta_classes), at most
+p^2 + 1 times, since they see beta only through a few quadratic
+invariants.  "both" mode insists the routes agree before returning;
+validation then checks the first and second power moments.
 """
 
 from __future__ import annotations
@@ -145,9 +145,12 @@ def proportional_pairs(ds: DefiningSet) -> int:
     member = np.zeros(ctx.q, dtype=bool)
     member[ds.indices] = True
     rows = ctx.digits_matrix()[ds.indices]
-    place = p ** np.arange(ctx.m)
-    ordered = sum(int(np.count_nonzero(member[rows * lam % p @ place]))
-                  for lam in range(2, p))
+    eye = np.eye(ctx.m, dtype=np.int64)
+    ordered = 0
+    for lam in range(2, p):
+        scaled = ctx.digit_product(lam * eye, rows)
+        ordered += int(np.count_nonzero(
+            member[ctx.digit_product(ctx._place, scaled, reduce=False)]))
     return ordered // 2
 
 
@@ -159,22 +162,22 @@ def weight_of(beta: int, ds: DefiningSet) -> int:
 
 
 def _weights_naive(ds: DefiningSet) -> np.ndarray:
-    """Weights of all q codewords from exact hyperplane counts.
+    """Weights of all q codewords from exact hyperplane counts, on the
+    trace-dual coordinates of D.
 
-    Tr(beta d) = digits(d) . t_beta (mod p) with t_beta = T digits(beta),
-    where column k of T is trace_mul_vector(x^k).  So the zeros of c_beta
-    number #{d in D : digits(d) . t_beta = 0}: hyperplane_counts on D's
-    indicator gives that count for every t at once, and t_beta gathers
-    it onto each beta.
+    With T the trace form, T[j, k] = Tr(x^j x^k), each d in D maps to
+    w(d) = digits(d) T, the vector of Tr(x^k d), and
+    Tr(beta d) = digits(beta) . w(d) (mod p).  So the zeros of c_beta
+    number #{d in D : digits(beta) . w(d) = 0}: hyperplane_counts on the
+    indicator of w(D) gives that count at t = digits(beta), which is
+    indexed by beta itself.  T is invertible (the trace form is
+    nondegenerate), so the indicator holds |D| ones.
     """
     ctx = ds.ctx
-    p, m, q = ctx.p, ctx.m, ctx.q
-    member = np.zeros((1, q), dtype=np.int64)
-    member[0, ds.indices] = 1
-    zeros = hyperplane_counts(p, m, member)[0, :, 0]
-    t_rows = np.stack([ctx.trace_mul_vector(ctx.pow_of_basis(k)) for k in range(m)])
-    t_beta = ctx.digits_matrix() @ t_rows % p
-    return ds.length - zeros[t_beta @ p ** np.arange(m)]
+    dual = ctx.digit_product(ctx._trace_form, ctx.digits_matrix()[ds.indices])
+    member = np.zeros((1, ctx.q), dtype=bool)
+    member[0, ctx.digit_product(ctx._place, dual, reduce=False)] = True
+    return ds.length - hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
 
 
 def _weights_analytic(ds: DefiningSet) -> np.ndarray:

@@ -95,7 +95,7 @@ IDENTITY_IDS = (5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19)
 # BRUTE_MAX_P: their cost also grows with p (the naive transform,
 # field.hyperplane_counts, does m matrix products of O(p^3 q) flops; the
 # registry's oracles and branch scans do Python work in p^2 to p^3 per
-# draw).  BRUTE_CAP < 2^53 keeps that transform's float64 counts exact.
+# draw).  BRUTE_CAP < 2^24 keeps that transform's float32 counts exact.
 BRUTE_CAP = 5**7
 BRUTE_MAX_P = 19
 
@@ -280,12 +280,13 @@ def _pencil_case(p: int, m: int, r: int, s: int, fa: int | None,
 
 def _s4_value(p: int, m: int, terms: tuple | None) -> CycNum:
     """S4 = c Phi(k, s') zeta^z from its terms (c, k, s', z), zero where
-    they are None; no multiplication where z = 0, as on every S2."""
+    they are None; zeta^z is a rotation of Phi's coordinates, none where
+    z = 0, as on every S2."""
     if terms is None:
         return CycNum.zero(p)
     c, k, s_k, z = terms
     s4 = phase_sum(p, m, k, s_k).scale(c)
-    return s4 * CycNum.zeta_pow(p, z) if z else s4
+    return s4.mul_zeta_pow(z)
 
 
 def _s4_terms(p: int, r: int, s: int, fa: int | None, fb: int | None,
@@ -535,7 +536,8 @@ def _need(params: LemmaParams, *names) -> None:
 
 def _closed_5(params: LemmaParams) -> list:
     """Full-space phase sums of f and of f - Tr(bx): Phi(r, s), and
-    Phi(r, s) zeta^(-f(x_b)) for b in Im(L)."""
+    Phi(r, s) zeta^(-f(x_b)) for b in Im(L), a rotation of Phi's
+    coordinates that f(x_b) = 0 skips."""
     _need(params, "analysis", "beta")
     an = params.analysis
     p = an.ctx.p
@@ -544,7 +546,7 @@ def _closed_5(params: LemmaParams) -> list:
     if fb is None:
         return [("I", full, None), ("II:outside_image", CycNum.zero(p), None)]
     return [("I", full, None),
-            ("II:in_image", full * CycNum.zeta_pow(p, -fb), None)]
+            ("II:in_image", full.mul_zeta_pow(-fb), None)]
 
 
 def _brute_5(params: LemmaParams, memo=None) -> list:

@@ -104,6 +104,19 @@ class CycNum:
         top = acc[p - 1]
         return _new(p, [c - top for c in acc[: p - 1]], self.den * other.den)
 
+    def mul_zeta_pow(self, k: int) -> CycNum:
+        """self * zeta^k: the numerator of zeta^i moves to exponent
+        i + k mod p, and the one that lands on zeta^(p-1) is eliminated;
+        p - 1 subtractions where __mul__ does (p - 1)^2 products."""
+        p = self.p
+        k %= p
+        if k == 0:
+            return self
+        acc = self.num + (0,)  # exponents 0..p-1
+        rotated = acc[-k:] + acc[:-k]  # rotated[j] = acc[(j - k) mod p]
+        top = rotated[p - 1]
+        return _new(p, [c - top for c in rotated[: p - 1]], self.den)
+
     def scale(self, c) -> CycNum:
         c = _rational(c)
         return _new(self.p, [x * c.numerator for x in self.num],

@@ -21,6 +21,12 @@ not immutable: the tables, the digit matrix and the log-order trace
 array are caches filled on first use.  The lemma pool's workers are
 processes, so no two threads fill one field's caches.
 
+The bulk routes read the (q, m) digit matrix in the smallest unsigned
+dtype that holds p - 1 (uint8 for every p the brute-force caps admit),
+m bytes per element; digit_product multiplies it, or any narrow digit
+rows, by a small int64 matrix a block of rows at a time, so no (q, m)
+int64 array is made.
+
 hyperplane_counts is the exact transform over the digit space GF(p)^m
 that counts a stack of weighted point sets on every hyperplane
 digits(x) . t = s at once; the naive weight route of codes reads it.
@@ -48,6 +54,10 @@ from .errors import (
 # (covers 5^7, 7^6 and 3^11).  counting.check_brute_cap adds
 # smaller caps on q and p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
+
+# rows per int64 block in ExtField.digit_product: a block's int64 copies
+# stay near 1 MB at every m the field-size cap admits, whatever q is
+_BLOCK_ROWS = 1 << 13
 
 
 def is_prime(n: int) -> bool:
@@ -233,8 +243,11 @@ class ExtField:
     power of the matrix of multiplication by g^B; the same block pass
     fills the trace table.  The tables are read-only int64 arrays; the
     scalar methods return Python ints.  The (q, m) digit matrix is built
-    on the first digits_matrix() call, and the doubled array of Tr(g^j)
-    on the first trace_mul_log() call.
+    on the first digits_matrix() call, in the smallest unsigned dtype that
+    holds p - 1 (uint8 up to p = 251, m bytes per element), and the
+    doubled array of Tr(g^j) on the first trace_mul_log() call.  Products
+    with digit rows go through digit_product, which widens them to int64
+    a block of rows at a time.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -294,6 +307,7 @@ class ExtField:
         self._tr = np.asarray(self._trace_basis(), dtype=np.int64)
         self._trace_form = mul_x @ self._tr % p
         self._place = p ** np.arange(m, dtype=np.int64)
+        self._digit_dtype = np.min_scalar_type(p - 1)
         self.generator = self._find_generator()
         # caches filled on first use; the tables through _build_tables
         self._exp_array = self._log_array = self._trace_array = None
@@ -437,9 +451,21 @@ class ExtField:
         raise RuntimeError("no primitive element found; tables are inconsistent")
 
     def _digit_rows(self, vals: np.ndarray) -> np.ndarray:
-        """int64 array of shape vals.shape + (m,): the digits of each value."""
+        """int64 array of shape vals.shape + (m,): the digits of each value.
+        For the few rows of the scalar methods; every element's digits
+        come from _all_digit_rows."""
         rows = vals[..., None] // self._place
         rows %= self.p  # in place: a second (len, m) temporary raises peak RSS
+        return rows
+
+    def _all_digit_rows(self) -> np.ndarray:
+        """(q, m) array in the digit dtype: the digits of every element,
+        one digit position at a time, so the transients are (q,) int64."""
+        rows = np.empty((self.q, self.m), dtype=self._digit_dtype)
+        vals = np.arange(self.q, dtype=np.int64)
+        for j in range(self.m):
+            rows[:, j] = vals % self.p
+            vals //= self.p
         return rows
 
     def _row(self, x: int) -> np.ndarray:
@@ -585,12 +611,15 @@ class ExtField:
     # -- bulk helpers for scan-heavy callers --------------------------------
 
     def digits_matrix(self) -> np.ndarray:
-        """(q, m) int64 array: row x holds the digits of element x.
+        """(q, m) read-only array in the smallest unsigned dtype that holds
+        p - 1 (uint8 for p <= 251): row x holds the digits of element x.
 
-        Built on the first call; most commands never read it.
+        Built on the first call; most commands never read it.  Multiply it
+        through digit_product, not with @, which would cast all of it to
+        int64 first.
         """
         if self._digits_matrix is None:
-            self._digits_matrix = self._digit_rows(np.arange(self.q, dtype=np.int64))
+            self._digits_matrix = self._all_digit_rows()
             self._digits_matrix.flags.writeable = False
         return self._digits_matrix
 
@@ -606,7 +635,43 @@ class ExtField:
 
     def trace_mul_all(self, b: int) -> np.ndarray:
         """(q,) int64 array of Tr(b*x) for every element x."""
-        return (self.digits_matrix() @ self.trace_mul_vector(b)) % self.p
+        return self.digit_product(self.trace_mul_vector(b))
+
+    def digit_product(self, mat, rows: np.ndarray | None = None,
+                      reduce: bool = True) -> np.ndarray:
+        """rows @ mat, reduced mod p unless reduce is False.
+
+        rows is an (n, m) array of digits in the digit dtype (by default
+        digits_matrix()) and mat a small int64 (m,) vector or (m, k)
+        matrix.  The product runs in int64 on _BLOCK_ROWS rows at a time,
+        so no (n, m) int64 array is made.  A reduced matrix product comes
+        back as (n, k) in the digit dtype, m bytes per row for k = m; every
+        other product as int64, (n,) for a vector.
+        """
+        if rows is None:
+            rows = self.digits_matrix()
+        mat = np.asarray(mat, dtype=np.int64)
+        narrow = reduce and mat.ndim == 2
+        out = np.empty(rows.shape[:1] + mat.shape[1:],
+                       dtype=self._digit_dtype if narrow else np.int64)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS].astype(np.int64) @ mat
+            if reduce:
+                block %= self.p
+            out[start:start + _BLOCK_ROWS] = block
+        return out
+
+    def digit_form(self, gram, rows: np.ndarray | None = None) -> np.ndarray:
+        """(n,) int64 array of r G r^T mod p for each row r of rows (by
+        default digits_matrix()), G a symmetric m x m int64 matrix: the
+        row sums of rows times digit_product(G, rows), which einsum
+        widens to int64 a buffer at a time."""
+        if rows is None:
+            rows = self.digits_matrix()
+        out = np.einsum("ij,ij->i", rows, self.digit_product(gram, rows),
+                        dtype=np.int64)
+        out %= self.p
+        return out
 
     def trace_mul_log(self, b: int) -> np.ndarray:
         """(q-1,) int64 array of Tr(b g^j), j = 0..q-2: Tr(b x) for every
@@ -688,20 +753,25 @@ def hyperplane_counts(p: int, m: int, rows: np.ndarray) -> np.ndarray:
     as one product of the (d_j, s) pairs with the p^2 x p^2 0/1 matrix
     K[(d, u), (t, s)] = [u + d t = s (mod p)] (MacWilliams-Sloane
     ch. 5): m products of a (k p^(m-1), p^2) matrix, O(m k p^3 q) flops.
-    The products run in float64, which is exact while every partial sum
-    stays below 2^53: each is a sum of one row's weights, so at most q
-    for 0/1 rows, and q <= counting.BRUTE_CAP on every exhaustive route.  Only the digits of x are read,
-    no field table and no closed form, so the counts are an independent
-    oracle.
+    The products run in float32, 4p bytes per point and row, which is
+    exact while every partial sum stays below 2^24: each is a sum of one
+    row's weights, so a row whose total weight reaches 2^24 raises
+    PreconditionViolatedError.  A 0/1 row weighs at most q, below the
+    field-size cap of 200 000.  Only the digits of x are read, no field
+    table and no closed form, so the counts are an independent oracle.
     """
     k = rows.shape[0]
+    if (rows.sum(axis=1, dtype=np.int64) >= 1 << 24).any():
+        raise PreconditionViolatedError(
+            "a row's total weight reaches 2^24, past exact float32 counts")
     d, u, t, s = np.indices((p,) * 4).reshape(4, p * p, p * p)
-    kernel = ((u + d * t - s) % p == 0).astype(np.float64)
-    count = np.zeros((k, p**m, p))
+    kernel = ((u + d * t - s) % p == 0).astype(np.float32)
+    count = np.zeros((k, p**m, p), dtype=np.float32)
     count[:, :, 0] = rows
     for _ in range(m):
         # the lowest digit axis becomes t and moves to the top, so after m
         # steps t is in the encoding order of x
         count = (count.reshape(-1, p * p) @ kernel).reshape(
             k, p ** (m - 1), p, p).transpose(0, 2, 1, 3)
-    return count.reshape(k, p**m, p).astype(np.int64)
+    # C order straight from the transposed view: no float32 copy first
+    return count.astype(np.int64, order="C").reshape(k, p**m, p)

@@ -340,17 +340,14 @@ class FormAnalysis:
         """
         if self._xb_table is None:
             ctx = self.ctx
-            p, m = ctx.p, ctx.m
-            rows = ctx.digits_matrix() @ self._solve
-            rows %= p
+            m = ctx.m
+            rows = ctx.digit_product(self._solve)
             x = rows[:, :m]
-            syn = rows[:, m:] @ ctx._place[:m - self.rank]
+            syn = ctx.digit_product(ctx._place[:m - self.rank], rows[:, m:],
+                                    reduce=False)
             outside = syn != 0
-            xg = x @ np.asarray(self.gram, dtype=np.int64)
-            xg *= x
-            qx = xg.sum(axis=1) % p
-            del xg
-            xb = x @ ctx._place
+            qx = ctx.digit_form(self.gram, x)
+            xb = ctx.digit_product(ctx._place, x, reduce=False)
             xb[outside] = -1
             self._xb_table = xb.astype(np.int32)
             self._qx_table = qx.astype(np.int8)
@@ -392,8 +389,7 @@ class FormAnalysis:
             key = np.where(fx < 0, outside, fx * p + tr)
             key += (1 + fa) * (outside + 1)
         else:
-            digits = ctx.digits_matrix()
-            row = digits[alpha] @ self._solve % p
+            row = ctx._row(alpha) @ self._solve % p
             xa, sa = row[:m], row[m:]
             # w syn(alpha) is syn(beta) for z0 = 1/w
             ws = np.arange(1, p, dtype=np.int64)
@@ -402,7 +398,7 @@ class FormAnalysis:
                 pow(w, -1, p) for w in range(1, p)]
             z0 = lookup[self._syn_table[1:]]
             gxa = np.asarray(self.gram, dtype=np.int64) @ xa % p
-            cross = digits[1:] @ (self._solve[:, :m] @ gxa % p) % p
+            cross = ctx.digit_product(self._solve[:, :m] @ gxa % p)[1:]
             fprime = (int(self._qx_table[alpha]) - 2 * z0 * cross
                       + z0 * z0 * self._qx_table[1:]) % p
             key = np.where(z0 > 0, z0 * p + fprime, outside)
@@ -417,16 +413,12 @@ class FormAnalysis:
         if self._image_alpha is None:
             ctx = self.ctx
             p = ctx.p
-            digits = ctx.digits_matrix()
-            la = digits @ np.asarray(self.lmat, dtype=np.int64).T
-            la *= p - 2  # -2 L(w), reduced in place
-            la %= p
-            self._image_alpha = (la @ p ** np.arange(ctx.m, dtype=np.int64)
-                                 ).astype(np.int32)
+            # -2 L(w) = (p - 2) L(w), folded into lmat
+            la = ctx.digit_product(np.asarray(self.lmat, dtype=np.int64).T * (p - 2) % p)
+            self._image_alpha = ctx.digit_product(ctx._place, la, reduce=False
+                                                  ).astype(np.int32)
             del la
-            dg = digits @ np.asarray(self.gram, dtype=np.int64)
-            dg *= digits
-            self._image_f = (dg.sum(axis=1) % p).astype(np.int8)
+            self._image_f = ctx.digit_form(self.gram).astype(np.int8)
         return self._image_alpha, self._image_f
 
     def image_draw(self, w: int) -> int:
@@ -478,11 +470,8 @@ class FormAnalysis:
         p = ctx.p
         fv = self.f.values()
         # a transient digit array: predict must leave ctx.digits_matrix() unbuilt
-        digits = ctx._digit_rows(np.arange(ctx.q, dtype=np.int64))
-        via_mat = digits @ np.asarray(self.gram, dtype=np.int64)
-        via_mat *= digits  # in place: the (q, m) temporaries set the peak here
-        bad = np.flatnonzero(via_mat.sum(axis=1) % p != fv)
-        del via_mat
+        digits = ctx._all_digit_rows()
+        bad = np.flatnonzero(ctx.digit_form(self.gram, digits) != fv)
         if bad.size:
             raise QCodeError(
                 f"matrix does not reproduce the form at x={int(bad[0])}")
@@ -497,7 +486,7 @@ class FormAnalysis:
         # f(x + y) = f(x) + f(y) + 2 Tr(L(x) y) on the first 12 x and y;
         # Tr(L(x) y) = digits(y) . trace_mul_vector(L(x))
         pts = np.asarray(xs[:12], dtype=np.int64)
-        d = digits[pts]
+        d = digits[pts].astype(np.int64)
         sums = (d[:, None, :] + d[None, :, :]) % p @ (p ** np.arange(ctx.m))
         tl = np.asarray([ctx.trace_mul_vector(self.l_apply(int(x))) for x in pts])
         rhs = (fv[pts][:, None] + fv[pts][None, :] + 2 * (tl @ d.T)) % p

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from qcode.codes import (
     weight_distribution,
     weight_of,
 )
-from qcode.counting import analysis_pool, get_field, predict_root_count
+from qcode.counting import BRUTE_MAX_P, analysis_pool, get_field, predict_root_count
 from qcode.errors import (
     DimensionCollapseError,
     EmptyDefiningSetError,
     PreconditionViolatedError,
     QCodeError,
 )
-from qcode.quadform import analyze, preset_cor1, preset_trace_square_minus
+from qcode.field import ExtField
+from qcode.quadform import FormAnalysis, analyze, preset_cor1, preset_trace_square_minus
 
 
 def example1_set():
@@ -195,6 +197,64 @@ def test_naive_transform_matches_weight_of():
                     collapses += 1
                     assert np.count_nonzero(weights[1:] == 0) == 2
     assert alpha_zero and collapses == 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2), (3, 5)])
+def test_trace_dual_coordinates_give_every_trace(p, m):
+    # the naive route's identity Tr(beta d) = digits(beta) . w(d) (mod p),
+    # w(d) = digits(d) T with T the trace form, on every (beta, d), against
+    # a field multiplication and the trace table
+    F = get_field(p, m)
+    tr = F.trace_table()
+    digits = F.digits_matrix().astype(np.int64)
+    dual = F.digit_product(F._trace_form).astype(np.int64)
+    via_dual = digits @ dual.T % p
+    direct = [[tr[F.mul(b, d)] for d in F.elements()] for b in F.elements()]
+    assert via_dual.tolist() == direct
+
+
+def test_weight_routes_and_pairs_at_the_largest_brute_p():
+    # p = BRUTE_MAX_P = 19 with uint8 digits, where lambda * digit passes
+    # 255: both weight routes against weight_of on every beta, and the
+    # proportional pairs against a count by field multiplication
+    p, m = BRUTE_MAX_P, 2
+    F = get_field(p, m)
+    assert F.digits_matrix().dtype == np.uint8 and (p - 1) ** 2 > 255
+    rng = random.Random(19)
+    checked = 0
+    for f in small_forms(F):
+        an = analyze(f)
+        for alpha in (0, 1, rng.randrange(2, F.q)):
+            try:
+                ds = defining_set(an, alpha)
+            except EmptyDefiningSetError:
+                continue
+            want = [weight_of(b, ds) for b in F.elements()]
+            assert codes_mod._weights_naive(ds).tolist() == want, (f.coeffs, alpha)
+            assert codes_mod._weights_analytic(ds).tolist() == want, (f.coeffs, alpha)
+            members = set(ds.elements)
+            ordered = sum(F.mul(lam, d) in members
+                          for d in ds.elements for lam in range(2, p))
+            assert proportional_pairs(ds) * 2 == ordered
+            checked += ordered > 0
+    assert checked
+
+
+def test_build_route_peak_memory_per_element():
+    # tracemalloc peak of defining_set plus both weight routes on a fresh
+    # 3^9 field, per element: about 177 bytes with uint8 digits and blocked
+    # products, 292 when every digit product made a (q, m) int64 array.
+    # A new (q, m) int64 temporary adds 8m = 72 and fails the bound.
+    F = ExtField(3, 9)
+    an = FormAnalysis(preset_cor1(F, 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weight_distribution(defining_set(an, 1), "both")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / F.q < 220
 
 
 def test_both_mode_raises_on_disagreement(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,21 @@ def test_zeta_times_zeta_inverse():
         z = CycNum.zeta_pow(p, 1)
         zinv = CycNum.zeta_pow(p, p - 1)
         assert z * zinv == rational(p, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_mul_zeta_pow_is_multiplication_by_zeta_pow(p):
+    # the rotation against the full product, on random coordinates over
+    # random denominators, at every k in two periods (negative k too)
+    rng = random.Random(p)
+    for _ in range(6):
+        den = rng.choice([1, 2, p, p**3, 6 * p])
+        x = CycNum(p, [Fraction(rng.randint(-9 * p, 9 * p), den) for _ in range(p - 1)])
+        for k in range(-p, p + 1):
+            got = x.mul_zeta_pow(k)
+            want = x * CycNum.zeta_pow(p, k)
+            assert (got.num, got.den) == (want.num, want.den), (p, k, x)
+    assert CycNum.zero(p).mul_zeta_pow(1).is_zero()
 
 
 def test_p3_gauss_square_by_hand():

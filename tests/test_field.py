@@ -372,6 +372,36 @@ def test_digit_matrix_and_trace_table_match_scalar_forms(p, m, modulus):
     assert F.trace_table().tolist() == [_frobenius_trace(F, x) for x in F.elements()]
 
 
+@pytest.mark.parametrize("p,m,dtype", [(3, 9, np.uint8), (19, 2, np.uint8),
+                                       (251, 2, np.uint8), (257, 2, np.uint16),
+                                       (65537, 1, np.uint32)])
+def test_digit_matrix_is_narrow_and_digit_products_are_exact(p, m, dtype):
+    # the smallest unsigned dtype that holds p - 1; the blocked products
+    # against the same products on an int64 copy (3^9 spans three blocks)
+    F = get_field(p, m)
+    dm = F.digits_matrix()
+    assert dm.dtype == dtype and dm.shape == (F.q, m)
+    wide = _digit_vectors(p, m)
+    assert np.array_equal(dm, wide)
+    rng = np.random.default_rng(F.q)
+    rows = dm[rng.integers(0, F.q, size=100)]
+    for k in (1, m, m + 2):
+        mat = rng.integers(0, p, size=(m, k))
+        got = F.digit_product(mat)
+        assert got.dtype == dtype and np.array_equal(got, wide @ mat % p)
+        assert np.array_equal(F.digit_product(mat, rows),
+                              rows.astype(np.int64) @ mat % p)
+    vec = rng.integers(0, p, size=m)
+    for reduce, want in ((True, wide @ vec % p), (False, wide @ vec)):
+        got = F.digit_product(vec, reduce=reduce)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    gram = rng.integers(0, p, size=(m, m))
+    gram = (gram + gram.T) % p
+    form = F.digit_form(gram)
+    assert form.dtype == np.int64
+    assert np.array_equal(form, np.einsum("ij,jk,ik->i", wide, gram, wide) % p)
+
+
 GOLDEN_TABLES = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "field_tables.json").read_text())
 
@@ -599,6 +629,19 @@ def test_hyperplane_counts_match_direct_enumeration(p, m):
     counts = hyperplane_counts(p, m, rows)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, expected)
+
+
+def test_hyperplane_counts_refuse_a_row_past_exact_float32():
+    # float32 holds every integer below 2^24, so a row weighing 2^24 - 1 is
+    # counted exactly; one weighing 2^24 is refused, also below a light row
+    light = np.array([[2**24 - 2, 1, 0]])
+    counts = hyperplane_counts(3, 1, light)
+    assert counts.dtype == np.int64
+    assert counts[0].tolist() == [[2**24 - 1, 0, 0], [2**24 - 2, 1, 0],
+                                  [2**24 - 2, 0, 1]]
+    heavy = np.array([[1, 1, 1], [2**24 - 1, 1, 0]])
+    with pytest.raises(PreconditionViolatedError, match="2\\^24"):
+        hyperplane_counts(3, 1, heavy)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 8), (5, 5), (7, 4), (13, 3), (19, 2)])
