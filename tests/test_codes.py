@@ -214,12 +214,12 @@ def test_trace_dual_coordinates_give_every_trace(p, m):
 
 
 def test_weight_routes_and_pairs_at_the_largest_brute_p():
-    # p = BRUTE_MAX_P = 19 with uint8 digits, where lambda * digit passes
-    # 255: both weight routes against weight_of on every beta, and the
-    # proportional pairs against a count by field multiplication
+    # p = BRUTE_MAX_P = 19 with uint8 digits, where lambda * digit reaches
+    # 18 * 18 > 255: both weight routes against weight_of on every beta,
+    # and the proportional pairs against a count by field multiplication
     p, m = BRUTE_MAX_P, 2
     F = get_field(p, m)
-    assert F.digits_matrix().dtype == np.uint8 and (p - 1) ** 2 > 255
+    assert F.digits_matrix().dtype == np.uint8
     rng = random.Random(19)
     checked = 0
     for f in small_forms(F):
