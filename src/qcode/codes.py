@@ -161,22 +161,27 @@ def weight_of(beta: int, ds: DefiningSet) -> int:
         ctx.trace_table()[[ctx.mul(beta, d) for d in ds.elements]]))
 
 
+def _trace_dual(ds: DefiningSet) -> np.ndarray:
+    """(|D|, m) array in the digit dtype: row i is w(d_i) = digits(d_i) T,
+    with T the trace form, T[j, k] = Tr(x^j x^k), so w(d)_j = Tr(x^j d).
+    Column j is the codeword of the basis index x^j, and
+    Tr(beta d) = digits(beta) . w(d) (mod p) for every beta."""
+    ctx = ds.ctx
+    return ctx.digit_product(ctx._trace_form, ctx.digits_matrix()[ds.indices])
+
+
 def _weights_naive(ds: DefiningSet) -> np.ndarray:
     """Weights of all q codewords from exact hyperplane counts, on the
-    trace-dual coordinates of D.
+    trace-dual coordinates w(d) of D (_trace_dual).
 
-    With T the trace form, T[j, k] = Tr(x^j x^k), each d in D maps to
-    w(d) = digits(d) T, the vector of Tr(x^k d), and
-    Tr(beta d) = digits(beta) . w(d) (mod p).  So the zeros of c_beta
-    number #{d in D : digits(beta) . w(d) = 0}: hyperplane_counts on the
-    indicator of w(D) gives that count at t = digits(beta), which is
-    indexed by beta itself.  T is invertible (the trace form is
-    nondegenerate), so the indicator holds |D| ones.
+    The zeros of c_beta number #{d in D : digits(beta) . w(d) = 0}:
+    hyperplane_counts on the indicator of w(D) gives that count at
+    t = digits(beta), which is indexed by beta itself.  T is invertible
+    (the trace form is nondegenerate), so the indicator holds |D| ones.
     """
     ctx = ds.ctx
-    dual = ctx.digit_product(ctx._trace_form, ctx.digits_matrix()[ds.indices])
     member = np.zeros((1, ctx.q), dtype=bool)
-    member[0, ctx.digit_product(ctx._place, dual, reduce=False)] = True
+    member[0, ctx.digit_product(ctx._place, _trace_dual(ds), reduce=False)] = True
     return ds.length - hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
 
 
@@ -257,16 +262,14 @@ def parse_enumerator(text: str) -> dict[int, int]:
 
 
 def generator_matrix(ds: DefiningSet) -> list[list[int]]:
-    """m x n matrix whose row j is the codeword of the basis index x^j.
+    """m x n matrix whose row j is the codeword of the basis index x^j,
+    Tr(x^j d) for d in D: the transposed trace-dual coordinates.
 
     Every codeword is the digit-combination of these rows; the rank over
     GF(p) must be m (checked).
     """
-    ctx = ds.ctx
-    tt = ctx.trace_table()
-    rows = [[int(tt[ctx.mul(ctx.pow_of_basis(j), d)]) for d in ds.elements]
-            for j in range(ctx.m)]
-    if gf_rank(rows, ctx.p) != ctx.m:
+    rows = _trace_dual(ds).T.tolist()
+    if gf_rank(rows, ds.ctx.p) != ds.ctx.m:
         raise DimensionCollapseError("generator matrix is rank-deficient")
     return rows
 

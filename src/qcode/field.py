@@ -9,10 +9,11 @@ so every CLI value is bit-exact.
 Construction keeps only m x m GF(p)-matrices: multiplication by x^j,
 the Frobenius powers y -> y^(p^i) and the trace vector, all on digit
 rows (the regular representation; Lidl-Niederreiter, Finite Fields,
-ch. 2).  The exp, log and trace tables are read-only int64 arrays that
-numpy passes over those matrices fill on the first bulk use
-(trace_table, trace_mul_log, a form's values or log_values, or a read
-of _exp or _log).  Until then the scalar methods compute on digit rows;
+ch. 2).  The modulus is tested in the same algebra: is_irreducible runs
+Rabin's distinct-degree test on its companion matrix.  The exp, log and
+trace tables are read-only int64 arrays that numpy passes over those
+matrices fill on the first bulk use (trace_table, trace_mul_log, a
+form's values or log_values, or a read of _exp or _log).  Until then the scalar methods compute on digit rows;
 afterwards they read the tables through memoryviews.  Both paths return
 the same Python ints and raise the same errors.
 
@@ -45,14 +46,17 @@ from .errors import (
     PreconditionViolatedError,
     ReducibleModulusError,
 )
+from .linalg import rank
 
 # Once built, the exp, log and trace tables are three int64 arrays, 24 bytes
 # per element (33 at the construction peak), filled by O(sqrt q) numpy passes
 # over m x m GF(p)-matrices.  predict and analyze build them only for the
 # form spot check, which stops at 5^6, and otherwise hold O(m^3) ints per
 # field; the cap still keeps q at desk scale for the routes that build them
-# (covers 5^7, 7^6 and 3^11).  counting.check_brute_cap adds
-# smaller caps on q and p for the exhaustive routes.
+# (covers 5^7, 7^6 and 3^11).  It also bounds p for is_irreducible, whose
+# int64 matrix powers (_mat_pow) are exact only while m (p - 1)^2 < 2^63.
+# counting.check_brute_cap adds smaller caps on q and p for the exhaustive
+# routes.
 _MAX_FIELD_SIZE = 200_000
 
 # rows per int64 block in ExtField.digit_product: a block's int64 copies
@@ -97,96 +101,6 @@ def eta_bar(t: int, p: int) -> int:
     return 1 if pow(t, (p - 1) // 2, p) == 1 else -1
 
 
-# --- polynomial arithmetic over GF(p) on coefficient lists -----------------
-# Coefficients little-endian, trailing zeros trimmed; [] is the zero poly.
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod(prod, mod, p)[1]
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    quo = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv_lb % p
-        shift = len(a) - 1 - db
-        quo[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        a.pop()
-    return _poly_trim(quo), _poly_trim(a)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    cur = _poly_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, cur, mod, p)
-        cur = _poly_mulmod(cur, cur, mod, p)
-        e >>= 1
-    return result
-
-
-def is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p).
-
-    Uses the distinct-degree criterion: f of degree m is irreducible iff
-    x^(p^m) = x mod f and gcd(x^(p^(m/l)) - x, f) = 1 for every prime l
-    dividing m.
-    """
-    m = len(coeffs) - 1
-    if m < 1 or coeffs[-1] != 1:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    # frob[i] = x^(p^i) mod f, built by repeated p-th powers
-    frob = [x]
-    for _ in range(m):
-        frob.append(_poly_powmod(frob[-1], p, coeffs, p))
-    return not _poly_sub(frob[m], x, p) and _gcd_step(coeffs, frob.__getitem__, p)
-
-
-def _gcd_step(coeffs: list[int], frob, p: int) -> bool:
-    """The gcd half of the distinct-degree test, for f with x^(p^m) = x
-    mod f: gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m,
-    frob(k) giving x^(p^k) mod f as a coefficient list."""
-    m = len(coeffs) - 1
-    return all(len(_poly_gcd(list(coeffs), _poly_sub(frob(m // ell), [0, 1], p), p)) == 1
-               for ell in prime_factors(m))
-
-
 def _companion(low: np.ndarray, p: int) -> np.ndarray:
     """Matrix C of y -> y x modulo the monic polynomial with low
     coefficients c_0..c_(m-1), on digit rows: digits(y) @ C = digits(y x).
@@ -201,7 +115,9 @@ def _companion(low: np.ndarray, p: int) -> np.ndarray:
 def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a^e mod p by binary powering, for an m x m int64 matrix or a stack
     of them.  Entries stay below p, so a product entry is a sum of m terms
-    below p^2, well inside int64 at the field-size cap."""
+    below p^2: exact while m (p - 1)^2 < 2^63, which the characteristic
+    bound of ExtField and is_irreducible (p <= _MAX_FIELD_SIZE) keeps for
+    any m x m matrix that fits in memory."""
     out = np.eye(a.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
@@ -210,6 +126,37 @@ def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
         if e:
             a = a @ a % p
     return out
+
+
+def is_irreducible(coeffs: list[int], p: int) -> bool:
+    """Irreducibility of a monic polynomial over GF(p); False for a
+    non-monic one or one of degree < 1.
+
+    Rabin's distinct-degree test on the companion matrix C of f: f of
+    degree m is irreducible iff C^(p^m) = C (x^(p^m) = x mod f) and the
+    rank step holds.  p past the field-size cap raises
+    PreconditionViolatedError, since the int64 matrix powers are exact
+    only inside it.
+    """
+    if p > _MAX_FIELD_SIZE:
+        raise PreconditionViolatedError(
+            f"characteristic {p} exceeds the field-size cap {_MAX_FIELD_SIZE}")
+    m = len(coeffs) - 1
+    if m < 1 or coeffs[-1] != 1:
+        return False
+    comp = _companion(np.asarray([c % p for c in coeffs[:m]], dtype=np.int64), p)
+    return np.array_equal(_mat_pow(comp, p**m, p), comp) and _rank_step(comp, p)
+
+
+def _rank_step(comp: np.ndarray, p: int) -> bool:
+    """The rank half of the distinct-degree test, for the companion matrix
+    C of an f of degree m with x^(p^m) = x mod f.  Multiplication by g in
+    GF(p)[x]/(f) is g(C) (Lidl-Niederreiter, ch. 2), so
+    gcd(x^(p^(m/l)) - x, f) = 1 iff C^(p^(m/l)) - C has rank m over
+    GF(p); this checks it for every prime l dividing m."""
+    m = len(comp)
+    return all(rank(((_mat_pow(comp, p ** (m // ell), p) - comp) % p).tolist(), p) == m
+               for ell in prime_factors(m))
 
 
 class ExtField:
@@ -225,12 +172,13 @@ class ExtField:
         coefficients have the smallest base-p encoding is selected, so
         two constructions with the same (p, m) are identical.
 
-    Elements are ints in [0, p^m).  Construction finds the modulus and
-    the generator g, the smallest primitive element (found by matrix
-    powers of each candidate's multiplication matrix), and keeps the
-    m x m GF(p)-matrices of y -> y x^j and y -> y^(p^i) on digit rows
-    with the vector of Tr(x^j), which Newton's identities give from the
-    modulus.  The scalar methods compute on those matrices: a b is
+    Elements are ints in [0, p^m).  Construction tests or finds the
+    modulus by the distinct-degree test on companion matrices
+    (is_irreducible, _default_modulus), finds the generator g, the
+    smallest primitive element (by matrix powers of each candidate's
+    multiplication matrix), and keeps the m x m GF(p)-matrices of
+    y -> y x^j and y -> y^(p^i) on digit rows with the vector of Tr(x^j),
+    which Newton's identities give from the modulus.  The scalar methods compute on those matrices: a b is
     digits(a) times the matrix of b, powers, inverses and eta (by Euler's
     criterion) take matrix powers, Frobenius and trace are one
     vector-matrix product.
@@ -324,8 +272,8 @@ class ExtField:
         # root in GF(p) is reducible: one product with the table of x^i
         # (i = 0..m, x in GF(p)) rules most candidates out.  x^(p^m) mod f
         # is row 0 of C_f^(p^m), C_f the companion matrix of f, so one
-        # stacked matrix power tests the rest; only the survivors take the
-        # gcd step.
+        # stacked matrix power tests the rest; the survivors take the rank
+        # step in order.
         q = p**m
         powers = np.arange(p, dtype=np.int64) ** np.arange(m + 1, dtype=np.int64)[:, None] % p
         x = np.eye(m, dtype=np.int64)[1]
@@ -337,10 +285,8 @@ class ExtField:
             comps = _companion(low, p)
             fixed = (_mat_pow(comps, q, p)[:, 0] == x).all(axis=1)
             for coeffs, comp in zip(low[fixed].tolist(), comps[fixed]):
-                coeffs.append(1)
-                if _gcd_step(coeffs, lambda k: _poly_trim(
-                        _mat_pow(comp, p**k, p)[0].tolist()), p):
-                    return coeffs
+                if _rank_step(comp, p):
+                    return coeffs + [1]
             lo, size = lo + size, 2 * size
         raise ReducibleModulusError(f"no irreducible polynomial found for ({p}, {m})")
 

@@ -41,7 +41,6 @@ class QuadraticFunction:
             raise PreconditionViolatedError("coefficient encoding out of range")
         self.ctx = ctx
         self.coeffs = coeffs
-        self._values: np.ndarray | None = None
         self._log_values: np.ndarray | None = None
 
     def evaluate(self, x: int) -> int:
@@ -75,13 +74,12 @@ class QuadraticFunction:
         return self._log_values
 
     def values(self) -> np.ndarray:
-        """(q,) int64 array of f(x) for every element, indexed by encoding;
-        cached.  log_values() scattered to the encodings g^k."""
-        if self._values is None:
-            out = np.zeros(self.ctx.q, dtype=np.int64)
-            out[self.ctx._exp] = self.log_values()
-            self._values = out
-        return self._values
+        """(q,) int64 array of f(x) for every element, indexed by encoding:
+        log_values() scattered to the encodings g^k, a new array on each
+        call, so a form retains only the log-order array."""
+        out = np.zeros(self.ctx.q, dtype=np.int64)
+        out[self.ctx._exp] = self.log_values()
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuadraticFunction)

@@ -387,6 +387,16 @@ def test_generator_matrix_rank_and_row_additivity():
     assert combined == direct
 
 
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2)])
+def test_generator_matrix_rows_are_basis_codewords(p, m):
+    # row j holds Tr(x^j d) for d in D, by field multiplication and trace
+    F = get_field(p, m)
+    ds = defining_set(analyze(preset_cor1(F, 1)), 1)
+    assert generator_matrix(ds) == [
+        [F.trace(F.mul(F.pow_of_basis(j), d)) for d in ds.elements]
+        for j in range(m)]
+
+
 def test_generator_matrix_rowspace_census_matches_enumerator():
     F = get_field(3, 3)
     ds = defining_set(analyze(preset_cor1(F, 1)), 1)

@@ -70,6 +70,73 @@ def test_is_prime_and_irreducible_helpers():
     assert not is_irreducible([1, 2, 1], 3)
 
 
+def _monic(p, d):
+    """Every monic polynomial of degree d over GF(p), little-endian."""
+    return [[enc // p**i % p for i in range(d)] + [1] for enc in range(p**d)]
+
+
+def _reducible_by_products(p, m):
+    """Encodings of the low coefficients of every reducible monic
+    polynomial of degree m: the products of two monic factors of degrees
+    d and m - d, 1 <= d <= m/2."""
+    out = set()
+    for d in range(1, m // 2 + 1):
+        for a in _monic(p, d):
+            for b in _monic(p, m - d):
+                prod = [0] * (m + 1)
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        prod[i + j] += ai * bj
+                out.add(sum(c % p * p**i for i, c in enumerate(prod[:m])))
+    return out
+
+
+def _mobius(n):
+    mu, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return mu
+
+
+IRREDUCIBILITY_GRID = ([(3, m) for m in range(1, 7)] + [(5, m) for m in range(1, 5)]
+                       + [(7, m) for m in range(1, 4)] + [(11, 2), (13, 2)])
+
+
+@pytest.mark.parametrize("p,m", IRREDUCIBILITY_GRID)
+def test_is_irreducible_matches_the_product_sieve_and_gauss_count(p, m):
+    # every monic polynomial of degree m: irreducible exactly when no
+    # product of two monic factors of lower degree gives it, and as many
+    # as Gauss's formula (1/m) sum_{d | m} mu(d) p^(m/d)
+    irreducible = {enc for enc, coeffs in enumerate(_monic(p, m))
+                   if is_irreducible(coeffs, p)}
+    assert irreducible == set(range(p**m)) - _reducible_by_products(p, m)
+    gauss = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+    assert len(irreducible) * m == gauss
+
+
+def test_is_irreducible_refuses_a_characteristic_past_the_cap():
+    # int64 matrix powers are exact only inside the field-size cap
+    with pytest.raises(PreconditionViolatedError):
+        is_irreducible([1, 0, 1], 200_003)
+    # at the largest prime under the cap, p = 3 mod 4: x^2 + 1 has no
+    # root and is irreducible, x^2 - 1 = (x - 1)(x + 1) is not
+    assert is_irreducible([1, 0, 1], 199_999)
+    assert not is_irreducible([199_998, 0, 1], 199_999)
+
+
+def test_is_irreducible_rejects_non_monic_and_constant_inputs():
+    assert not is_irreducible([1, 2], 3)
+    assert not is_irreducible([1, 0, 2], 3)
+    assert not is_irreducible([2, 0, 0, 0, 0, 2], 3)
+    assert not is_irreducible([1], 3)
+    assert not is_irreducible([], 3)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
