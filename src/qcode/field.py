@@ -13,9 +13,10 @@ ch. 2).  The modulus is tested in the same algebra: is_irreducible runs
 Rabin's distinct-degree test on its companion matrix.  The exp, log and
 trace tables are read-only int64 arrays that numpy passes over those
 matrices fill on the first bulk use (trace_table, trace_mul_log, a
-form's values or log_values, or a read of _exp or _log).  Until then the scalar methods compute on digit rows;
-afterwards they read the tables through memoryviews.  Both paths return
-the same Python ints and raise the same errors.
+form's values or log_values, or a read of _exp or _log).  Until then
+the scalar methods compute on digit rows; afterwards they read the
+tables through memoryviews.  Both paths return the same Python ints and
+raise the same errors.
 
 Every operation is a pure function of its arguments, but an ExtField is
 not immutable: the tables, the digit matrix and the log-order trace
@@ -136,11 +137,13 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     degree m is irreducible iff C^(p^m) = C (x^(p^m) = x mod f) and the
     rank step holds.  p past the field-size cap raises
     PreconditionViolatedError, since the int64 matrix powers are exact
-    only inside it.
+    only inside it, and a p that is not prime raises NonPrimeError.
     """
     if p > _MAX_FIELD_SIZE:
         raise PreconditionViolatedError(
             f"characteristic {p} exceeds the field-size cap {_MAX_FIELD_SIZE}")
+    if not is_prime(p):
+        raise NonPrimeError(f"characteristic {p} is not prime")
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
@@ -178,10 +181,10 @@ class ExtField:
     smallest primitive element (by matrix powers of each candidate's
     multiplication matrix), and keeps the m x m GF(p)-matrices of
     y -> y x^j and y -> y^(p^i) on digit rows with the vector of Tr(x^j),
-    which Newton's identities give from the modulus.  The scalar methods compute on those matrices: a b is
-    digits(a) times the matrix of b, powers, inverses and eta (by Euler's
-    criterion) take matrix powers, Frobenius and trace are one
-    vector-matrix product.
+    which Newton's identities give from the modulus.  The scalar methods
+    compute on those matrices: a b is digits(a) times the matrix of b,
+    powers, inverses and eta (by Euler's criterion) take matrix powers,
+    Frobenius and trace are one vector-matrix product.
 
     The exp, log and trace tables are built on the first bulk use
     (trace_table, trace_mul_log, or a read of _exp, _log or

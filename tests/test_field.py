@@ -129,6 +129,13 @@ def test_is_irreducible_refuses_a_characteristic_past_the_cap():
     assert not is_irreducible([199_998, 0, 1], 199_999)
 
 
+def test_is_irreducible_refuses_a_composite_characteristic():
+    # over Z/9 the test has no meaning; the check used to answer True for
+    # every linear polynomial
+    with pytest.raises(NonPrimeError):
+        is_irreducible([1, 1], 9)
+
+
 def test_is_irreducible_rejects_non_monic_and_constant_inputs():
     assert not is_irreducible([1, 2], 3)
     assert not is_irreducible([1, 0, 2], 3)
