@@ -11,7 +11,8 @@ non-empty value is a configuration error.
 
 Exit codes: 0 success (for verify: prediction matches brute force; for
 lemmas: every identity ran checks and all agreed), 1 verify mismatch or a
-lemmas sweep that is not all_equal, 2 configuration or computation error.
+lemmas sweep that is not all_equal, 2 configuration or computation error,
+or an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.fn is not cmd_build:
             raise QCodeError("--format csv is only available for build")
         return args.fn(args)
-    except (QCodeError, ZeroDivisionError, ValueError) as exc:
+    except (QCodeError, ZeroDivisionError, ValueError, OSError) as exc:
         # machine-readable failure channel; exit code 2 is the contract
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -91,30 +91,26 @@ from .quadform import (
 
 IDENTITY_IDS = (5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19)
 
-# exhaustive oracles refuse fields past this size, and characteristics past
-# BRUTE_MAX_P: their cost also grows with p (the naive transform,
-# field.hyperplane_counts, does m matrix products of O(p^3 q) flops; the
-# registry's oracles and branch scans do Python work in p^2 to p^3 per
-# draw).  BRUTE_CAP < 2^24 keeps that transform's float32 counts exact.
-BRUTE_CAP = 5**7
+# the exhaustive routes refuse characteristics past BRUTE_MAX_P, since their
+# cost grows with p beyond q (the naive transform, field.hyperplane_counts,
+# does m matrix products of O(p^3 q) flops; the registry's oracles and branch
+# scans do Python work in p^2 to p^3 per draw); the field-size cap of
+# field.ExtField bounds q for every route
 BRUTE_MAX_P = 19
 
 
 def check_brute_cap(ctx: ExtField) -> None:
-    """Refuse an exhaustive route over the field ctx past the caps."""
-    _check_cap(ctx.p, ctx.q)
+    """Refuse an exhaustive route over the field ctx past BRUTE_MAX_P."""
+    _check_cap(ctx.p)
 
 
-def _check_cap(p: int, size: int) -> None:
+def _check_cap(p: int) -> None:
     """The one guard of every exhaustive route: refuse characteristic p
-    past BRUTE_MAX_P, or a space of `size` points past BRUTE_CAP."""
+    past BRUTE_MAX_P.  A field past the field-size cap is never built."""
     if p > BRUTE_MAX_P:
         raise PreconditionViolatedError(
             f"characteristic {p} exceeds the brute-force cap "
             f"p <= {BRUTE_MAX_P}")
-    if size > BRUTE_CAP:
-        raise PreconditionViolatedError(
-            f"field size {size} exceeds the brute-force cap {BRUTE_CAP}")
 
 
 def brute_count(ctx: ExtField, predicate) -> int:
@@ -966,7 +962,7 @@ def lemma_oracle(lemma_id: int, params: LemmaParams, *,
                 raise PreconditionViolatedError(
                     f"{name} encoding {v} outside [0, {q})")
     if params.p is not None:
-        _check_cap(params.p, params.p**2)  # id 6 sums over GF(p)^2
+        _check_cap(params.p)
     closed, brute = _REGISTRY[lemma_id]
     rows = closed(params)
     out = []

@@ -24,10 +24,10 @@ array are caches filled on first use.  The lemma pool's workers are
 processes, so no two threads fill one field's caches.
 
 The bulk routes read the (q, m) digit matrix in the smallest unsigned
-dtype that holds p - 1 (uint8 for every p the brute-force caps admit),
-m bytes per element; digit_product multiplies it, or any narrow digit
-rows, by a small int64 matrix a block of rows at a time, so no (q, m)
-int64 array is made.
+dtype that holds p - 1 (uint8 for every p the characteristic cap
+counting.BRUTE_MAX_P admits), m bytes per element; digit_product
+multiplies it, or any narrow digit rows, by a small int64 matrix a block
+of rows at a time, so no (q, m) int64 array is made.
 
 hyperplane_counts is the exact transform over the digit space GF(p)^m
 that counts a stack of weighted point sets on every hyperplane
@@ -49,15 +49,17 @@ from .errors import (
 )
 from .linalg import rank
 
-# Once built, the exp, log and trace tables are three int64 arrays, 24 bytes
-# per element (33 at the construction peak), filled by O(sqrt q) numpy passes
-# over m x m GF(p)-matrices.  predict and analyze build them only for the
-# form spot check, which stops at 5^6, and otherwise hold O(m^3) ints per
-# field; the cap still keeps q at desk scale for the routes that build them
-# (covers 5^7, 7^6 and 3^11).  It also bounds p for is_irreducible, whose
-# int64 matrix powers (_mat_pow) are exact only while m (p - 1)^2 < 2^63.
-# counting.check_brute_cap adds smaller caps on q and p for the exhaustive
-# routes.
+# The one bound on q for every route.  Once built, the exp, log and trace
+# tables are three int64 arrays, 24 bytes per element (33 at the
+# construction peak), filled by O(sqrt q) numpy passes over m x m
+# GF(p)-matrices.  predict and analyze build them only for the form spot
+# check, which stops at 5^6, and otherwise hold O(m^3) ints per field; the
+# cap keeps q at desk scale for the routes that build them and enumerate
+# GF(q) (covers 5^7, 7^6 and 3^11).  It stays below 2^24, so the float32
+# counts of hyperplane_counts on the naive route's rows, indicators of
+# subsets of GF(q), are exact.  It also bounds p for is_irreducible, whose int64 matrix powers
+# (_mat_pow) are exact only while m (p - 1)^2 < 2^63.
+# counting.check_brute_cap adds a cap on p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
 # rows per int64 block in ExtField.digit_product: a block's int64 copies

@@ -496,6 +496,9 @@ class FormAnalysis:
 
 
 def _spot_check_enabled(ctx: ExtField) -> bool:
+    """Whether analyze runs the form spot check, which builds the field
+    tables.  It refuses no input: past 5^6 the check is skipped, so
+    predict and analyze stay table-free on the larger fields."""
     return ctx.q <= 5**6
 
 

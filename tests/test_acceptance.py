@@ -14,7 +14,12 @@ import qcode.counting as counting_mod
 import qcode.predictor as predictor_mod
 import qcode.quadform as quadform_mod
 from qcode.cli import main
-from qcode.codes import defining_set, generator_matrix, weight_distribution
+from qcode.codes import (
+    defining_set,
+    generator_matrix,
+    proportional_pairs,
+    weight_distribution,
+)
 from qcode.counting import (
     REQUIRED_BRANCHES,
     analysis_pool,
@@ -32,6 +37,7 @@ from qcode.errors import DimensionCollapseError, EmptyDefiningSetError
 from qcode.field import is_prime
 from qcode.linalg import rank as gf_rank
 from qcode.predictor import paper_examples, theorem_sweep
+from qcode.quadform import analyze, parse_preset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -117,6 +123,35 @@ def test_criterion_3_theorem_sweep_300_instances():
                                  ).read_bytes(), "theorem sweep drifted"
     print(f"ACCEPTANCE 3: PASS - {rep['trials']} instances, branches "
           f"{rep['branches']}, 100% match in {elapsed:.1f}s")
+
+
+# the largest field the size cap admits for each characteristic that the
+# exhaustive routes admit
+LARGEST_ADMITTED_FIELDS = [(3, 11), (5, 7), (7, 6), (11, 5), (13, 4), (17, 4),
+                           (19, 4)]
+
+
+def test_criterion_3_at_the_largest_admitted_fields():
+    t0 = time.time()
+    branches = set()
+    for p, m in LARGEST_ADMITTED_FIELDS:
+        ctx = get_field(p, m)
+        cor1 = analyze(parse_preset(ctx, "cor1:u=1"))
+        trmv = analyze(parse_preset(ctx, "trmv:v=1"))
+        outside = next(a for a in ctx.nonzero_elements() if not trmv.in_image(a))
+        for an, alpha in ((cor1, 1), (trmv, outside)):
+            assert an.in_image(alpha) == (an is cor1)
+            # what `qcode verify --mode both` runs: naive == analytic inside
+            report, ds, wd = predictor_mod.verify(an, alpha, "both")
+            assert report.match, ((p, m), report.witnesses)
+            assert report.n_predicted == wd.n and report.rows == {
+                w: c for w, c in wd.counts.items() if w}
+            wd.validate(p, proportional_pairs(ds))  # both Pless moments
+            branches.add(report.case.branch)
+    elapsed = time.time() - t0
+    print(f"ACCEPTANCE 3 (largest fields): PASS - "
+          f"{2 * len(LARGEST_ADMITTED_FIELDS)} codes, branches "
+          f"{sorted(branches)}, predicted = naive = analytic in {elapsed:.1f}s")
 
 
 def test_criterion_4_identity_registry_sweep():

@@ -192,6 +192,12 @@ def test_large_characteristic_exits_2_at_once(capsys, argv):
     assert "characteristic" in json.loads(err)["error"]
 
 
+# every field the exhaustive routes admit: p an odd prime up to the
+# characteristic cap, and q up to the field-size cap
+ADMITTED_FIELDS = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19)
+                   for m in range(1, 12) if p**m <= 200_000]
+
+
 def test_characteristic_cap_admits_the_fields_in_use(capsys):
     # the tests', the reference examples' and the benchmark's exhaustive
     # fields, and the benchmark's largest predict field, which never
@@ -199,12 +205,22 @@ def test_characteristic_cap_admits_the_fields_in_use(capsys):
     in_use = ({(3, m) for m in range(1, 10)} | {(5, m) for m in range(1, 7)}
               | {(7, m) for m in range(1, 6)} | {(11, 1), (11, 2)}
               | {(s["p"], s["m"]) for s in predictor_mod.REFERENCE_EXAMPLES})
-    for p, m in sorted(in_use):
+    assert in_use <= set(ADMITTED_FIELDS)
+    for p, m in ADMITTED_FIELDS:
         check_brute_cap(get_field(p, m))
     code, _, _ = run_cli(capsys, "predict", "--p", "11", "--m", "5", *_FORM)
     assert code == 0
     code, _, _ = run_cli(capsys, "build", "--p", "19", "--m", "1", *_FORM)
     assert code == 0
+
+
+def test_field_size_cap_refuses_every_route_alike(capsys):
+    errors = set()
+    for command in ("build", "verify", "predict"):
+        code, out, err = run_cli(capsys, command, "--p", "3", "--m", "12", *_FORM)
+        assert code == 2 and out == ""
+        errors.add(json.loads(err)["error"])
+    assert errors == {"field size 3^12 exceeds the desk-scale cap 200000"}
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +369,25 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["length"] == 8
+
+
+_OUT_COMMANDS = [
+    ("build", "--p", "3", "--m", "3", *_FORM),
+    ("predict", "--p", "3", "--m", "4", *_FORM),
+    ("verify", "--p", "3", "--m", "4", *_FORM),
+    ("lemmas", "--p", "3", "--m", "2", *_ONE_DRAW),
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS, ids=lambda a: a[0])
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+    # exit 1 is verify's mismatch; a bad --out is a configuration error
+    target = tmp_path if where == "directory" else tmp_path / "no" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert str(target) in json.loads(err)["error"]
+    assert not (tmp_path / "no").exists()
 
 
 def test_build_and_oracle_leave_numpy_random_unimported(tmp_path):
