@@ -51,14 +51,12 @@ from .linalg import rank
 
 # The one bound on q for every route.  Once built, the exp, log and trace
 # tables are three int64 arrays, 24 bytes per element (33 at the
-# construction peak), filled by O(sqrt q) numpy passes over m x m
-# GF(p)-matrices.  predict and analyze build them only for the form spot
-# check, which stops at 5^6, and otherwise hold O(m^3) ints per field; the
-# cap keeps q at desk scale for the routes that build them and enumerate
-# GF(q) (covers 5^7, 7^6 and 3^11).  It stays below 2^24, so the float32
-# counts of hyperplane_counts on the naive route's rows, indicators of
-# subsets of GF(q), are exact.  It also bounds p for is_irreducible, whose int64 matrix powers
-# (_mat_pow) are exact only while m (p - 1)^2 < 2^63.
+# construction peak); predict and analyze build them only for the form
+# spot check, which stops at 5^6.  The cap keeps q at desk scale for the
+# routes that build them and enumerate GF(q) (covers 5^7, 7^6 and 3^11),
+# and below 2^24, where hyperplane_counts' float32 counts of subsets of
+# GF(q) are exact.  It also bounds p for is_irreducible, whose int64
+# matrix powers (_mat_pow) are exact only while m (p - 1)^2 < 2^63.
 # counting.check_brute_cap adds a cap on p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 

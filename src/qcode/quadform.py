@@ -496,9 +496,8 @@ class FormAnalysis:
 
 
 def _spot_check_enabled(ctx: ExtField) -> bool:
-    """Whether analyze runs the form spot check, which builds the field
-    tables.  It refuses no input: past 5^6 the check is skipped, so
-    predict and analyze stay table-free on the larger fields."""
+    """Whether analyze runs the form spot check, which builds the tables;
+    it refuses no input, and past 5^6 it keeps predict table-free."""
     return ctx.q <= 5**6
 
 

@@ -144,8 +144,6 @@ def test_criterion_3_at_the_largest_admitted_fields():
             # what `qcode verify --mode both` runs: naive == analytic inside
             report, ds, wd = predictor_mod.verify(an, alpha, "both")
             assert report.match, ((p, m), report.witnesses)
-            assert report.n_predicted == wd.n and report.rows == {
-                w: c for w, c in wd.counts.items() if w}
             wd.validate(p, proportional_pairs(ds))  # both Pless moments
             branches.add(report.case.branch)
     elapsed = time.time() - t0
