@@ -118,13 +118,17 @@ class WeightDistribution:
 
 def defining_set(analysis: FormAnalysis, alpha: int) -> DefiningSet:
     """Materialize D, sorted ascending, with its size cross-checked
-    against the closed-form solution count."""
+    against the closed-form solution count.
+
+    D is read in log order, where x = g^j is nonzero by construction:
+    the j with f(g^j) = Tr(alpha g^j), from log_values() against
+    trace_mul_log(alpha), both in the digit dtype, mapped to g^j by the
+    exp table."""
     check_brute_cap(analysis.ctx)
     ctx = analysis.ctx
-    fv = analysis.f.values()
-    tra = ctx.trace_mul_all(alpha)
-    sols = np.flatnonzero((fv - tra) % ctx.p == 0)
-    indices = sols[sols != 0]
+    hits = np.flatnonzero(analysis.f.log_values() == ctx.trace_mul_log(alpha))
+    indices = ctx._exp[hits].astype(np.int64)
+    indices.sort()
     indices.flags.writeable = False
     if not indices.size:
         raise EmptyDefiningSetError("defining set is empty; code undefined")
@@ -182,7 +186,8 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
     ctx = ds.ctx
     member = np.zeros((1, ctx.q), dtype=bool)
     member[0, ctx.digit_product(ctx._place, _trace_dual(ds), reduce=False)] = True
-    return ds.length - hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
+    zeros = hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
+    return ds.length - zeros.astype(np.int64)
 
 
 def _weights_analytic(ds: DefiningSet) -> np.ndarray:

@@ -350,9 +350,12 @@ def _histogram(an: FormAnalysis, *elems: int) -> np.ndarray:
     """
     ctx = an.ctx
     p = ctx.p
-    cell = an.f.log_values()
+    # log_values and trace_mul_log are in the digit dtype, where v p + t
+    # would wrap: widen once, then combine in place
+    cell = an.f.log_values().astype(np.int64)
     for e in elems:
-        cell = cell * p + ctx.trace_mul_log(e)
+        cell *= p
+        cell += ctx.trace_mul_log(e)
     counts = np.bincount(cell, minlength=p ** (len(elems) + 1))
     counts[0] += 1
     return counts.reshape((p,) * (len(elems) + 1))

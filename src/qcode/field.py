@@ -11,12 +11,13 @@ the Frobenius powers y -> y^(p^i) and the trace vector, all on digit
 rows (the regular representation; Lidl-Niederreiter, Finite Fields,
 ch. 2).  The modulus is tested in the same algebra: is_irreducible runs
 Rabin's distinct-degree test on its companion matrix.  The exp, log and
-trace tables are read-only int64 arrays that numpy passes over those
-matrices fill on the first bulk use (trace_table, trace_mul_log, a
-form's values or log_values, or a read of _exp or _log).  Until then
-the scalar methods compute on digit rows; afterwards they read the
-tables through memoryviews.  Both paths return the same Python ints and
-raise the same errors.
+trace tables are read-only arrays that numpy passes over those matrices
+fill on the first bulk use (trace_table, trace_mul_log, a form's values
+or log_values, or a read of _exp or _log): exp and log in int32 and the
+traces in the digit dtype below, 9 bytes per element for p <= 255.
+Until then the scalar methods compute on digit rows; afterwards they
+read the tables through memoryviews.  Both paths return the same Python
+ints and raise the same errors.
 
 Every operation is a pure function of its arguments, but an ExtField is
 not immutable: the tables, the digit matrix and the log-order trace
@@ -50,13 +51,15 @@ from .errors import (
 from .linalg import rank
 
 # The one bound on q for every route.  Once built, the exp, log and trace
-# tables are three int64 arrays, 24 bytes per element (33 at the
-# construction peak); predict and analyze build them only for the form
-# spot check, which stops at 5^6.  The cap keeps q at desk scale for the
-# routes that build them and enumerate GF(q) (covers 5^7, 7^6 and 3^11),
-# and below 2^24, where hyperplane_counts' float32 counts of subsets of
-# GF(q) are exact.  It also bounds p for is_irreducible, whose int64
-# matrix powers (_mat_pow) are exact only while m (p - 1)^2 < 2^63.
+# tables are two int32 arrays and one in the digit dtype, 9 bytes per
+# element for p <= 255 (about 14 at the construction peak); predict and
+# analyze build them only for the form spot check, which stops at 5^6.
+# The cap keeps q at desk scale for the routes that build them and
+# enumerate GF(q) (covers 5^7, 7^6 and 3^11), below 2^31, so encodings and
+# logs fit in int32, and below 2^24, where hyperplane_counts' float32
+# counts of subsets of GF(q) are exact.  It also bounds p for
+# is_irreducible, whose int64 matrix powers (_mat_pow) are exact only
+# while m (p - 1)^2 < 2^63.
 # counting.check_brute_cap adds a cap on p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
@@ -192,13 +195,14 @@ class ExtField:
     With B = isqrt(q-1) + 1, the rows of g^0..g^(B-1) come from repeated
     doubling, and every later block of B powers is those rows times a
     power of the matrix of multiplication by g^B; the same block pass
-    fills the trace table.  The tables are read-only int64 arrays; the
-    scalar methods return Python ints.  The (q, m) digit matrix is built
-    on the first digits_matrix() call, in the smallest unsigned dtype that
-    holds p - 1 (uint8 up to p = 251, m bytes per element), and the
-    doubled array of Tr(g^j) on the first trace_mul_log() call.  Products
-    with digit rows go through digit_product, which widens them to int64
-    a block of rows at a time.
+    fills the trace table.  The tables are read-only: exp and log in
+    int32, since encodings and logs stay below q < 2^31, and the traces
+    in the digit dtype; the scalar methods return Python ints.  The (q, m)
+    digit matrix is built on the first digits_matrix() call, in the
+    smallest unsigned dtype that holds p - 1 (uint8 up to p = 251, m bytes
+    per element), and the doubled array of Tr(g^j), in the same dtype, on
+    the first trace_mul_log() call.  Products with digit rows go through
+    digit_product, which widens them to int64 a block of rows at a time.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -316,8 +320,10 @@ class ExtField:
         # times faster than int64 ones
         base = rows[:width].astype(np.float64)
         step = _mat_pow(mul_g, width, p)
-        exp = np.empty(n, dtype=np.int64)
-        trace_table = np.zeros(q, dtype=np.int64)
+        # encodings and logs stay below q <= _MAX_FIELD_SIZE < 2^31, and a
+        # trace is a digit
+        exp = np.empty(n, dtype=np.int32)
+        trace_table = np.zeros(q, dtype=self._digit_dtype)
         power = np.eye(m, dtype=np.int64)
         for start in range(0, n, width):
             block = (base @ power.astype(np.float64))[:n - start].astype(np.int64)
@@ -326,8 +332,8 @@ class ExtField:
             exp[start:start + width] = enc
             trace_table[enc] = block @ self._tr % p
             power = power @ step % p
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(n)
+        log = np.zeros(q, dtype=np.int32)
+        log[exp] = np.arange(n, dtype=np.int32)
         for table in (exp, log, trace_table):
             table.flags.writeable = False
         self._exp_array, self._log_array, self._trace_array = exp, log, trace_table
@@ -573,7 +579,8 @@ class ExtField:
         return self._digits_matrix
 
     def trace_table(self) -> np.ndarray:
-        """(q,) int64 array of traces; builds the tables on first use."""
+        """(q,) array of traces in the digit dtype; builds the tables on
+        first use."""
         return self._trace_table
 
     def trace_mul_vector(self, b: int) -> np.ndarray:
@@ -623,15 +630,17 @@ class ExtField:
         return out
 
     def trace_mul_log(self, b: int) -> np.ndarray:
-        """(q-1,) int64 array of Tr(b g^j), j = 0..q-2: Tr(b x) for every
-        nonzero x, in log order.
+        """(q-1,) array of Tr(b g^j), j = 0..q-2, in the digit dtype:
+        Tr(b x) for every nonzero x, in log order.
 
         For b = g^k it is the window [k, k + q - 1) of the doubled array of
-        Tr(g^j), built on the first call; the window is a read-only view.
+        Tr(g^j), built on the first call (2 bytes per element for p <= 255);
+        the window is a read-only view.  Widen it before arithmetic that
+        can pass the digit dtype, such as t p + t'.
         """
         n = self.q - 1
         if b == 0:
-            return np.zeros(n, dtype=np.int64)
+            return np.zeros(n, dtype=self._digit_dtype)
         if self._trace_powers is None:
             powers = self._trace_table[self._exp]
             self._trace_powers = np.concatenate([powers, powers])
@@ -692,7 +701,7 @@ def hyperplane_counts(p: int, m: int, rows: np.ndarray) -> np.ndarray:
 
     rows is a (k, p^m) stack of non-negative integer weights on the
     points x of GF(p)^m, indexed by the base-p little-endian encoding;
-    the result is the (k, p^m, p) int64 array
+    the result is the (k, p^m, p) int32 array
     C[i, t, s] = sum of rows[i, x] over x with digits(x) . t = s (mod p),
     with t in the same encoding.
 
@@ -702,12 +711,15 @@ def hyperplane_counts(p: int, m: int, rows: np.ndarray) -> np.ndarray:
     as one product of the (d_j, s) pairs with the p^2 x p^2 0/1 matrix
     K[(d, u), (t, s)] = [u + d t = s (mod p)] (MacWilliams-Sloane
     ch. 5): m products of a (k p^(m-1), p^2) matrix, O(m k p^3 q) flops.
-    The products run in float32, 4p bytes per point and row, which is
-    exact while every partial sum stays below 2^24: each is a sum of one
-    row's weights, so a row whose total weight reaches 2^24 raises
-    PreconditionViolatedError.  A 0/1 row weighs at most q, below the
-    field-size cap of 200 000.  Only the digits of x are read, no field
-    table and no closed form, so the counts are an independent oracle.
+    The products run in float32, which is exact while every partial sum
+    stays below 2^24: each is a sum of one row's weights, so a row whose
+    total weight reaches 2^24 raises PreconditionViolatedError.  A 0/1 row
+    weighs at most q, below the field-size cap of 200 000.  Each step
+    multiplies one float32 buffer into a second and copies the transposed
+    product back, and the exact counts are cast into the second buffer
+    as int32: 8p bytes per point and row in all.  Only the digits of x
+    are read, no field table and no closed form, so the counts are an
+    independent oracle.
     """
     k = rows.shape[0]
     if (rows.sum(axis=1, dtype=np.int64) >= 1 << 24).any():
@@ -717,10 +729,13 @@ def hyperplane_counts(p: int, m: int, rows: np.ndarray) -> np.ndarray:
     kernel = ((u + d * t - s) % p == 0).astype(np.float32)
     count = np.zeros((k, p**m, p), dtype=np.float32)
     count[:, :, 0] = rows
+    spare = np.empty_like(count)
     for _ in range(m):
         # the lowest digit axis becomes t and moves to the top, so after m
         # steps t is in the encoding order of x
-        count = (count.reshape(-1, p * p) @ kernel).reshape(
-            k, p ** (m - 1), p, p).transpose(0, 2, 1, 3)
-    # C order straight from the transposed view: no float32 copy first
-    return count.astype(np.int64, order="C").reshape(k, p**m, p)
+        np.matmul(count.reshape(-1, p * p), kernel, out=spare.reshape(-1, p * p))
+        np.copyto(count.reshape(k, p, p ** (m - 1), p),
+                  spare.reshape(k, p ** (m - 1), p, p).transpose(0, 2, 1, 3))
+    out = spare.view(np.int32)
+    np.copyto(out, count, casting="unsafe")
+    return out

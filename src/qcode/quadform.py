@@ -52,23 +52,28 @@ class QuadraticFunction:
         return acc
 
     def log_values(self) -> np.ndarray:
-        """(q-1,) int64 array of f(g^k), k = 0..q-2: f at every nonzero x,
-        in log order; cached and read-only.
+        """(q-1,) array of f(g^k), k = 0..q-2, in the field's digit dtype
+        (uint8 for p <= 255): f at every nonzero x, in log order; cached
+        and read-only.  Widen it before arithmetic that can pass the digit
+        dtype, such as f p + t.
 
-        The formula of evaluate, on whole log-table arrays: for x = g^k,
-        a_i x^(p^i+1) = g^(log a_i + k (p^i+1)).
+        The formula of evaluate, on log-order arrays: for x = g^k,
+        Tr(a_i x^(p^i+1)) is entry k (p^i+1) mod (q-1) of
+        trace_mul_log(a_i).  The terms are summed mod p in the smallest
+        dtype that holds 2 (p - 1).
         """
         if self._log_values is None:
             ctx = self.ctx
-            order = ctx.q - 1
-            exp = ctx._exp
+            p, order = ctx.p, ctx.q - 1
             ks = np.arange(order, dtype=np.int64)
-            acc = np.zeros(order, dtype=np.int64)
+            acc = np.zeros(order, dtype=np.min_scalar_type(2 * (p - 1)))
             for i, a in enumerate(self.coeffs):
                 if a:
-                    power = (ctx.p**i + 1) % order
-                    acc += ctx.trace_table()[exp[(ctx._log_at[a] + ks * power) % order]]
-            acc %= ctx.p
+                    idx = ks * ((p**i + 1) % order)
+                    idx %= order
+                    acc += ctx.trace_mul_log(a)[idx]
+                    acc %= p
+            acc = acc.astype(ctx._digit_dtype, copy=False)
             acc.flags.writeable = False
             self._log_values = acc
         return self._log_values
@@ -400,8 +405,15 @@ class FormAnalysis:
             fprime = (int(self._qx_table[alpha]) - 2 * z0 * cross
                       + z0 * z0 * self._qx_table[1:]) % p
             key = np.where(z0 > 0, z0 * p + fprime, outside)
-        keys, first, cls = np.unique(key, return_index=True, return_inverse=True)
-        return keys, cls.reshape(-1), first + 1
+        # every key is below (p + 1)(p^2 + 1), so a dense table of first
+        # occurrences gives the sorted keys and reps without sorting q keys
+        n = len(key)
+        first = np.full((p + 1) * (outside + 1), n)
+        np.minimum.at(first, key, np.arange(n))
+        keys = np.flatnonzero(first < n)
+        remap = np.zeros(len(first), dtype=np.int64)
+        remap[keys] = np.arange(len(keys))
+        return keys, remap[key], first[keys] + 1
 
     def image_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, fw): alpha[w] = -2 L(w) as an int32 encoding and

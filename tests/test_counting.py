@@ -310,14 +310,16 @@ def test_closed_forms_are_constant_on_beta_classes():
     # beta per class of alpha = 0; every beta of a class must give the
     # same value and label, and S4 and S5 must be functions of the class
     # key across every alpha of a form, since the scan memoises labels on it
+    # at p = 19 the key f(x_b) p + Tr(alpha x_b) reaches 360, past uint8;
+    # there every 8th alpha is checked, against every beta
     rng = random.Random(43)
-    pool = [an for p, m in [(3, 1), (5, 1), (3, 2), (3, 3), (5, 2)]
+    pool = [an for p, m in [(3, 1), (5, 1), (3, 2), (3, 3), (5, 2), (19, 2)]
             for an in analysis_pool(p, m, rng, extra=2)]
     outside = 0
     for an in pool:
         F = an.ctx
         by_key = {}
-        for alpha in F.elements():
+        for alpha in range(0, F.q, 1 if F.q < 200 else 8):
             keys, cls, reps = an.beta_classes(alpha)
             s45 = [_pencil_closed(an, alpha, beta) for beta in reps.tolist()]
             for key, value in zip(keys.tolist(), s45):
@@ -585,8 +587,11 @@ def test_closed_histogram_matches_the_enumerated_one():
     # H from Phi, U and N against _histogram(an, alpha) for every nonzero
     # alpha in Im(L) of each pool form, degree 1 included
     rng = random.Random(20)
+    # f(x) p + Tr(alpha x) reaches 16 * 17 + 16 = 288 at p = 17, past the
+    # uint8 range of log_values and trace_mul_log, so a site that combines
+    # them without widening fails there
     specs = [(3, 1), (13, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
-             (11, 2), (13, 2)]
+             (11, 2), (13, 2), (17, 2), (19, 2)]
     seen = {True: 0, False: 0}
     for p, m in specs:
         for an in analysis_pool(p, m, rng, extra=3):

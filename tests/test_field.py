@@ -387,8 +387,10 @@ def test_tables_follow_generator_recurrence(p, m, modulus):
     assert len(F._exp) == F.q - 1 and len(F._log) == F.q
     _check_table_steps(F, range(F.q - 1))
     assert np.array_equal(np.sort(F._exp), np.arange(1, F.q))
+    assert F._exp.dtype == F._log.dtype == np.int32
+    assert F.trace_table().dtype == np.min_scalar_type(p - 1)
     for table in (F._exp, F._log, F.trace_table()):
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert not table.flags.writeable
 
 
 def test_tables_follow_generator_recurrence_sampled_gf3_11():
@@ -701,7 +703,7 @@ def test_hyperplane_counts_match_direct_enumeration(p, m):
     dots = digits @ digits.T % p  # dots[x, t] = digits(x) . t
     expected = np.stack([rows @ (dots == s) for s in range(p)], axis=-1)
     counts = hyperplane_counts(p, m, rows)
-    assert counts.dtype == np.int64
+    assert counts.dtype == np.int32
     assert np.array_equal(counts, expected)
 
 
@@ -710,7 +712,7 @@ def test_hyperplane_counts_refuse_a_row_past_exact_float32():
     # counted exactly; one weighing 2^24 is refused, also below a light row
     light = np.array([[2**24 - 2, 1, 0]])
     counts = hyperplane_counts(3, 1, light)
-    assert counts.dtype == np.int64
+    assert counts.dtype == np.int32
     assert counts[0].tolist() == [[2**24 - 1, 0, 0], [2**24 - 2, 1, 0],
                                   [2**24 - 2, 0, 1]]
     heavy = np.array([[1, 1, 1], [2**24 - 1, 1, 0]])
@@ -724,6 +726,6 @@ def test_full_space_counts_are_hyperplane_sizes(p, m):
     # parallel hyperplanes of q/p points
     q = p**m
     counts = hyperplane_counts(p, m, np.ones((1, q), dtype=np.int64))
-    assert counts.dtype == np.int64 and counts.shape == (1, q, p)
+    assert counts.dtype == np.int32 and counts.shape == (1, q, p)
     assert counts[0, 0].tolist() == [q] + [0] * (p - 1)
     assert (counts[0, 1:] == q // p).all()

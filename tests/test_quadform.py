@@ -6,7 +6,7 @@ import pytest
 from qcode.counting import _rank_one_form, analysis_pool, get_field
 from qcode.cyclotomic import exp_sum, pstar_half_power
 from qcode.errors import AlphaInImageError, PreconditionViolatedError, QCodeError
-from qcode.field import eta_bar
+from qcode.field import ExtField, eta_bar
 from qcode.linalg import mat_mul, mat_transpose, rank
 from qcode.quadform import (
     FormAnalysis,
@@ -56,6 +56,17 @@ def test_values_matches_evaluate(p, m):
     for f in (preset_cor1(F, 1), preset_cor1(F, F.generator),
               preset_trace_square_minus(F, v)):
         assert f.values().tolist() == [f.evaluate(x) for x in F.elements()]
+
+
+def test_log_values_sum_terms_past_the_uint8_range():
+    # p = 131: the digit dtype is uint8, but a sum of two terms below p
+    # reaches 260, so the terms are summed in a wider dtype
+    F = ExtField(131, 2)
+    f = QuadraticFunction(F, [F.generator, 1])
+    assert f.log_values().dtype == np.uint8
+    rng = random.Random(131)
+    xs = [rng.randrange(F.q) for _ in range(300)]
+    assert f.values()[xs].tolist() == [f.evaluate(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
