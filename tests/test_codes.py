@@ -242,8 +242,9 @@ def test_weight_routes_and_pairs_at_the_largest_brute_p():
 
 def test_build_route_peak_memory_per_element():
     # tracemalloc peak of defining_set plus both weight routes on a fresh
-    # 3^9 field, per element: about 177 bytes with uint8 digits and blocked
-    # products, 292 when every digit product made a (q, m) int64 array.
+    # 3^9 field, per element: about 149 bytes with int32/uint8 tables and
+    # form values, 169 with them in int64, and 292 when every digit product
+    # made a (q, m) int64 array.
     # A new (q, m) int64 temporary adds 8m = 72 and fails the bound.
     F = ExtField(3, 9)
     an = FormAnalysis(preset_cor1(F, 1))
