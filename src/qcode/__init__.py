@@ -52,10 +52,10 @@ from .quadform import (
     FormAnalysis,
     QuadraticFunction,
     analyze,
-    congruence_diagonalize,
     gram_matrix,
     preset_cor1,
     preset_trace_square_minus,
+    rank_and_sign,
 )
 
 __version__ = "0.1.0"
@@ -64,13 +64,13 @@ __all__ = [
     "CaseLabel", "CycNum", "DefiningSet", "ExtField", "FormAnalysis",
     "IDENTITY_IDS", "LemmaParams", "QCodeError", "QuadraticFunction",
     "WeightDistribution", "analyze", "brute_count", "classify", "code_json",
-    "congruence_diagonalize", "defining_set", "enumerator_string", "eta_bar",
-    "exp_sum", "gauss_sum_ext", "gauss_sum_prime", "generator_matrix",
-    "get_field", "gram_matrix", "is_irreducible", "is_prime",
-    "lemma_oracle", "lemma_sweep", "paper_examples", "parse_enumerator",
+    "defining_set", "enumerator_string", "eta_bar", "exp_sum",
+    "gauss_sum_ext", "gauss_sum_prime", "generator_matrix", "get_field",
+    "gram_matrix", "is_irreducible", "is_prime", "lemma_oracle",
+    "lemma_sweep", "paper_examples", "parse_enumerator",
     "predict_distribution", "predict_hyperplane_root_count",
     "predict_length", "predict_root_count", "preset_cor1",
     "preset_trace_square_minus", "pstar", "pstar_half_power",
-    "theorem_sweep", "verify", "verify_quadratic_gauss",
+    "rank_and_sign", "theorem_sweep", "verify", "verify_quadratic_gauss",
     "verify_sigma_power_sums", "weight_distribution", "weight_of",
 ]

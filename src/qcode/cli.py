@@ -115,7 +115,7 @@ def cmd_analyze(args) -> int:
         "m": ctx.m,
         "modulus": ctx.modulus_text(),
         "coeffs": ",".join(ctx.element_text(c) for c in f.coeffs),
-        "gram": [list(row) for row in an.gram],
+        "gram": an.gram.tolist(),
         "rank": an.rank,
         "sign": an.sign,
         "kernel_dimension": ctx.m - an.rank,
@@ -131,7 +131,7 @@ def cmd_analyze(args) -> int:
                  f"coeffs: {payload['coeffs']}",
                  f"rank: {an.rank}   sign: {an.sign:+d}",
                  f"kernel dim: {ctx.m - an.rank}   image dim: {an.rank}",
-                 "gram: " + "; ".join(" ".join(map(str, r)) for r in an.gram)]
+                 "gram: " + "; ".join(" ".join(map(str, r)) for r in payload["gram"])]
         if check:
             lines.append(f"preset check: rank {check['rank']}, "
                          f"sign {check['sign']:+d}, "

@@ -273,10 +273,10 @@ def generator_matrix(ds: DefiningSet) -> list[list[int]]:
     Every codeword is the digit-combination of these rows; the rank over
     GF(p) must be m (checked).
     """
-    rows = _trace_dual(ds).T.tolist()
+    rows = _trace_dual(ds).T
     if gf_rank(rows, ds.ctx.p) != ds.ctx.m:
         raise DimensionCollapseError("generator matrix is rank-deficient")
-    return rows
+    return rows.tolist()
 
 
 def generator_matrix_csv(ds: DefiningSet) -> str:

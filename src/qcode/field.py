@@ -161,7 +161,7 @@ def _rank_step(comp: np.ndarray, p: int) -> bool:
     gcd(x^(p^(m/l)) - x, f) = 1 iff C^(p^(m/l)) - C has rank m over
     GF(p); this checks it for every prime l dividing m."""
     m = len(comp)
-    return all(rank(((_mat_pow(comp, p ** (m // ell), p) - comp) % p).tolist(), p) == m
+    return all(rank(_mat_pow(comp, p ** (m // ell), p) - comp, p) == m
                for ell in prime_factors(m))
 
 

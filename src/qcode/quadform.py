@@ -6,10 +6,12 @@ f(x+y) = f(x) + f(y) + 2 Tr(L(x) y), kernel/image data, one m x m solve
 matrix for L(x) = -b/2 with the syndromes that test b in Im(L), and the
 two preset families Tr(u x^2) and Tr(x^2) - (Tr(vx))^2 / Tr(v^2).
 
-Sign convention: after congruence diagonalization with nonzero diagonal
-d_1..d_r, the sign is the product of eta_bar(-d_i).  This is the unique
-choice under which sum_x zeta^f(x) = sign * p^m * (p*)^(-r/2) holds
-exactly, and it reproduces (-1)^(m-1) eta(-u) for f = Tr(u x^2).
+Sign convention: the sign is eta_bar((-1)^r delta), r the rank and
+delta the discriminant of the nondegenerate part: delta = det G[I, I],
+the principal minor of the Gram matrix G on the pivot columns I of its
+rref.  This is the unique choice under which
+sum_x zeta^f(x) = sign * p^m * (p*)^(-r/2) holds exactly, and it
+reproduces (-1)^(m-1) eta(-u) for f = Tr(u x^2).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import AlphaInImageError, PreconditionViolatedError, QCodeError
 from .field import ExtField, eta_bar
-from .linalg import mat_copy, mat_transpose, nullspace, rref
+from .linalg import nullspace, rref
 
 
 class QuadraticFunction:
@@ -97,8 +99,8 @@ class QuadraticFunction:
         return f"QuadraticFunction({self.ctx!r}, coeffs={list(self.coeffs)})"
 
 
-def gram_matrix(f: QuadraticFunction) -> list[list[int]]:
-    """Symmetric matrix H over GF(p) with digits(x) H digits(x)^T = f(x).
+def gram_matrix(f: QuadraticFunction) -> np.ndarray:
+    """Symmetric int64 matrix H over GF(p) with digits(x) H digits(x)^T = f(x).
 
     H = (B + B^T)/2 for the bilinear form B(x, y) = sum_i Tr(a_i x^(p^i) y)
     on the digit basis.  Row j of the Frobenius matrix F_i holds the
@@ -112,53 +114,21 @@ def gram_matrix(f: QuadraticFunction) -> list[list[int]]:
     for i, a in enumerate(f.coeffs):
         if a:
             b += ctx._frob[i] @ (ctx._mul_x @ ctx.trace_mul_vector(a)).T % p
-    return ((b + b.T) * ((p + 1) // 2) % p).tolist()
+    return (b + b.T) * ((p + 1) // 2) % p
 
 
-def congruence_diagonalize(h: list[list[int]], p: int) -> tuple[int, int, int]:
-    """Diagonalize a symmetric matrix by congruence over GF(p), p odd.
+def rank_and_sign(h: np.ndarray, p: int) -> tuple[int, int]:
+    """(rank, sign) of a symmetric matrix h over GF(p), p odd.
 
-    Returns (rank, delta, sign): delta is the product of the nonzero
-    diagonal entries (empty product 1), sign = eta_bar((-1)^rank * delta).
-    Pivoting is deterministic: prefer the leftmost nonzero trailing
-    diagonal entry (swap), else add the leftmost row+column with a
-    nonzero entry in the pivot row, else skip the zero row.
+    The rank r is the number of pivots of rref(h).  For a symmetric h the
+    principal minor h[I, I] on the pivot columns I is nonsingular, and
+    the coordinates I span a complement of the radical, so
+    delta = det h[I, I] is the discriminant of the nondegenerate part
+    (empty minor 1) and sign = eta_bar((-1)^r delta).
     """
-    a = mat_copy(h)
-    n = len(a)
-    for i in range(n):
-        if a[i][i] % p == 0:
-            j = next((k for k in range(i + 1, n) if a[k][k] % p), None)
-            if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((k for k in range(i + 1, n) if a[i][k] % p), None)
-                if j is None:
-                    continue
-                # both diagonals vanish here, so the new pivot 2*a[i][j] != 0
-                for k in range(n):
-                    a[i][k] = (a[i][k] + a[j][k]) % p
-                for k in range(n):
-                    a[k][i] = (a[k][i] + a[k][j]) % p
-        piv = a[i][i] % p
-        inv_piv = pow(piv, p - 2, p)
-        for r in range(i + 1, n):
-            fct = a[r][i] * inv_piv % p
-            if fct:
-                for k in range(n):
-                    a[r][k] = (a[r][k] - fct * a[i][k]) % p
-                for k in range(n):
-                    a[k][r] = (a[k][r] - fct * a[k][i]) % p
-    diag = [a[i][i] % p for i in range(n)]
-    r = sum(1 for d in diag if d)
-    delta = 1
-    for d in diag:
-        if d:
-            delta = delta * d % p
-    sign = eta_bar((-1) ** r * delta, p)
-    return r, delta, sign
+    pivots = rref(h, p)[1]
+    delta = rref(np.asarray(h)[np.ix_(pivots, pivots)], p)[2]
+    return len(pivots), eta_bar((-1) ** len(pivots) * delta, p)
 
 
 class FormAnalysis:
@@ -166,11 +136,12 @@ class FormAnalysis:
 
     Attributes
     ----------
-    gram : symmetric m x m matrix over GF(p) representing the form.
+    gram : symmetric m x m int64 matrix over GF(p) representing the form.
     rank, sign : rank and sign of the form (see module docstring).
     l_coeffs : coefficients c_i of the companion linearized map
         L(x) = sum_i c_i x^(p^i).
-    lmat : matrix of L on the digit basis (columns are images of x^j).
+    lmat : int64 matrix of L on the digit basis (columns are images of
+        x^j).
     ker_basis, im_basis : element encodings spanning Ker(L) and Im(L).
 
     Every solve reads one m x (2m - rank) matrix [S | Y], built from the
@@ -204,7 +175,7 @@ class FormAnalysis:
         self.f = f
         self.ctx = ctx
         self.gram = gram_matrix(f)
-        self.rank, self.delta, self.sign = congruence_diagonalize(self.gram, p)
+        self.rank, self.sign = rank_and_sign(self.gram, p)
 
         inv2 = (p + 1) // 2
         self.l_coeffs = tuple(
@@ -216,20 +187,20 @@ class FormAnalysis:
         for i, c in enumerate(self.l_coeffs):
             if c:
                 lrows += ctx._frob[i] @ ctx._mul_matrix(c) % p
-        self.lmat = (lrows.T % p).tolist()
+        self.lmat = lrows.T % p
         # rref([lmat | I]) = [R | T] with T lmat = R, so L(x) = c is
         # solvable iff T[l_rank:] c = 0 (Y), and then x = T[:l_rank] c at
-        # R's pivot columns, 0 elsewhere (S, for c = -b/2)
-        red, pivots = rref([row + [int(i == j) for j in range(m)]
-                            for i, row in enumerate(self.lmat)], p)
+        # R's pivot columns, 0 elsewhere (S, for c = -b/2); R is rref(lmat)
+        # in its first l_rank rows and 0 below, which gives Ker(L)
+        red, pivots, _ = rref(np.hstack([self.lmat, np.eye(m, dtype=np.int64)]), p)
         l_rank = sum(c < m for c in pivots)
         if l_rank != self.rank:
             raise QCodeError(
                 f"rank disagreement: matrix {self.rank} vs linear map {l_rank}")
-        transform = np.asarray([row[m:] for row in red], dtype=np.int64)
+        transform = red[:, m:]
         solve = np.zeros((m, m), dtype=np.int64)
         solve[:, pivots[:l_rank]] = transform[:l_rank].T * ((p - 1) // 2) % p
-        ker = nullspace(self.lmat, p)
+        ker = nullspace(red[:, :m], pivots[:l_rank], p)
         # zero each pivot digit of the kernel echelon basis: the coset's
         # smallest encoding, since any other kernel shift first changes
         # the coset's digits at a pivot, from 0 to a nonzero digit
@@ -237,9 +208,9 @@ class FormAnalysis:
             solve = (solve - np.outer(solve[:, col], vec)) % p
         self._solve = np.hstack([solve, transform[l_rank:].T])
         self._solve_cols = self._solve.T.tolist()
-        self.ker_basis = tuple(ctx._encode(list(v)) for v in ker)
-        image, _ = _column_space(self.lmat, p)
-        self.im_basis = tuple(ctx._encode(list(v)) for v in image)
+        self.ker_basis = tuple((ker @ ctx._place).tolist())
+        image, image_pivots, _ = rref(self.lmat.T, p)
+        self.im_basis = tuple((image[:len(image_pivots)] @ ctx._place).tolist())
         self._kernel_elements: tuple[int, ...] | None = None
         self._xb_table: np.ndarray | None = None
         self._f_xb_table: np.ndarray | None = None
@@ -400,7 +371,7 @@ class FormAnalysis:
             lookup[np.outer(ws, sa) % p @ ctx._place[:sa.size]] = [
                 pow(w, -1, p) for w in range(1, p)]
             z0 = lookup[self._syn_table[1:]]
-            gxa = np.asarray(self.gram, dtype=np.int64) @ xa % p
+            gxa = self.gram @ xa % p
             cross = ctx.digit_product(self._solve[:, :m] @ gxa % p)[1:]
             fprime = (int(self._qx_table[alpha]) - 2 * z0 * cross
                       + z0 * z0 * self._qx_table[1:]) % p
@@ -424,7 +395,7 @@ class FormAnalysis:
             ctx = self.ctx
             p = ctx.p
             # -2 L(w) = (p - 2) L(w), folded into lmat
-            la = ctx.digit_product(np.asarray(self.lmat, dtype=np.int64).T * (p - 2) % p)
+            la = ctx.digit_product(self.lmat.T * (p - 2) % p)
             self._image_alpha = ctx.digit_product(ctx._place, la, reduce=False
                                                   ).astype(np.int32)
             del la
@@ -513,21 +484,14 @@ def _spot_check_enabled(ctx: ExtField) -> bool:
     return ctx.q <= 5**6
 
 
-def _top_echelon(vecs: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
-    """(pivot, vector) pairs of a reduced echelon basis of the span of
-    vecs whose pivots are the most significant digits: each vector is 1
-    at its pivot, 0 above it and 0 at every other vector's pivot."""
-    if not vecs:
-        return []
-    m = len(vecs[0])
-    red, pivots = rref([v[::-1] for v in vecs], p)
-    return [(m - 1 - c, red[i][::-1]) for i, c in enumerate(pivots)]
-
-
-def _column_space(a: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Basis of the column space (as vectors) via rref of the transpose."""
-    red, pivots = rref(mat_transpose(a), p)
-    return [red[i] for i in range(len(pivots))], pivots
+def _top_echelon(vecs: np.ndarray, p: int) -> list[tuple[int, np.ndarray]]:
+    """(pivot, vector) pairs of a reduced echelon basis of the span of the
+    rows of vecs whose pivots are the most significant digits: each
+    vector is 1 at its pivot, 0 above it and 0 at every other vector's
+    pivot."""
+    m = vecs.shape[1]
+    red, pivots, _ = rref(vecs[:, ::-1], p)
+    return [(m - 1 - c, red[i, ::-1]) for i, c in enumerate(pivots)]
 
 
 @lru_cache(maxsize=None)

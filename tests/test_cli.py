@@ -21,6 +21,17 @@ def run_cli(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
+# package API
+# ---------------------------------------------------------------------------
+
+def test_every_export_resolves_once():
+    import qcode
+    assert len(qcode.__all__) == len(set(qcode.__all__))
+    missing = [name for name in qcode.__all__ if not hasattr(qcode, name)]
+    assert not missing
+
+
+# ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
