@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from numbers import Integral
 
@@ -215,13 +214,11 @@ def pstar(p: int) -> int:
     return (-1) ** ((p - 1) // 2) * p
 
 
-@lru_cache(maxsize=None)
 def pstar_fraction_power(p: int, e: int) -> Fraction:
     """(p*)^e as an exact rational, e any integer."""
     return Fraction(pstar(p)) ** e
 
 
-@lru_cache(maxsize=None)
 def gauss_sum_prime(p: int) -> CycNum:
     """sum over GF(p)* of eta_bar(c) * zeta^c; its square is p*."""
     counts = [0] * p

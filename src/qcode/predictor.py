@@ -278,18 +278,14 @@ def theorem_sweep(trials: int = 300, seed: int = 20240601, field_specs=None,
         instances.append((an, alpha, branch))
         per_branch[branch] += 1
     for branch in SWEEP_BRANCHES:
-        for spec in field_specs:
-            for an in pools[spec]:
-                for alpha in an.ctx.nonzero_elements():
-                    if per_branch[branch] >= min_branch:
-                        break
-                    if admit(an, alpha) == branch:
-                        instances.append((an, alpha, branch))
-                        per_branch[branch] += 1
-                if per_branch[branch] >= min_branch:
-                    break
+        candidates = ((an, alpha) for spec in field_specs for an in pools[spec]
+                      for alpha in an.ctx.nonzero_elements())
+        for an, alpha in candidates:
             if per_branch[branch] >= min_branch:
                 break
+            if admit(an, alpha) == branch:
+                instances.append((an, alpha, branch))
+                per_branch[branch] += 1
 
     results = [_verify_instance(an, alpha, branch, mode)
                for an, alpha, branch in instances]
