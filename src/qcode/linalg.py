@@ -27,19 +27,21 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int], int]:
     for c in range(cols):
         if r == rows:
             break
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, rows):
+            if a[pivot][c]:
+                break
+        else:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
             det = -det
         det = det * a[r][c] % p
         inv = pow(a[r][c], p - 2, p)
-        a[r] = [v * inv % p for v in a[r]]
+        row = a[r] = [v * inv % p for v in a[r]]
         for i in range(rows):
             f = a[i][c]
-            if i != r and f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+            if f and i != r:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
         pivots.append(c)
         r += 1
     return np.array(a, dtype=np.int64).reshape(rows, cols), pivots, det % p

@@ -126,8 +126,9 @@ def rank_and_sign(h: np.ndarray, p: int) -> tuple[int, int]:
     delta = det h[I, I] is the discriminant of the nondegenerate part
     (empty minor 1) and sign = eta_bar((-1)^r delta).
     """
-    pivots = rref(h, p)[1]
-    delta = rref(np.asarray(h)[np.ix_(pivots, pivots)], p)[2]
+    _, pivots, delta = rref(h, p)
+    if len(pivots) < len(h):  # else the minor is h itself
+        delta = rref(np.asarray(h)[np.ix_(pivots, pivots)], p)[2]
     return len(pivots), eta_bar((-1) ** len(pivots) * delta, p)
 
 
