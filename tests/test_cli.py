@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import qcode
 import qcode.predictor as predictor_mod
 from qcode.cli import main, worker_count
 from qcode.counting import check_brute_cap, get_field
@@ -25,7 +26,6 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 def test_every_export_resolves_once():
-    import qcode
     assert len(qcode.__all__) == len(set(qcode.__all__))
     missing = [name for name in qcode.__all__ if not hasattr(qcode, name)]
     assert not missing
