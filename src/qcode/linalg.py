@@ -1,11 +1,12 @@
 """Small exact linear algebra over GF(p) on int64 matrices.
 
 One Gauss-Jordan elimination, rref, gives every rank, solve, kernel,
-image and sign in the package.  Sizes here are tiny (at most m x 2m, with
-m <= 11 under the field-size cap), so its loop runs on Python ints, which
-beats per-pivot numpy calls at these sizes; whole-field work multiplies
-the digit rows by a form's solve matrix (quadform.FormAnalysis) with
-numpy instead.
+image and sign in the package.  Every matrix here has at most m rows,
+m <= 11 under the field-size cap (m x m or m x 2m, and the m x n
+generator matrix), so its loop runs on Python ints, which beats
+per-pivot numpy calls at these sizes; whole-field work multiplies the
+digit rows by a form's solve matrix (quadform.FormAnalysis) with numpy
+instead.
 """
 
 from __future__ import annotations
