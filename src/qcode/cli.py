@@ -22,7 +22,14 @@ import json
 import os
 import sys
 
-from .codes import code_json, defining_set, generator_matrix_csv, weight_distribution
+from .codes import (
+    WeightDistribution,
+    code_json,
+    defining_set,
+    enumerator_string,
+    generator_matrix_csv,
+    weight_distribution,
+)
 from .counting import IDENTITY_IDS, get_field, lemma_sweep
 from .errors import QCodeError
 from .field import eta_bar, parse_modulus
@@ -175,8 +182,7 @@ def cmd_predict(args) -> int:
             "length": n,
             "dimension": ctx.m,
             "weight_distribution": {str(w): c for w, c in rows.items()},
-            "enumerator": "+".join(
-                ["1"] + [f"{c}z^{w}" for w, c in sorted(rows.items())]),
+            "enumerator": enumerator_string(WeightDistribution(n, ctx.m, rows)),
         },
     }
     if args.format == "text":
@@ -250,30 +256,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "with exact verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each flag is registered only on the subcommands that read it
+    mode = dict(choices=("naive", "analytic", "both"), default="both")
+
     def add_common(p, needs_field=True):
         if needs_field:
             p.add_argument("--p", type=int, required=True,
                            help="odd prime characteristic")
             p.add_argument("--m", type=int, required=True,
                            help="extension degree")
-            p.add_argument("--modulus",
-                           help="comma-separated coefficients c0,...,cm")
         p.add_argument("--format", choices=("json", "text", "csv"),
                        default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")
-
-    def add_form(p):
-        p.add_argument("--coeffs", help="comma-separated element encodings")
-        p.add_argument("--preset", help='"cor1:u=<elt>" or "trmv:v=<elt>"')
-        p.add_argument("--alpha", help='element encoding or "g^k"')
-        p.add_argument("--mode", choices=("naive", "analytic", "both"),
-                       default="both")
 
     for name, fn in (("analyze", cmd_analyze), ("build", cmd_build),
                      ("predict", cmd_predict), ("verify", cmd_verify)):
         sp = sub.add_parser(name)
         add_common(sp)
-        add_form(sp)
+        sp.add_argument("--modulus",
+                        help="comma-separated coefficients c0,...,cm")
+        sp.add_argument("--coeffs", help="comma-separated element encodings")
+        sp.add_argument("--preset", help='"cor1:u=<elt>" or "trmv:v=<elt>"')
+        sp.add_argument("--alpha", help='element encoding or "g^k"')
+        if name in ("build", "verify"):
+            sp.add_argument("--mode", **mode)
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("lemmas", help="identity registry sweep")
@@ -286,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("paper-examples",
                         help="replay the ten reference constructions")
     add_common(sp, needs_field=False)
-    sp.add_argument("--mode", choices=("naive", "analytic", "both"),
-                    default="both")
+    sp.add_argument("--mode", **mode)
     sp.set_defaults(fn=cmd_paper_examples)
     return parser
 

@@ -141,21 +141,13 @@ def defining_set(analysis: FormAnalysis, alpha: int) -> DefiningSet:
 
 def proportional_pairs(ds: DefiningSet) -> int:
     """Number of unordered pairs {d, lambda d} inside D, lambda in
-    GF(p)* other than 1, counted from D's indicator: lambda d has the
-    digits of d scaled by lambda, and each such pair is met once under
-    lambda and once under 1/lambda."""
+    GF(p)* other than 1.  For d in D, f(lambda d) - Tr(alpha lambda d) =
+    (lambda^2 - lambda) f(d), so lambda d lies in D iff f(d) = 0: each d
+    with f(d) = 0 (read from log_values()) gives p - 2 ordered pairs, and
+    each pair is met under lambda and under 1/lambda."""
     ctx = ds.ctx
-    p = ctx.p
-    member = np.zeros(ctx.q, dtype=bool)
-    member[ds.indices] = True
-    rows = ctx.digits_matrix()[ds.indices]
-    eye = np.eye(ctx.m, dtype=np.int64)
-    ordered = 0
-    for lam in range(2, p):
-        scaled = ctx.digit_product(lam * eye, rows)
-        ordered += int(np.count_nonzero(
-            member[ctx.digit_product(ctx._place, scaled, reduce=False)]))
-    return ordered // 2
+    zeros = np.count_nonzero(ds.analysis.f.log_values()[ctx._log[ds.indices]] == 0)
+    return (ctx.p - 2) * int(zeros) // 2
 
 
 def weight_of(beta: int, ds: DefiningSet) -> int:

@@ -439,12 +439,6 @@ class ExtField:
         """Encoding of a reduced digit row, as a Python int."""
         return int(row @ self._place)
 
-    def _encode(self, coeffs: list[int]) -> int:
-        enc = 0
-        for c in reversed(coeffs):
-            enc = enc * self.p + c % self.p
-        return enc
-
     def digits(self, x: int) -> tuple[int, ...]:
         out = []
         for _ in range(self.m):

@@ -150,7 +150,10 @@ class FormAnalysis:
     solution x_b of L(x) = -b/2 for b in Im(L), and digits(b) Y is the
     syndrome of b, which is 0 iff b lies in Im(L).  X is linear in b
     everywhere, so for alpha - z beta in Im(L) the solution is
-    X(alpha) - z X(beta).
+    X(alpha) - z X(beta).  Without tables, solve_xb and f_at_xb read one
+    row digits(b) [S | Y], and f(x_b) = X(b) G X(b)^T as in the tables.
+    Construction checks lmat by T lmat = G at every field size
+    (_check_bilinear), before the rank check.
 
     Two pairs of per-form tables, which the analyze and predict paths
     never build:
@@ -163,11 +166,12 @@ class FormAnalysis:
         f_at_xb, in_image and in_shifted_image read them and never
         multiply a digit row by [S | Y].
       * image_tables(): alpha(w) = -2 L(w) (int32 encodings, lmat on the
-        digit rows of w) and f(w) (int8, gram on the same rows), for every
-        w; built on the first draw of alpha in Im(L) (image_draw).  Since
+        digit rows of w) and f(w) (int8, from f.values()), for every w;
+        built on the first draw of alpha in Im(L) (image_draw).  Since
         L(w) = -alpha/2, w is a solution x_alpha up to an element k of
         Ker(L), and f(w + k) = f(w) because f(k) = Tr(L(k) k) = 0; so f(w)
-        is f(x_alpha), and image_draw checks it against the solution table.
+        is f(x_alpha), and image_draw checks the coefficient formula
+        against the solution table's Gram formula.
     """
 
     def __init__(self, f: QuadraticFunction):
@@ -189,6 +193,7 @@ class FormAnalysis:
             if c:
                 lrows += ctx._frob[i] @ ctx._mul_matrix(c) % p
         self.lmat = lrows.T % p
+        self._check_bilinear()
         # rref([lmat | I]) = [R | T] with T lmat = R, so L(x) = c is
         # solvable iff T[l_rank:] c = 0 (Y), and then x = T[:l_rank] c at
         # R's pivot columns, 0 elsewhere (S, for c = -b/2); R is rref(lmat)
@@ -208,7 +213,6 @@ class FormAnalysis:
         for col, vec in _top_echelon(ker, p):
             solve = (solve - np.outer(solve[:, col], vec)) % p
         self._solve = np.hstack([solve, transform[l_rank:].T])
-        self._solve_cols = self._solve.T.tolist()
         self.ker_basis = tuple((ker @ ctx._place).tolist())
         image, image_pivots, _ = rref(self.lmat.T, p)
         self.im_basis = tuple((image[:len(image_pivots)] @ ctx._place).tolist())
@@ -257,13 +261,10 @@ class FormAnalysis:
             raise PreconditionViolatedError(
                 f"element encoding {b} outside [0, {self.ctx.q})")
 
-    def _solve_row(self, b: int) -> list[int]:
-        """digits(b) [S | Y] (mod p) on Python ints: the m digits of X(b),
-        then the syndrome of b."""
-        p = self.ctx.p
-        digits = self.ctx.digits(b)
-        return [sum(d * c for d, c in zip(digits, col)) % p
-                for col in self._solve_cols]
+    def _solve_row(self, b: int) -> np.ndarray:
+        """digits(b) [S | Y] (mod p): the m digits of X(b), then the
+        syndrome of b."""
+        return self.ctx._row(b) @ self._solve % self.ctx.p
 
     def _syndrome(self, b: int) -> list[int]:
         """The syndrome of b, zero iff b lies in Im(L); decoded from the
@@ -272,7 +273,7 @@ class FormAnalysis:
         if self._syn_table is not None:
             p, code = self.ctx.p, int(self._syn_table[b])
             return [code // p**j % p for j in range(k)]
-        return self._solve_row(b)[self.ctx.m:]
+        return self._solve_row(b)[self.ctx.m:].tolist()
 
     def solve_xb(self, b: int) -> int | None:
         """Solution of L(x) = -b/2 with the smallest encoding, or None:
@@ -288,19 +289,21 @@ class FormAnalysis:
         if self._xb_table is not None:
             x = int(self._xb_table[b])
             return None if x < 0 else x
-        row = self._solve_row(b)
-        m = self.ctx.m
-        return None if any(row[m:]) else self.ctx._encode(row[:m])
+        row, m = self._solve_row(b), self.ctx.m
+        return None if row[m:].any() else self.ctx._element(row[:m])
 
     def f_at_xb(self, b: int) -> int | None:
-        """f(solve_xb(b)), or None when b lies outside Im(L); read off
-        solution_tables() once they exist."""
+        """f(solve_xb(b)), or None when b lies outside Im(L): Q(X(b)) =
+        X(b) G X(b)^T from the same solve row, the formula of
+        solution_tables(), which it reads once they exist."""
         self._check_element(b)
         if self._f_xb_table is not None:
             fb = int(self._f_xb_table[b])
             return None if fb < 0 else fb
-        xb = self.solve_xb(b)
-        return None if xb is None else self.f.evaluate(xb)
+        row, m = self._solve_row(b), self.ctx.m
+        if row[m:].any():
+            return None
+        return int(row[:m] @ self.gram @ row[:m] % self.ctx.p)
 
     def solution_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(xb, fxb): xb[b] = solve_xb(b) as an int32 encoding and
@@ -390,8 +393,8 @@ class FormAnalysis:
     def image_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, fw): alpha[w] = -2 L(w) as an int32 encoding and
         fw[w] = f(w) as int8, for every w in GF(q); built on the first
-        call from lmat and gram on the field's digit matrix, which
-        solution_tables reads as well."""
+        call from lmat on the field's digit matrix and from f.values(),
+        the coefficient formula rather than the Gram matrix."""
         if self._image_alpha is None:
             ctx = self.ctx
             p = ctx.p
@@ -400,7 +403,7 @@ class FormAnalysis:
             self._image_alpha = ctx.digit_product(ctx._place, la, reduce=False
                                                   ).astype(np.int32)
             del la
-            self._image_f = ctx.digit_form(self.gram).astype(np.int8)
+            self._image_f = self.f.values().astype(np.int8)
         return self._image_alpha, self._image_f
 
     def image_draw(self, w: int) -> int:
@@ -443,13 +446,25 @@ class FormAnalysis:
         return (f"FormAnalysis(rank={self.rank}, sign={self.sign}, "
                 f"coeffs={list(self.f.coeffs)})")
 
+    def _check_bilinear(self) -> None:
+        """f(x + y) = f(x) + f(y) + 2 Tr(L(x) y) for every x and y: both
+        sides of Tr(L(x) y) = digits(x) G digits(y)^T are bilinear, so on
+        the digit basis it is T lmat = G (mod p), T[j, k] = Tr(x^j x^k)
+        the trace form.  T is invertible, so every wrong entry of lmat
+        breaks it."""
+        ctx = self.ctx
+        bad = np.argwhere(ctx._trace_form @ self.lmat % ctx.p != self.gram)
+        if bad.size:
+            j, k = bad[0]
+            raise QCodeError(
+                f"bilinear identity fails at (x^{int(k)}, x^{int(j)})")
+
     def _spot_check(self) -> None:
         """Identity checks, once per (field, coeffs) since analyze() is
-        memoised: the matrix reproduces f.values() at every x, evaluate
-        agrees with values() on sampled x, and the bilinear identity holds
-        on pairs of them."""
+        memoised: the matrix reproduces f.values() at every x, and
+        evaluate agrees with values() on sampled x.  The bilinear identity
+        is _check_bilinear, at every field size."""
         ctx = self.ctx
-        p = ctx.p
         fv = self.f.values()
         # a transient digit array: predict must leave ctx.digits_matrix() unbuilt
         digits = ctx._all_digit_rows()
@@ -465,18 +480,6 @@ class FormAnalysis:
         for x in xs:
             if self.f.evaluate(x) != fv[x]:
                 raise QCodeError(f"evaluate disagrees with values() at x={x}")
-        # f(x + y) = f(x) + f(y) + 2 Tr(L(x) y) on the first 12 x and y;
-        # Tr(L(x) y) = digits(y) . trace_mul_vector(L(x))
-        pts = np.asarray(xs[:12], dtype=np.int64)
-        d = digits[pts].astype(np.int64)
-        sums = (d[:, None, :] + d[None, :, :]) % p @ (p ** np.arange(ctx.m))
-        tl = np.asarray([ctx.trace_mul_vector(self.l_apply(int(x))) for x in pts])
-        rhs = (fv[pts][:, None] + fv[pts][None, :] + 2 * (tl @ d.T)) % p
-        bad = np.argwhere(fv[sums] != rhs)
-        if bad.size:
-            i, j = bad[0]
-            raise QCodeError(
-                f"bilinear identity fails at ({int(pts[i])}, {int(pts[j])})")
 
 
 def _spot_check_enabled(ctx: ExtField) -> bool:

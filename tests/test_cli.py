@@ -183,6 +183,37 @@ _FORM = ("--preset", "cor1:u=1", "--alpha", "1")
 _ONE_DRAW = ("--trials", "1", "--seed", "1")
 
 
+# --modulus is registered only where a field is built from it (analyze,
+# build, predict, verify) and --mode only where a weight route runs (build,
+# verify, paper-examples); anywhere else each is an unknown flag
+@pytest.mark.parametrize("argv", [
+    ("lemmas", "--p", "3", "--m", "2", "--trials", "2", "--seed", "1",
+     "--modulus", "1,1,1"),
+    ("lemmas", "--p", "3", "--m", "2", *_ONE_DRAW, "--mode", "naive"),
+    ("analyze", "--p", "3", "--m", "2", "--coeffs", "1,0", "--mode", "naive"),
+    ("predict", "--p", "3", "--m", "4", *_FORM, "--mode", "naive"),
+    ("paper-examples", "--modulus", "1,0,1"),
+])
+def test_flags_a_subcommand_never_reads_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--p", "3", "--m", "2", "--modulus", "1,0,1", "--coeffs", "1,0"),
+    ("predict", "--p", "3", "--m", "4", "--modulus", "2,0,0,2,1", *_FORM),
+    ("verify", "--p", "3", "--m", "4", *_FORM, "--mode", "naive"),
+])
+def test_flags_are_read_where_registered(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)
+
+
 # inside the field-size cap, but the exhaustive routes would run for
 # seconds to minutes at these characteristics
 @pytest.mark.parametrize("argv", [

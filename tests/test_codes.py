@@ -320,7 +320,7 @@ def test_proportional_pairs_match_direct_count():
     # gives a defining set closed under scaling, so P = n(p-2)/2
     rng = random.Random(5)
     positive = 0
-    for p, m in [(3, 3), (5, 2), (5, 3), (7, 2)]:
+    for p, m in [(3, 3), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2), (3, 6)]:
         for an in analysis_pool(p, m, rng, extra=2):
             F = an.ctx
             for alpha in (0, rng.randrange(1, F.q)):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from qcode import quadform
 from qcode.counting import _rank_one_form, analysis_pool, get_field
 from qcode.cyclotomic import exp_sum, pstar_half_power
 from qcode.errors import AlphaInImageError, PreconditionViolatedError, QCodeError
@@ -263,7 +264,8 @@ def test_bilinear_identity_all_pairs_gf81():
 @pytest.mark.parametrize("p, m", [(3, 3), (5, 2), (3, 5), (7, 3)])
 def test_spot_check_catches_a_corrupted_gram_entry_or_l_coefficient(p, m):
     # q <= 81 checks evaluate at every x, larger fields at 24 sampled x;
-    # the Gram identity runs at every x on both
+    # the Gram identity runs at every x on both.  A wrong entry of lmat
+    # breaks T lmat = G, the bilinear identity for every pair.
     F = get_field(p, m)
     rng = random.Random(p * 100 + m)
     f = QuadraticFunction(F, [rng.randrange(F.q) for _ in range(m)])
@@ -275,12 +277,52 @@ def test_spot_check_catches_a_corrupted_gram_entry_or_l_coefficient(p, m):
         with pytest.raises(QCodeError, match="matrix does not reproduce"):
             an._spot_check()
         an.gram[j][k] = saved
-    good = an.l_coeffs
-    an.l_coeffs = (F.add(good[0], 1),) + good[1:]
+    good = an.lmat.copy()
+    for j, k in ((0, 0), (m - 1, 0), (0, m - 1)):
+        an.lmat[j, k] = (good[j, k] + rng.randrange(1, p)) % p
+        with pytest.raises(QCodeError, match="bilinear identity fails"):
+            an._check_bilinear()
+        an.lmat[:] = good
+    an._check_bilinear()
+
+
+@pytest.mark.parametrize("p, m", [(3, 11), (19, 4)])
+def test_construction_checks_lmat_against_the_gram_matrix_past_the_spot_check(
+        p, m, monkeypatch):
+    # the spot check never runs at these sizes; T lmat = G does
+    F = get_field(p, m)
+    assert not quadform._spot_check_enabled(F)
+    rng = random.Random(p * 100 + m)
+    f = QuadraticFunction(F, [rng.randrange(F.q) for _ in range(m)])
+    FormAnalysis(f)
+    j, k = rng.randrange(m), rng.randrange(m)
+    shift = rng.randrange(1, p)
+    gram = quadform.gram_matrix
+
+    def wrong_gram(form):
+        h = gram(form)
+        h[j, k] = (h[j, k] + shift) % p
+        h[k, j] = h[j, k]
+        return h
+
+    monkeypatch.setattr(quadform, "gram_matrix", wrong_gram)
     with pytest.raises(QCodeError, match="bilinear identity fails"):
-        an._spot_check()
-    an.l_coeffs = good
-    an._spot_check()
+        FormAnalysis(f)
+    monkeypatch.undo()
+    # a wrong L: the multiplication matrix of one coefficient of L, off in
+    # one entry
+    mul_matrix = F._mul_matrix
+    c0 = next(c for c in FormAnalysis(f).l_coeffs if c)
+
+    def wrong_mul_matrix(c):
+        out = mul_matrix(c)
+        if c == c0:
+            out[j, k] = (out[j, k] + shift) % p
+        return out
+
+    monkeypatch.setattr(F, "_mul_matrix", wrong_mul_matrix)
+    with pytest.raises(QCodeError, match="bilinear identity fails"):
+        FormAnalysis(f)
 
 
 def test_rank_of_gram_equals_rank_of_map_sweep():
