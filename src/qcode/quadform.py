@@ -303,7 +303,8 @@ class FormAnalysis:
         row, m = self._solve_row(b), self.ctx.m
         if row[m:].any():
             return None
-        return int(row[:m] @ self.gram @ row[:m] % self.ctx.p)
+        p = self.ctx.p
+        return int(row[:m] @ (self.gram @ row[:m] % p) % p)
 
     def solution_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(xb, fxb): xb[b] = solve_xb(b) as an int32 encoding and
@@ -447,11 +448,11 @@ class FormAnalysis:
                 f"coeffs={list(self.f.coeffs)})")
 
     def _check_bilinear(self) -> None:
-        """f(x + y) = f(x) + f(y) + 2 Tr(L(x) y) for every x and y: both
-        sides of Tr(L(x) y) = digits(x) G digits(y)^T are bilinear, so on
-        the digit basis it is T lmat = G (mod p), T[j, k] = Tr(x^j x^k)
-        the trace form.  T is invertible, so every wrong entry of lmat
-        breaks it."""
+        """f(x + y) = f(x) + f(y) + 2 Tr(L(x) y) for every x and y, which
+        is Tr(L(x) y) = digits(x) G digits(y)^T.  The left side is
+        digits(x) lmat^T T digits(y)^T, T[j, k] = Tr(x^j x^k) the trace
+        form, so the identity is T lmat = G (mod p); T is invertible, so
+        every wrong entry of lmat breaks it."""
         ctx = self.ctx
         bad = np.argwhere(ctx._trace_form @ self.lmat % ctx.p != self.gram)
         if bad.size:

@@ -315,8 +315,12 @@ def _fuzz_argv(rng):
         form = rng.choice(("--preset",) * 4 + ("--coeffs", "both", "none"))
         chances = {"--preset": form in ("--preset", "both"),
                    "--coeffs": form in ("--coeffs", "both"),
-                   "--alpha": 0.9, "--mode": 0.3}
-    chances.update({"--modulus": 0.1, "--format": 0.2})
+                   "--alpha": 0.9}
+        # each flag only where the subcommand registers it
+        if cmd in ("build", "verify"):
+            chances["--mode"] = 0.3
+        chances["--modulus"] = 0.1
+    chances["--format"] = 0.2
     for opt, chance in chances.items():
         if rng.random() < chance:
             good, bad = _FUZZ_VALUES[opt]
