@@ -177,7 +177,7 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
     """
     ctx = ds.ctx
     member = np.zeros((1, ctx.q), dtype=bool)
-    member[0, ctx.digit_product(ctx._place, _trace_dual(ds), reduce=False)] = True
+    member[0, ctx.digit_codes(ctx._trace_form, ctx.digits_matrix()[ds.indices])] = True
     zeros = hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
     return ds.length - zeros.astype(np.int64)
 

@@ -1028,7 +1028,7 @@ def analysis_pool(p: int, m: int, rng: random.Random, extra: int = 6
 
 def _sample_alpha_in_image(an: FormAnalysis, rng: random.Random) -> int:
     """alpha = -2 L(w) for a random w, with f(x_alpha) checked against
-    the solution table (FormAnalysis.image_draw)."""
+    the class table (FormAnalysis.image_draw)."""
     return an.image_draw(rng.randrange(an.ctx.q))
 
 
@@ -1262,7 +1262,7 @@ def _class_scan(lemma_id: int, pool, missing):
     Every form, for ids 13-15 every alpha in steps of q // 48, and beta
     in ascending order, as a plain scan would visit them.  The branches
     of a check are a function of beta's class key (beta_classes, read off
-    the solution tables the sweep has built; for ids 10 and 11 under
+    the class tables the sweep has built; for ids 10 and 11 under
     alpha = 0), so closed() runs once per key and form.
     """
     closed = _REGISTRY[lemma_id][0]

@@ -11,10 +11,11 @@ the Frobenius powers y -> y^(p^i) and the trace vector, all on digit
 rows (the regular representation; Lidl-Niederreiter, Finite Fields,
 ch. 2).  The modulus is tested in the same algebra: is_irreducible runs
 Rabin's distinct-degree test on its companion matrix.  The exp, log and
-trace tables are read-only arrays that numpy passes over those matrices
-fill on the first bulk use (trace_table, trace_mul_log, a form's values
-or log_values, or a read of _exp or _log): exp and log in int32 and the
-traces in the digit dtype below, 9 bytes per element for p <= 255.
+trace tables are read-only arrays that a few batched numpy products
+over those matrices fill on the first bulk use (trace_table,
+trace_mul_log, a form's values or log_values, or a read of _exp or
+_log): exp and log in int32 and the traces in the digit dtype below, 9
+bytes per element for p <= 255.
 Until then the scalar methods compute on digit rows; afterwards they
 read the tables through memoryviews.  Both paths return the same Python
 ints and raise the same errors.
@@ -26,9 +27,15 @@ processes, so no two threads fill one field's caches.
 
 The bulk routes read the (q, m) digit matrix in the smallest unsigned
 dtype that holds p - 1 (uint8 for every p the characteristic cap
-counting.BRUTE_MAX_P admits), m bytes per element; digit_product
-multiplies it, or any narrow digit rows, by a small int64 matrix a block
-of rows at a time, so no (q, m) int64 array is made.
+counting.BRUTE_MAX_P admits), m bytes per element.  digit_product,
+digit_codes (the encodings of the reduced products) and digit_form (the
+quadratic form of every row, and optionally codes from the same product)
+multiply it, or any narrow digit rows, by a small matrix in float64
+blocks of _BLOCK_ROWS rows, exact since every sum stays below 2^53, and
+reduce mod p by a floor division (_mod_p); so no (q, m) wide array is
+made.  A GF(p)-linear functional of x is Tr(c x) for one element c
+(trace_dual), so the bulk routes read it as a window of the log-order
+trace array (trace_mul_log) instead of a digit product.
 
 hyperplane_counts is the exact transform over the digit space GF(p)^m
 that counts a stack of weighted point sets on every hyperplane
@@ -48,7 +55,7 @@ from .errors import (
     PreconditionViolatedError,
     ReducibleModulusError,
 )
-from .linalg import rank
+from .linalg import rank, rref
 
 # The one bound on q for every route.  Once built, the exp, log and trace
 # tables are two int32 arrays and one in the digit dtype, 9 bytes per
@@ -63,9 +70,24 @@ from .linalg import rank
 # counting.check_brute_cap adds a cap on p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
-# rows per int64 block in ExtField.digit_product: a block's int64 copies
-# stay near 1 MB at every m the field-size cap admits, whatever q is
-_BLOCK_ROWS = 1 << 13
+# rows per float64 block of every whole-field product (the table fill,
+# digit_product, digit_codes and digit_form): 16 KB per column of a block,
+# under 200 KB for the m <= 11 digit columns the field-size cap admits,
+# whatever q is; blocks of 8192 rows ran about twice as slow
+_BLOCK_ROWS = 1 << 11
+
+
+def _mod_p(block: np.ndarray, p: int) -> np.ndarray:
+    """block mod p in place, for a float64 array of non-negative integers
+    x < 2^53 - p: x - p floor(x / p).  For x = k p + r, x / p is k exactly
+    when r = 0, and otherwise lies at least 1/p away from an integer,
+    more than the rounding error (k + 1) 2^-53 since (k + 1) p < 2^53; so
+    the floor is k.  Several times faster than int64 %."""
+    quot = block / p
+    np.floor(quot, out=quot)
+    quot *= p
+    block -= quot
+    return block
 
 
 def is_prime(n: int) -> bool:
@@ -194,15 +216,18 @@ class ExtField:
     _trace_table), after which the scalar methods read them instead.
     With B = isqrt(q-1) + 1, the rows of g^0..g^(B-1) come from repeated
     doubling, and every later block of B powers is those rows times a
-    power of the matrix of multiplication by g^B; the same block pass
-    fills the trace table.  The tables are read-only: exp and log in
+    power of the matrix of multiplication by g^B.  One batched product
+    forms about _BLOCK_ROWS rows at a time, from a stack of consecutive
+    such powers, and the same product's reduced rows give the encodings
+    and the traces.  The tables are read-only: exp and log in
     int32, since encodings and logs stay below q < 2^31, and the traces
     in the digit dtype; the scalar methods return Python ints.  The (q, m)
     digit matrix is built on the first digits_matrix() call, in the
     smallest unsigned dtype that holds p - 1 (uint8 up to p = 251, m bytes
     per element), and the doubled array of Tr(g^j), in the same dtype, on
     the first trace_mul_log() call.  Products with digit rows go through
-    digit_product, which widens them to int64 a block of rows at a time.
+    digit_product, digit_codes or digit_form, which widen them to float64
+    a block of rows at a time.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -269,6 +294,7 @@ class ExtField:
         self._exp_at = self._log_at = self._trace_at = None
         self._digits_matrix = None
         self._trace_powers = None
+        self._trace_form_inv = None
 
     @staticmethod
     def _default_modulus(p: int, m: int) -> list[int]:
@@ -320,18 +346,28 @@ class ExtField:
         # times faster than int64 ones
         base = rows[:width].astype(np.float64)
         step = _mat_pow(mul_g, width, p)
+        # one batched product forms `group` blocks of width powers at once,
+        # from the stack of step^s, s = 0..group-1, which step^group advances
+        group = max(1, min(_BLOCK_ROWS // width, -(-n // width)))
+        powers = np.empty((group, m, m), dtype=np.int64)
+        powers[0] = np.eye(m, dtype=np.int64)
+        for s in range(1, group):
+            powers[s] = powers[s - 1] @ step % p
+        leap = powers[-1] @ step % p
+        # a reduced digit row times [place | tr] gives the encoding and the
+        # unreduced trace, exact in float64 as above
+        place_tr = np.column_stack([self._place, self._tr]).astype(np.float64)
         # encodings and logs stay below q <= _MAX_FIELD_SIZE < 2^31, and a
         # trace is a digit
         exp = np.empty(n, dtype=np.int32)
         trace_table = np.zeros(q, dtype=self._digit_dtype)
-        power = np.eye(m, dtype=np.int64)
-        for start in range(0, n, width):
-            block = (base @ power.astype(np.float64))[:n - start].astype(np.int64)
-            block %= p
-            enc = block @ self._place
-            exp[start:start + width] = enc
-            trace_table[enc] = block @ self._tr % p
-            power = power @ step % p
+        for start in range(0, n, group * width):
+            block = np.matmul(base, powers.astype(np.float64)).reshape(-1, m)[:n - start]
+            enc_tr = _mod_p(block, p) @ place_tr
+            enc = enc_tr[:, 0].astype(np.int32)
+            exp[start:start + len(enc)] = enc
+            trace_table[enc] = _mod_p(enc_tr[:, 1], p)
+            powers = powers @ leap % p
         log = np.zeros(q, dtype=np.int32)
         log[exp] = np.arange(n, dtype=np.int32)
         for table in (exp, log, trace_table):
@@ -414,13 +450,15 @@ class ExtField:
         return rows
 
     def _all_digit_rows(self) -> np.ndarray:
-        """(q, m) array in the digit dtype: the digits of every element,
-        one digit position at a time, so the transients are (q,) int64."""
-        rows = np.empty((self.q, self.m), dtype=self._digit_dtype)
-        vals = np.arange(self.q, dtype=np.int64)
-        for j in range(self.m):
-            rows[:, j] = vals % self.p
-            vals //= self.p
+        """(q, m) array in the digit dtype: the digits of every element.
+        Digit j of x = (a p + d) p^j + c, c < p^j, is d, so column j is
+        0..p-1 broadcast over the axes of a and c: one narrow write per
+        column, with no transient."""
+        p, m = self.p, self.m
+        rows = np.empty((self.q, m), dtype=self._digit_dtype)
+        digit = np.arange(p, dtype=self._digit_dtype)[:, None]
+        for j in range(m):
+            rows.reshape(p ** (m - 1 - j), p, p**j, m)[:, :, :, j] = digit
         return rows
 
     def _row(self, x: int) -> np.ndarray:
@@ -564,8 +602,8 @@ class ExtField:
         p - 1 (uint8 for p <= 251): row x holds the digits of element x.
 
         Built on the first call; most commands never read it.  Multiply it
-        through digit_product, not with @, which would cast all of it to
-        int64 first.
+        through digit_product, digit_codes or digit_form, not with @, which
+        would cast all of it to a wide dtype first.
         """
         if self._digits_matrix is None:
             self._digits_matrix = self._all_digit_rows()
@@ -583,45 +621,99 @@ class ExtField:
         trace form."""
         return self._row(b) @ self._trace_form % self.p
 
+    def trace_dual(self, v) -> int:
+        """The element c with Tr(c x) = digits(x) . v (mod p) for every x,
+        for an (m,) vector v of integers: trace_mul_vector(c) =
+        digits(c) T = v, T the trace form, which is invertible (the trace
+        form of GF(q) over GF(p) is nondegenerate), so digits(c) = v T^-1.
+        T^-1 is the right block of rref([T | I]), cached."""
+        if self._trace_form_inv is None:
+            m = self.m
+            red = rref(np.hstack([self._trace_form, np.eye(m, dtype=np.int64)]), self.p)[0]
+            self._trace_form_inv = red[:, m:]
+        return self._element(np.asarray(v, dtype=np.int64) @ self._trace_form_inv % self.p)
+
     def trace_mul_all(self, b: int) -> np.ndarray:
-        """(q,) int64 array of Tr(b*x) for every element x."""
+        """(q,) int64 array of Tr(b*x) for every element x, by a digit
+        product with trace_mul_vector(b).  No package route calls it: they
+        read Tr(b x) as a window of the log-order trace array
+        (trace_mul_log).  It stays as the tests' independent oracle."""
         return self.digit_product(self.trace_mul_vector(b))
 
-    def digit_product(self, mat, rows: np.ndarray | None = None,
-                      reduce: bool = True) -> np.ndarray:
-        """rows @ mat, reduced mod p unless reduce is False.
+    def _products(self, mat, rows: np.ndarray):
+        """(start, block, product) for each _BLOCK_ROWS rows of rows: the
+        block widened to float64 and its product with mat.  Every such
+        product is exact in float64 (a sum of m products of digits and
+        matrix entries below p, under 2^53 at the field-size cap), and
+        BLAS runs it several times faster than an int64 product."""
+        mat = np.asarray(mat, dtype=np.float64)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS].astype(np.float64)
+            yield start, block, block @ mat
+
+    def digit_product(self, mat, rows: np.ndarray | None = None) -> np.ndarray:
+        """rows @ mat mod p.
 
         rows is an (n, m) array of digits in the digit dtype (by default
-        digits_matrix()) and mat a small int64 (m,) vector or (m, k)
-        matrix.  The product runs in int64 on _BLOCK_ROWS rows at a time,
-        so no (n, m) int64 array is made.  A reduced matrix product comes
-        back as (n, k) in the digit dtype, m bytes per row for k = m; every
-        other product as int64, (n,) for a vector.
+        digits_matrix()) and mat a small (m,) vector or (m, k) matrix of
+        integers below p.  The product runs on _BLOCK_ROWS rows at a time
+        (_products), so no (n, m) wide array is made.  A matrix product
+        comes back as (n, k) in the digit dtype, m bytes per row for
+        k = m; a vector product as (n,) int64.
         """
         if rows is None:
             rows = self.digits_matrix()
-        mat = np.asarray(mat, dtype=np.int64)
-        narrow = reduce and mat.ndim == 2
-        out = np.empty(rows.shape[:1] + mat.shape[1:],
-                       dtype=self._digit_dtype if narrow else np.int64)
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS].astype(np.int64) @ mat
-            if reduce:
-                block %= self.p
-            out[start:start + _BLOCK_ROWS] = block
+        out = np.empty(rows.shape[:1] + np.shape(mat)[1:],
+                       dtype=self._digit_dtype if np.ndim(mat) == 2 else np.int64)
+        for start, _, prod in self._products(mat, rows):
+            out[start:start + len(prod)] = _mod_p(prod, self.p)
         return out
 
-    def digit_form(self, gram, rows: np.ndarray | None = None) -> np.ndarray:
-        """(n,) int64 array of r G r^T mod p for each row r of rows (by
-        default digits_matrix()), G a symmetric m x m int64 matrix: the
-        row sums of rows times digit_product(G, rows), which einsum
-        widens to int64 a buffer at a time."""
+    def _encode(self, prod: np.ndarray) -> np.ndarray:
+        """Encodings of the rows of a float64 product block mod p: the row
+        sums of the reduced block times the place values p^j."""
+        red = _mod_p(prod, self.p)
+        red *= self._place[:red.shape[1]].astype(np.float64)
+        return red.sum(axis=1)
+
+    def digit_codes(self, mat, rows: np.ndarray | None = None) -> np.ndarray:
+        """(n,) int64 array of the encodings of the rows of rows @ mat mod
+        p (by default rows = digits_matrix()), for an (m, k) matrix mat of
+        integers below p and k <= m: one pass of _products, so no (n, k)
+        array is made."""
         if rows is None:
             rows = self.digits_matrix()
-        out = np.einsum("ij,ij->i", rows, self.digit_product(gram, rows),
-                        dtype=np.int64)
-        out %= self.p
+        out = np.empty(len(rows), dtype=np.int64)
+        for start, _, prod in self._products(mat, rows):
+            out[start:start + len(prod)] = self._encode(prod)
         return out
+
+    def digit_form(self, gram, rows: np.ndarray | None = None, codes=None):
+        """(n,) int64 array of r G r^T mod p for each row r of rows (by
+        default digits_matrix()), G a symmetric m x m matrix of integers
+        below p: the row sums of each block times its product with G
+        (_products), reduced once.  A row sum is below m^2 p^3, under
+        2^53 - p at the field-size cap, so it is exact in float64.
+
+        Given an (m, k) matrix codes, the same block products with
+        [G | codes] also give digit_codes(codes, rows), and the result is
+        the pair (forms, encodings).
+        """
+        if rows is None:
+            rows = self.digits_matrix()
+        m = self.m
+        out = np.empty(len(rows), dtype=np.int64)
+        # with no code columns every encoding is 0
+        enc = np.zeros(len(rows), dtype=np.int64)
+        mat = gram if codes is None else np.hstack([gram, codes])
+        for start, block, prod in self._products(mat, rows):
+            stop = start + len(prod)
+            if prod.shape[1] > m:
+                enc[start:stop] = self._encode(prod[:, m:])
+            quad = prod[:, :m]
+            quad *= block
+            out[start:stop] = _mod_p(quad.sum(axis=1), self.p)
+        return out if codes is None else (out, enc)
 
     def trace_mul_log(self, b: int) -> np.ndarray:
         """(q-1,) array of Tr(b g^j), j = 0..q-2, in the digit dtype:

@@ -6,6 +6,14 @@ f(x+y) = f(x) + f(y) + 2 Tr(L(x) y), kernel/image data, one m x m solve
 matrix for L(x) = -b/2 with the syndromes that test b in Im(L), and the
 two preset families Tr(u x^2) and Tr(x^2) - (Tr(vx))^2 / Tr(v^2).
 
+The per-form tables over GF(q) are split by reader.  The class tables
+(f(x_b), Q(X(b)) and the syndrome codes) come from one pass over the
+field's digit matrix and are all that the beta classes of build's
+analytic route read; the x_b encodings, which only the registry sweeps
+read in bulk, are built on the first solution_tables() call.  The beta
+classes take every beta-dependent GF(p)-linear term as a window of the
+field's log-order trace array, so they make no (q, m) product.
+
 Sign convention: the sign is eta_bar((-1)^r delta), r the rank and
 delta the discriminant of the nondegenerate part: delta = det G[I, I],
 the principal minor of the Gram matrix G on the pivot columns I of its
@@ -155,23 +163,24 @@ class FormAnalysis:
     Construction checks lmat by T lmat = G at every field size
     (_check_bilinear), before the rank check.
 
-    Two pairs of per-form tables, which the analyze and predict paths
-    never build:
-      * solution_tables(): x_b = solve_xb(b) (int32 encodings) and f(x_b)
-        (int8), -1 in both for b outside Im(L), for every b in GF(q), from
-        one product of [S | Y] with the digit rows of every b, which also
-        keeps each b's syndrome code and Q(X(b)); built when a registry
-        sweep starts, or by beta_classes, which build's analytic route
-        and the branch-fill scans read.  Once they exist, solve_xb,
-        f_at_xb, in_image and in_shifted_image read them and never
-        multiply a digit row by [S | Y].
-      * image_tables(): alpha(w) = -2 L(w) (int32 encodings, lmat on the
-        digit rows of w) and f(w) (int8, from f.values()), for every w;
-        built on the first draw of alpha in Im(L) (image_draw).  Since
-        L(w) = -alpha/2, w is a solution x_alpha up to an element k of
-        Ker(L), and f(w + k) = f(w) because f(k) = Tr(L(k) k) = 0; so f(w)
-        is f(x_alpha), and image_draw checks the coefficient formula
-        against the solution table's Gram formula.
+    Per-form tables over every b in GF(q), which the analyze and predict
+    paths never build:
+      * the class tables (_class_tables): Q(X(b)) and f(x_b) (int8, -1
+        outside Im(L)) and the syndrome codes (int32), from one digit_form
+        pass with [M | Y], M = S G S^T; built by beta_classes, which
+        build's analytic route and the branch-fill scans read, or when a
+        registry sweep starts.  Once they exist, f_at_xb, in_image and
+        in_shifted_image read them.
+      * solution_tables(): the class tables' f(x_b) and x_b = solve_xb(b)
+        (int32 encodings, one digit_codes pass with S), which only a
+        registry sweep builds; once x_b exists, solve_xb reads it.
+      * image_tables(): alpha(w) = -2 L(w) (int32 encodings, one
+        digit_codes pass with lmat) and f(w) (int8, from f.values()), for
+        every w; built on the first draw of alpha in Im(L) (image_draw).
+        Since L(w) = -alpha/2, w is a solution x_alpha up to an element k
+        of Ker(L), and f(w + k) = f(w) because f(k) = Tr(L(k) k) = 0; so
+        f(w) is f(x_alpha), and image_draw checks the coefficient formula
+        against the class table's Gram formula.
     """
 
     def __init__(self, f: QuadraticFunction):
@@ -213,6 +222,9 @@ class FormAnalysis:
         for col, vec in _top_echelon(ker, p):
             solve = (solve - np.outer(solve[:, col], vec)) % p
         self._solve = np.hstack([solve, transform[l_rank:].T])
+        # M = S G S^T: Q(X(b)) = digits(b) M digits(b)^T, and its polar
+        # form B(X(a), X(b)) = digits(a) M digits(b)^T
+        self._class_gram = solve @ self.gram % p @ solve.T % p
         self.ker_basis = tuple((ker @ ctx._place).tolist())
         image, image_pivots, _ = rref(self.lmat.T, p)
         self.im_basis = tuple((image[:len(image_pivots)] @ ctx._place).tolist())
@@ -253,7 +265,7 @@ class FormAnalysis:
         return self._kernel_elements
 
     def in_image(self, b: int) -> bool:
-        return self.solve_xb(b) is not None
+        return self.f_at_xb(b) is not None
 
     def _check_element(self, b: int) -> None:
         # a negative encoding would wrap in the log and numpy tables
@@ -268,7 +280,7 @@ class FormAnalysis:
 
     def _syndrome(self, b: int) -> list[int]:
         """The syndrome of b, zero iff b lies in Im(L); decoded from the
-        solution tables once they exist."""
+        class tables once they exist."""
         k = self.ctx.m - self.rank
         if self._syn_table is not None:
             p, code = self.ctx.p, int(self._syn_table[b])
@@ -283,7 +295,7 @@ class FormAnalysis:
         representative (f vanishes on Ker(L) and Tr(b * Ker(L)) = 0 for
         b in Im(L)), but a deterministic representative keeps reports
         reproducible; S folds in the reduction to the smallest one (see
-        __init__).  Read off solution_tables() once they exist.
+        __init__).  Read off solution_tables() once x_b exists.
         """
         self._check_element(b)
         if self._xb_table is not None:
@@ -294,8 +306,8 @@ class FormAnalysis:
 
     def f_at_xb(self, b: int) -> int | None:
         """f(solve_xb(b)), or None when b lies outside Im(L): Q(X(b)) =
-        X(b) G X(b)^T from the same solve row, the formula of
-        solution_tables(), which it reads once they exist."""
+        X(b) G X(b)^T from the same solve row, the formula of the class
+        tables (_class_tables), which it reads once they exist."""
         self._check_element(b)
         if self._f_xb_table is not None:
             fb = int(self._f_xb_table[b])
@@ -306,80 +318,100 @@ class FormAnalysis:
         p = self.ctx.p
         return int(row[:m] @ (self.gram @ row[:m] % p) % p)
 
+    def _class_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(fxb, qx, syn) for every b in GF(q), built on the first call:
+        qx[b] = Q(X(b)) = X(b) G X(b)^T (int8), G the Gram matrix, which
+        is f(x_b) for b in Im(L); syn[b], b's syndrome code (int32, 0 iff
+        b is in Im(L)); and fxb = qx with -1 at b outside Im(L).
+
+        Q(X(b)) = digits(b) M digits(b)^T with M = S G S^T, and the
+        syndrome is digits(b) Y, so both come from one digit_form pass
+        over the field's digit matrix with [M | Y] (Y has no column at
+        full rank, where every code is 0).  These are what beta_classes,
+        f_at_xb, _syndrome and image_draw read.
+        """
+        if self._f_xb_table is None:
+            qx, syn = self.ctx.digit_form(self._class_gram,
+                                          codes=self._solve[:, self.ctx.m:])
+            self._qx_table = qx.astype(np.int8)
+            qx[syn != 0] = -1
+            self._f_xb_table = qx.astype(np.int8)
+            self._syn_table = syn.astype(np.int32)
+        return self._f_xb_table, self._qx_table, self._syn_table
+
     def solution_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(xb, fxb): xb[b] = solve_xb(b) as an int32 encoding and
         fxb[b] = f(x_b) as int8, both -1 for b outside Im(L), for every b
-        in GF(q); built on the first call, from one product of the field's
-        digit matrix with [S | Y].
+        in GF(q).
 
-        The same product keeps, for beta_classes and in_shifted_image,
-        each b's syndrome code (int32, 0 iff b is in Im(L)) and
-        Q(X(b)) = X(b) G X(b)^T (int8) with G the Gram matrix, which is
-        f(x_b) for b in Im(L).
+        fxb is a class table (_class_tables).  xb is built on the first
+        call, by one digit_codes pass of the field's digit matrix with S;
+        once it exists, solve_xb reads it.  Only the registry sweeps read
+        x_b for many b, so build's route never makes it.
         """
+        fxb, _, syn = self._class_tables()
         if self._xb_table is None:
-            ctx = self.ctx
-            m = ctx.m
-            rows = ctx.digit_product(self._solve)
-            x = rows[:, :m]
-            syn = ctx.digit_product(ctx._place[:m - self.rank], rows[:, m:],
-                                    reduce=False)
-            outside = syn != 0
-            qx = ctx.digit_form(self.gram, x)
-            xb = ctx.digit_product(ctx._place, x, reduce=False)
-            xb[outside] = -1
+            xb = self.ctx.digit_codes(self._solve[:, :self.ctx.m])
+            xb[syn != 0] = -1
             self._xb_table = xb.astype(np.int32)
-            self._qx_table = qx.astype(np.int8)
-            qx[outside] = -1
-            self._f_xb_table = qx.astype(np.int8)
-            self._syn_table = syn.astype(np.int32)
-        return self._xb_table, self._f_xb_table
+        return self._xb_table, fxb
 
     def beta_classes(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(keys, cls, reps): the classes of nonzero beta on which
-        S5(alpha, beta) is constant, read off solution_tables().
-        cls[beta - 1] is the class of beta, reps[c] the smallest beta of
-        class c, and keys[c] its invariants.
+        S5(alpha, beta) is constant, read off the class tables
+        (_class_tables).  cls[beta - 1] is the class of beta, reps[c] the
+        smallest beta of class c, and keys[c] its invariants.
 
         For alpha in Im(L) a key is f(x_beta) p + Tr(alpha x_beta), or p^2
-        for beta outside Im(L), plus (1 + f(x_alpha)) (p^2 + 1).  Since
-        Tr(L(x) y) is symmetric, Tr(alpha x_beta) = Tr(beta x_alpha) for
-        beta in Im(L), so one trace_mul_all(x_alpha) gives every one.
+        for beta outside Im(L), plus (1 + f(x_alpha)) (p^2 + 1).
         For alpha outside Im(L) a key is z0 p + f(x_(alpha - z0 beta)), z0
         being the unique z in GF(p)* with alpha - z beta in Im(L), or p^2
         when no z0 exists.  There are at most p^2 + 1 classes, and
         S5(alpha, beta) is a function of the key alone, across every alpha
         of the form.
 
+        Each beta-dependent GF(p)-linear term is Tr(c beta) for one
+        element c, read as the window of the log-order trace array at c
+        (ExtField.trace_mul_log) and scattered to the encodings beta
+        through the exp table; so no (q, m) product is made.  For alpha
+        in Im(L), Tr(L(x) y) is symmetric, so Tr(alpha x_beta) =
+        Tr(beta x_alpha) for beta in Im(L): c = x_alpha = solve_xb(alpha),
+        a scalar solve, or a read of the x_b table once it exists.
+
         Outside Im(L), z0 is the z with syn(beta) = syn(alpha)/z, read
         from a lookup indexed by syndrome code, and f' = Q(X(alpha) - z0
         X(beta)) = Q(X(alpha)) - 2 z0 B(X(alpha), X(beta)) + z0^2 Q(X(beta))
-        with B(u, v) = u G v^T, which is digits(beta) . (S G X(alpha)^T).
+        with B(u, v) = u G v^T.  B(X(alpha), X(beta)) = digits(beta) . v
+        with v = digits(alpha) M, M = S G S^T, so c = ExtField.trace_dual(v).
         """
         self._check_element(alpha)
         ctx = self.ctx
-        p, m = ctx.p, ctx.m
-        xb, fxb = self.solution_tables()
+        p = ctx.p
+        fxb, qx, syn = self._class_tables()
         outside = p * p
+        # lin[beta] = Tr(c beta), scattered from log order (beta = g^j);
+        # lin[0] is never read
+        lin = np.empty(ctx.q, dtype=np.int64)
         fa = int(fxb[alpha])
         if fa >= 0:
+            lin[ctx._exp] = ctx.trace_mul_log(self.solve_xb(alpha))
+            key = lin[1:]
             fx = fxb[1:].astype(np.int64)  # z p + f' passes the int8 range past p = 11
-            tr = ctx.trace_mul_all(int(xb[alpha]))[1:]
-            key = np.where(fx < 0, outside, fx * p + tr)
+            fx *= p
+            key += fx
+            key[fx < 0] = outside
             key += (1 + fa) * (outside + 1)
         else:
-            row = ctx._row(alpha) @ self._solve % p
-            xa, sa = row[:m], row[m:]
+            sa = np.asarray(self._syndrome(alpha), dtype=np.int64)
             # w syn(alpha) is syn(beta) for z0 = 1/w
             ws = np.arange(1, p, dtype=np.int64)
             lookup = np.zeros(p ** sa.size, dtype=np.int64)
             lookup[np.outer(ws, sa) % p @ ctx._place[:sa.size]] = [
                 pow(w, -1, p) for w in range(1, p)]
-            z0 = lookup[self._syn_table[1:]]
-            gxa = self.gram @ xa % p
-            cross = ctx.digit_product(self._solve[:, :m] @ gxa % p)[1:]
-            fprime = (int(self._qx_table[alpha]) - 2 * z0 * cross
-                      + z0 * z0 * self._qx_table[1:]) % p
+            z0 = lookup[syn[1:]]
+            v = ctx._row(alpha) @ self._class_gram % p
+            lin[ctx._exp] = ctx.trace_mul_log(ctx.trace_dual(v))
+            fprime = (int(qx[alpha]) - 2 * z0 * lin[1:] + z0 * z0 * qx[1:]) % p
             key = np.where(z0 > 0, z0 * p + fprime, outside)
         # every key is below (p + 1)(p^2 + 1), so a dense table of first
         # occurrences gives the sorted keys and reps without sorting q keys
@@ -400,25 +432,23 @@ class FormAnalysis:
             ctx = self.ctx
             p = ctx.p
             # -2 L(w) = (p - 2) L(w), folded into lmat
-            la = ctx.digit_product(self.lmat.T * (p - 2) % p)
-            self._image_alpha = ctx.digit_product(ctx._place, la, reduce=False
-                                                  ).astype(np.int32)
-            del la
+            self._image_alpha = ctx.digit_codes(self.lmat.T * (p - 2) % p
+                                                ).astype(np.int32)
             self._image_f = self.f.values().astype(np.int8)
         return self._image_alpha, self._image_f
 
     def image_draw(self, w: int) -> int:
         """alpha = -2 L(w), read off image_tables(), after checking that
-        f(w) equals the solution table's f(x_alpha) (see the class
+        f(w) equals the class table's f(x_alpha) (see the class
         docstring)."""
         alphas, fw = self.image_tables()
-        fxb = self.solution_tables()[1]
+        fxb = self._class_tables()[0]
         alpha, fa = int(alphas[w]), int(fw[w])
         known = int(fxb[alpha])
         if known != fa:
             raise QCodeError(
                 f"f(x_alpha) disagrees at alpha={alpha}: "
-                f"solution table {known}, f(w) = {fa} for w={w}")
+                f"class table {known}, f(w) = {fa} for w={w}")
         return alpha
 
     def in_shifted_image(self, alpha: int, beta: int) -> int | None:

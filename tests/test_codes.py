@@ -263,17 +263,17 @@ def test_build_route_retained_bytes_per_element(p, m):
     # nbytes of what the field and the form's analysis keep after
     # defining_set and both weight routes, per element: int32 exp and log
     # (4 + 4), the uint8 trace table (1) and its doubled log-order array
-    # (2), the uint8 digit matrix (m), uint8 log_values (1) and the
-    # solution tables (int32 x_b and syndrome codes, int8 f(x_b) and
-    # Q(X(b)): 10).  Any one of them in int64 adds 3 bytes or more.
+    # (2), the uint8 digit matrix (m), uint8 log_values (1) and the class
+    # tables (int32 syndrome codes, int8 f(x_b) and Q(X(b)): 6).  Build
+    # keeps no x_b table.  Any one of them in int64 adds 3 bytes or more.
     F = ExtField(p, m)
     f = preset_cor1(F, 1)
     an = FormAnalysis(f)
     weight_distribution(defining_set(an, 1), "both")
+    assert an._xb_table is None
     kept = (F._exp, F._log, F.trace_table(), F._trace_powers, F.digits_matrix(),
-            f.log_values(), an._xb_table, an._f_xb_table, an._qx_table,
-            an._syn_table)
-    assert sum(table.nbytes for table in kept) <= (22 + m) * F.q
+            f.log_values(), an._f_xb_table, an._qx_table, an._syn_table)
+    assert sum(table.nbytes for table in kept) <= (18 + m) * F.q
 
 
 def test_both_mode_raises_on_disagreement(monkeypatch):

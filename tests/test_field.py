@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 import random
 
@@ -13,6 +14,7 @@ from qcode.errors import (
     PreconditionViolatedError,
     ReducibleModulusError,
 )
+from qcode import field as field_mod
 from qcode.field import ExtField, eta_bar, hyperplane_counts, is_irreducible, is_prime
 from qcode.quadform import analyze, preset_cor1, preset_trace_square_minus
 
@@ -406,6 +408,31 @@ def test_tables_follow_generator_recurrence_sampled_bench_sizes(p, m):
     _check_table_steps(F, [0, F.q - 2])
 
 
+@pytest.mark.parametrize("p,m,short", [(3, 1, False), (19, 1, True), (3, 11, True)])
+def test_blocked_tables_follow_the_generator_recurrence_everywhere(p, m, short):
+    # every entry of the batched fill against the per-element recurrence
+    # exp[0] = 1, exp[k + 1] = exp[k] g, with multiplication by g on digit
+    # rows built from the oracle product (one _oracle_mul per basis
+    # element), so by induction exp[k] = g^k; log inverts exp, and every
+    # trace is digits(x) . (Tr(x^j)) with the Frobenius-sum trace.  3^1 is
+    # one block of two rows; at 19^1 and 3^11, q - 1 is not a multiple of
+    # the rows one batched product forms, so the last block is short.
+    F = ExtField(p, m)
+    n = F.q - 1
+    width = math.isqrt(n) + 1
+    group = max(1, min(field_mod._BLOCK_ROWS // width, -(-n // width)))
+    assert (n % (group * width) != 0) == short
+    place = p ** np.arange(m, dtype=np.int64)
+    mul_g = np.array([F.digits(_oracle_mul(F, p**j, F.generator)) for j in range(m)])
+    tr = np.array([_frobenius_trace(F, p**j) for j in range(m)])
+    exp = F._exp.astype(np.int64)
+    assert exp[0] == 1
+    assert np.array_equal((exp[:, None] // place % p) @ mul_g % p @ place, np.roll(exp, -1))
+    assert np.array_equal(F._log[exp], np.arange(n)) and F._log[0] == 0
+    digits = np.arange(F.q, dtype=np.int64)[:, None] // place % p
+    assert np.array_equal(F.trace_table(), digits @ tr % p)
+
+
 @pytest.mark.parametrize("p,m,modulus", [(3, 1, None), (3, 2, None), (3, 3, None),
                                          (3, 4, None), (3, 5, None), (5, 1, None),
                                          (5, 2, None), (5, 3, None), (5, 4, None),
@@ -453,7 +480,7 @@ def test_digit_matrix_and_trace_table_match_scalar_forms(p, m, modulus):
                                        (65537, 1, np.uint32)])
 def test_digit_matrix_is_narrow_and_digit_products_are_exact(p, m, dtype):
     # the smallest unsigned dtype that holds p - 1; the blocked products
-    # against the same products on an int64 copy (3^9 spans three blocks)
+    # against the same products on an int64 copy (3^9 spans ten blocks)
     F = get_field(p, m)
     dm = F.digits_matrix()
     assert dm.dtype == dtype and dm.shape == (F.q, m)
@@ -468,14 +495,58 @@ def test_digit_matrix_is_narrow_and_digit_products_are_exact(p, m, dtype):
         assert np.array_equal(F.digit_product(mat, rows),
                               rows.astype(np.int64) @ mat % p)
     vec = rng.integers(0, p, size=m)
-    for reduce, want in ((True, wide @ vec % p), (False, wide @ vec)):
-        got = F.digit_product(vec, reduce=reduce)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+    got = F.digit_product(vec)
+    assert got.dtype == np.int64 and np.array_equal(got, wide @ vec % p)
     gram = rng.integers(0, p, size=(m, m))
     gram = (gram + gram.T) % p
     form = F.digit_form(gram)
     assert form.dtype == np.int64
     assert np.array_equal(form, np.einsum("ij,jk,ik->i", wide, gram, wide) % p)
+
+
+@pytest.mark.parametrize("p,m", [(3, 9), (7, 4), (65537, 1), (199999, 1)])
+def test_digit_codes_and_form_codes_are_exact(p, m):
+    # the float64 block products against Python-int arithmetic on random
+    # digit rows (all p - 1 in the first, the largest products), and 3^9
+    # spans several blocks; digit_form with codes gives both in one pass
+    F = get_field(p, m)
+    rng = np.random.default_rng(p + m)
+    n = 3 * field_mod._BLOCK_ROWS + 5 if m > 1 else 300
+    rows = rng.integers(0, p, size=(n, m)).astype(F._digit_dtype)
+    rows[0] = p - 1
+    k = max(1, m - 2)
+    mat = rng.integers(0, p, size=(m, k))
+    mat[0] = p - 1
+    gram = rng.integers(0, p, size=(m, m))
+    gram = (gram + gram.T) % p
+    gram[0, 0] = p - 1
+    ints = rows.astype(object)
+    want_codes = [sum(int(c) * p**j for j, c in enumerate(r)) for r in ints @ mat % p]
+    want_form = [int(v) for v in np.einsum("ij,jk,ik->i", ints, gram.astype(object), ints) % p]
+    codes = F.digit_codes(mat, rows)
+    assert codes.dtype == np.int64 and codes.tolist() == want_codes
+    form = F.digit_form(gram, rows)
+    assert form.dtype == np.int64 and form.tolist() == want_form
+    both = F.digit_form(gram, rows, codes=mat)
+    assert [a.tolist() for a in both] == [want_form, want_codes]
+    assert F.digit_form(gram, rows, codes=mat[:, :0])[1].tolist() == [0] * n
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 5), (5, 3), (7, 4), (19, 2), (3, 11)])
+def test_trace_dual_reads_a_linear_functional_as_a_trace(p, m):
+    # Tr(c x) = digits(x) . v for random v, at random x and on the whole
+    # log-order window that beta_classes scatters through the exp table
+    F = get_field(p, m)
+    rng = random.Random(p * 31 + m)
+    place = p ** np.arange(m, dtype=np.int64)
+    for _ in range(5):
+        v = [rng.randrange(p) for _ in range(m)]
+        c = F.trace_dual(v)
+        assert F.trace_mul_vector(c).tolist() == v
+        for x in rng.sample(range(F.q), min(F.q, 20)):
+            assert F.trace(F.mul(c, x)) == np.dot(F.digits(x), v) % p
+        exp = F._exp.astype(np.int64)
+        assert np.array_equal(F.trace_mul_log(c), (exp[:, None] // place % p) @ v % p)
 
 
 GOLDEN_TABLES = json.loads(

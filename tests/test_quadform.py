@@ -434,14 +434,17 @@ def test_analyze_build_and_predict_leave_image_tables_unbuilt(capsys):
     an = analyze(preset_trace_square_minus(get_field(3, 4), 1))
     assert an._image_alpha is None and an._image_f is None
     assert an._xb_table is None and an._f_xb_table is None
-    # build's analytic route reads its beta classes off the solution tables
+    # build's analytic route reads its beta classes off the class tables
+    # and leaves the x_b table unbuilt
     assert main(["build", *argv]) == 0
     assert analyze(an.f) is an
     assert an._image_alpha is None and an._image_f is None
-    assert an._xb_table is not None and an._f_xb_table is not None
+    assert an._xb_table is None and an._f_xb_table is not None
     # control: a registry draw builds the image tables on the same analysis
     an.image_draw(1)
     assert an._image_alpha is not None
+    # and a table read of solve_xb builds the x_b table
+    assert an.solution_tables()[0] is an._xb_table is not None
     capsys.readouterr()
 
 
@@ -622,6 +625,110 @@ def test_beta_classes_outside_image_split_by_z0(brute):
                 kinds.add(z0 is None)
         assert kinds == {True, False}, (p, m)
         assert scalar._xb_table is None
+
+
+# ---------------------------------------------------------------------------
+# class and solution tables against the x-row formulas
+# ---------------------------------------------------------------------------
+
+def _form_of_rank(F, r, rng):
+    """sum_{i<r} c_i (Tr(v_i x))^2 with v_1..v_r independent over GF(p)
+    and c_i in GF(p)*: its Gram matrix is sum_i c_i t_i t_i^T with t_i the
+    independent trace vectors of v_i, so its rank is r.  Every form is
+    congruent to such a diagonal one, and random c_i give both signs."""
+    p = F.p
+    while True:
+        vs = [rng.randrange(1, F.q) for _ in range(r)]
+        if rank(np.array([F.digits(v) for v in vs]), p) == r:
+            break
+    coeffs = [0] * F.m
+    for v in vs:
+        c = rng.randrange(1, p)
+        for j, a in enumerate(_rank_one_form(F, v).coeffs):
+            coeffs[j] = F.add(coeffs[j], F.scalar_mul(c, a))
+    return QuadraticFunction(F, coeffs)
+
+
+def _x_row_tables(an, chunk=1 << 14):
+    """Oracle (xb, fxb, qx, syn) by the x-row formulas, in int64 and by
+    chunks of b: the digit rows of b times [S | Y] give X(b) and the
+    syndrome digits; xb encodes X(b), qx is X(b) G X(b)^T, syn encodes the
+    syndrome, and xb and fxb are -1 where syn != 0."""
+    F = an.ctx
+    p, m, q = F.p, F.m, F.q
+    place = p ** np.arange(m, dtype=np.int64)
+    parts = []
+    for start in range(0, q, chunk):
+        b = np.arange(start, min(q, start + chunk), dtype=np.int64)
+        rows = (b[:, None] // place % p) @ an._solve % p
+        x = rows[:, :m]
+        syn = rows[:, m:] @ place[:m - an.rank]
+        qx = np.einsum("ij,jk,ik->i", x, an.gram, x) % p
+        xb = x @ place
+        parts.append((np.where(syn != 0, -1, xb), np.where(syn != 0, -1, qx), qx, syn))
+    return [np.concatenate(cols) for cols in zip(*parts)]
+
+
+def _x_row_keys(an, alpha, xb, fxb, qx, syn):
+    """Oracle beta class keys of alpha (for beta = 1..q-1) by the digit
+    products the class tables replaced: Tr(x_alpha beta) by
+    trace_mul_all, and the cross term B(X(alpha), X(beta)) as the digit
+    rows of beta times S G X(alpha)^T; z0 by comparing syndrome digits."""
+    F = an.ctx
+    p, m, q = F.p, F.m, F.q
+    outside = p * p
+    if fxb[alpha] >= 0:
+        tr = F.trace_mul_all(int(xb[alpha]))[1:]
+        fx = fxb[1:]
+        return np.where(fx < 0, outside, fx * p + tr) + (1 + fxb[alpha]) * (outside + 1)
+    k = m - an.rank
+    place = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+    sdig = syn[:, None] // place[:k] % p
+    z0 = np.zeros(q, dtype=np.int64)
+    for w in range(1, p):
+        z0[(sdig == w * sdig[alpha] % p).all(axis=1)] = pow(w, -1, p)
+    xa = digits[alpha] @ an._solve[:, :m] % p
+    cross = digits @ (an._solve[:, :m] @ (an.gram @ xa % p) % p) % p
+    fprime = (qx[alpha] - 2 * z0 * cross + z0 * z0 * qx) % p
+    return np.where(z0 > 0, z0 * p + fprime, outside)[1:]
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (5, 4), (7, 3), (11, 3), (19, 2),
+                                 (3, 11), (19, 4)])
+def test_class_and_solution_tables_match_the_x_row_formulas(p, m):
+    # one random form of every rank 1..m: the class tables (one pass with
+    # [S G S^T | Y]), then the lazily built x_b table, then the beta
+    # class keys (trace windows) for an alpha on each side of Im(L),
+    # all against the x-row formulas
+    rng = random.Random(p * 1000 + m)
+    F = get_field(p, m)
+    for r in range(1, m + 1):
+        an = FormAnalysis(_form_of_rank(F, r, rng))
+        assert an.rank == r
+        xb, fxb, qx, syn = _x_row_tables(an)
+        inside = np.flatnonzero(syn == 0)
+        assert inside.size == p**r
+        got_fxb, got_qx, got_syn = an._class_tables()
+        assert an._xb_table is None
+        assert (got_fxb.dtype, got_qx.dtype, got_syn.dtype) == (np.int8, np.int8, np.int32)
+        assert np.array_equal(got_qx, qx) and np.array_equal(got_syn, syn)
+        assert np.array_equal(got_fxb, fxb)
+        alphas = [int(inside[rng.randrange(inside.size)])]
+        if r < m:
+            outside = np.flatnonzero(syn != 0)
+            alphas.append(int(outside[rng.randrange(outside.size)]))
+        for alpha in alphas:
+            keys, cls, _ = an.beta_classes(alpha)
+            assert np.array_equal(keys[cls], _x_row_keys(an, alpha, xb, fxb, qx, syn)), (
+                r, alpha)
+        assert an._xb_table is None
+        got_xb, got_fxb = an.solution_tables()
+        assert got_xb.dtype == np.int32 and got_fxb is an._f_xb_table
+        assert np.array_equal(got_xb, xb)
+        for b in rng.sample(range(F.q), 20) + alphas:
+            assert an.solve_xb(b) == (None if xb[b] < 0 else xb[b])
+            assert an.f_at_xb(b) == (None if fxb[b] < 0 else fxb[b])
 
 
 # ---------------------------------------------------------------------------
