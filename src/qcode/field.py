@@ -331,7 +331,8 @@ class ExtField:
         mul_g = self._mul_matrix(self.generator)
         # y -> y g^width is GF(p)-linear on digit rows, so block s of the
         # exp table is the first block g^0..g^(width-1) times step^s, with
-        # step the m x m matrix of that map; transients stay O(width m).
+        # step the m x m matrix of that map; transients stay
+        # O(_BLOCK_ROWS m).
         # The first block comes from doubling: rows of g^0..g^(2^k - 1)
         # times the matrix of g^(2^k) are the rows of the next 2^k powers.
         width = math.isqrt(n) + 1
