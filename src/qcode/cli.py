@@ -18,6 +18,7 @@ or an --out that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -269,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="json")
         p.add_argument("--out", help="write output to a file instead of stdout")
 
-    for name, fn in (("analyze", cmd_analyze), ("build", cmd_build),
-                     ("predict", cmd_predict), ("verify", cmd_verify)):
+    for name in ("analyze", "build", "predict", "verify"):
         sp = sub.add_parser(name)
         add_common(sp)
         sp.add_argument("--modulus",
@@ -280,30 +280,35 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha", help='element encoding or "g^k"')
         if name in ("build", "verify"):
             sp.add_argument("--mode", **mode)
-        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("lemmas", help="identity registry sweep")
     add_common(sp)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--lemma", type=int, help="registry id (5..19, not 12)")
-    sp.set_defaults(fn=cmd_lemmas)
 
     sp = sub.add_parser("paper-examples",
                         help="replay the ten reference constructions")
     add_common(sp, needs_field=False)
     sp.add_argument("--mode", **mode)
-    sp.set_defaults(fn=cmd_paper_examples)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser of every main call in this process.  parse_args
+    leaves a parser as it was, so reuse is safe as long as nothing else
+    touches it; build_parser gives callers a parser of their own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        if args.format == "csv" and args.fn is not cmd_build:
+        if args.format == "csv" and args.command != "build":
             raise QCodeError("--format csv is only available for build")
-        return args.fn(args)
+        # looked up per call, so a rebound cmd_* function is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (QCodeError, ZeroDivisionError, ValueError, OSError) as exc:
         # machine-readable failure channel; exit code 2 is the contract
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -10,12 +10,13 @@ Construction keeps only m x m GF(p)-matrices: multiplication by x^j,
 the Frobenius powers y -> y^(p^i) and the trace vector, all on digit
 rows (the regular representation; Lidl-Niederreiter, Finite Fields,
 ch. 2).  The modulus is tested in the same algebra: is_irreducible runs
-Rabin's distinct-degree test on its companion matrix.  The exp, log and
-trace tables are read-only arrays that a few batched numpy products
-over those matrices fill on the first bulk use (trace_table,
-trace_mul_log, a form's values or log_values, or a read of _exp or
-_log): exp and log in int32 and the traces in the digit dtype below, 9
-bytes per element for p <= 255.
+Rabin's test, reading x^(p^k) off the Frobenius orbit of x.  The
+generator is found on its first read.  The exp, log and trace tables
+are read-only arrays that a few batched numpy products over those
+matrices fill on the first bulk use (trace_table, trace_mul_log, a
+form's values or log_values, or a read of _exp or _log): exp and log in
+int32 and the traces in the digit dtype below, 9 bytes per element for
+p <= 255.
 Until then the scalar methods compute on digit rows; afterwards they
 read the tables through memoryviews.  Both paths return the same Python
 ints and raise the same errors.
@@ -65,8 +66,8 @@ from .linalg import rank, rref
 # enumerate GF(q) (covers 5^7, 7^6 and 3^11), below 2^31, so encodings and
 # logs fit in int32, and below 2^24, where hyperplane_counts' float32
 # counts of subsets of GF(q) are exact.  It also bounds p for
-# is_irreducible, whose int64 matrix powers (_mat_pow) are exact only
-# while m (p - 1)^2 < 2^63.
+# is_irreducible, whose int64 matrix products (_mat_pow, _vec_mat) are
+# exact only while m (p - 1)^2 < 2^63.
 # counting.check_brute_cap adds a cap on p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
@@ -143,7 +144,9 @@ def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     of them.  Entries stay below p, so a product entry is a sum of m terms
     below p^2: exact while m (p - 1)^2 < 2^63, which the characteristic
     bound of ExtField and is_irreducible (p <= _MAX_FIELD_SIZE) keeps for
-    any m x m matrix that fits in memory."""
+    any m x m matrix that fits in memory.  The modulus tests raise the
+    companion matrix to the power p only, and read x^(p^k) off the
+    Frobenius orbit (_frobenius_orbit), so e stays small there."""
     out = np.eye(a.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
@@ -154,15 +157,54 @@ def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+def _vec_mat(v: np.ndarray, a: np.ndarray, p: int) -> np.ndarray:
+    """v a mod p for a digit row v and an m x m matrix a, or for stacks of
+    both; the same int64 exactness bound as _mat_pow."""
+    return (v[..., None, :] @ a)[..., 0, :] % p
+
+
+def _frobenius_matrix(comp: np.ndarray, p: int) -> np.ndarray:
+    """Matrix F of y -> y^p on digit rows modulo the f whose companion
+    matrix is comp (Berlekamp's Q-matrix), or a stack of them: row j holds
+    the digits of x^(p j) mod f, that is e_0 (C^p)^j, so one matrix power
+    with exponent p and m - 1 vector-matrix products."""
+    m = comp.shape[-1]
+    step = _mat_pow(comp, p, p)
+    frob = np.zeros(comp.shape, dtype=np.int64)
+    frob[..., 0, 0] = 1
+    for j in range(1, m):
+        frob[..., j, :] = _vec_mat(frob[..., j - 1, :], step, p)
+    return frob
+
+
+def _frobenius_orbit(comp: np.ndarray, p: int) -> np.ndarray:
+    """Digits of x^(p^k) mod f for k = 0..m, as an (m + 1, m) array (a
+    stack of them for a stack of companion matrices): y -> y^p is
+    GF(p)-linear, so each row is the one before times the Frobenius
+    matrix, m vector-matrix products in all.  Row 0 is row 0 of C, the
+    digits of x (e_1 for m > 1)."""
+    m = comp.shape[-1]
+    frob = _frobenius_matrix(comp, p)
+    orbit = np.empty(comp.shape[:-2] + (m + 1, m), dtype=np.int64)
+    orbit[..., 0, :] = comp[..., 0, :]
+    for k in range(m):
+        orbit[..., k + 1, :] = _vec_mat(orbit[..., k, :], frob, p)
+    return orbit
+
+
 def is_irreducible(coeffs: list[int], p: int) -> bool:
     """Irreducibility of a monic polynomial over GF(p); False for a
     non-monic one or one of degree < 1.
 
-    Rabin's distinct-degree test on the companion matrix C of f: f of
-    degree m is irreducible iff C^(p^m) = C (x^(p^m) = x mod f) and the
-    rank step holds.  p past the field-size cap raises
-    PreconditionViolatedError, since the int64 matrix powers are exact
-    only inside it, and a p that is not prime raises NonPrimeError.
+    Rabin's test (SIAM J. Comput. 9, 1980): f of degree m is irreducible
+    iff x^(p^m) = x mod f and gcd(x^(p^(m/l)) - x, f) = 1 for every prime
+    l dividing m.  Every x^(p^k) comes from the Frobenius orbit of x
+    (_frobenius_orbit): one matrix power of the companion matrix C with
+    exponent p, then m vector-matrix products with the Frobenius matrix;
+    the gcd condition is the rank step (_rank_step).  p past the
+    field-size cap raises PreconditionViolatedError, since the int64
+    products are exact only inside it, and a p that is not prime raises
+    NonPrimeError.
     """
     if p > _MAX_FIELD_SIZE:
         raise PreconditionViolatedError(
@@ -173,18 +215,27 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     if m < 1 or coeffs[-1] != 1:
         return False
     comp = _companion(np.asarray([c % p for c in coeffs[:m]], dtype=np.int64), p)
-    return np.array_equal(_mat_pow(comp, p**m, p), comp) and _rank_step(comp, p)
+    orbit = _frobenius_orbit(comp, p)
+    return np.array_equal(orbit[m], orbit[0]) and _rank_step(comp, orbit, p)
 
 
-def _rank_step(comp: np.ndarray, p: int) -> bool:
-    """The rank half of the distinct-degree test, for the companion matrix
-    C of an f of degree m with x^(p^m) = x mod f.  Multiplication by g in
-    GF(p)[x]/(f) is g(C) (Lidl-Niederreiter, ch. 2), so
-    gcd(x^(p^(m/l)) - x, f) = 1 iff C^(p^(m/l)) - C has rank m over
-    GF(p); this checks it for every prime l dividing m."""
+def _rank_step(comp: np.ndarray, orbit: np.ndarray, p: int) -> bool:
+    """The gcd half of Rabin's test, for the companion matrix C of an f of
+    degree m with x^(p^m) = x mod f and its Frobenius orbit.
+    Multiplication by h in GF(p)[x]/(f) is h(C) (Lidl-Niederreiter,
+    ch. 2), whose row i holds the digits of x^i h; for h = x^(p^(m/l)),
+    row m/l of the orbit, that matrix is C^(p^(m/l)).  So
+    gcd(x^(p^(m/l)) - x, f) = 1 iff h(C) - C has rank m over GF(p); this
+    checks it for every prime l dividing m."""
     m = len(comp)
-    return all(rank(_mat_pow(comp, p ** (m // ell), p) - comp, p) == m
-               for ell in prime_factors(m))
+    for ell in prime_factors(m):
+        mul_h = np.empty((m, m), dtype=np.int64)
+        mul_h[0] = orbit[m // ell]
+        for i in range(1, m):
+            mul_h[i] = _vec_mat(mul_h[i - 1], comp, p)
+        if rank(mul_h - comp, p) < m:
+            return False
+    return True
 
 
 class ExtField:
@@ -200,16 +251,22 @@ class ExtField:
         coefficients have the smallest base-p encoding is selected, so
         two constructions with the same (p, m) are identical.
 
-    Elements are ints in [0, p^m).  Construction tests or finds the
-    modulus by the distinct-degree test on companion matrices
-    (is_irreducible, _default_modulus), finds the generator g, the
-    smallest primitive element (by matrix powers of each candidate's
-    multiplication matrix), and keeps the m x m GF(p)-matrices of
-    y -> y x^j and y -> y^(p^i) on digit rows with the vector of Tr(x^j),
-    which Newton's identities give from the modulus.  The scalar methods
-    compute on those matrices: a b is digits(a) times the matrix of b,
-    powers, inverses and eta (by Euler's criterion) take matrix powers,
-    Frobenius and trace are one vector-matrix product.
+    Elements are ints in [0, p^m).  Construction, in order: tests or
+    finds the modulus by Rabin's test on the Frobenius orbit of x
+    (is_irreducible, _default_modulus), then keeps the m x m
+    GF(p)-matrices of y -> y x^j and of y -> y^(p^i) (powers of the
+    Frobenius matrix, built by the helper the modulus test uses) on digit
+    rows, with the vector of Tr(x^j), which Newton's identities give from
+    the modulus.
+    The scalar methods compute on those matrices: a b is digits(a) times
+    the matrix of b, powers, inverses and eta (by Euler's criterion) take
+    matrix powers, Frobenius and trace are one vector-matrix product.
+
+    The generator g, the smallest primitive element, is found on the
+    first read of .generator (by matrix powers of each candidate's
+    multiplication matrix): the tables, the g^k spellings of
+    parse_element and the lemma pool read it, so a command that spells
+    every element as an integer and builds no table never searches.
 
     The exp, log and trace tables are built on the first bulk use
     (trace_table, trace_mul_log, or a read of _exp, _log or
@@ -269,18 +326,13 @@ class ExtField:
         for j in range(1, m):
             mul_x[j] = mul_x[j - 1] @ c % p
         self._mul_x = mul_x
-        # frob[i] = F^i, F the matrix of y -> y^p: row j of F holds the
-        # digits of (x^p)^j, and C^p is the matrix of y -> y x^p
+        # frob[i] = F^i, F the matrix of y -> y^p (_frobenius_matrix)
         frob = np.empty((m, m, m), dtype=np.int64)
         frob[0] = mul_x[0]
         if m > 1:
-            step = _mat_pow(c, p, p)
-            f1 = np.empty((m, m), dtype=np.int64)
-            f1[0] = mul_x[0, 0]
-            for j in range(1, m):
-                f1[j] = f1[j - 1] @ step % p
-            for i in range(1, m):
-                frob[i] = frob[i - 1] @ f1 % p
+            frob[1] = _frobenius_matrix(c, p)
+            for i in range(2, m):
+                frob[i] = frob[i - 1] @ frob[1] % p
         self._frob = frob
         # Tr is GF(p)-linear: Tr(y) = digits(y) . tr, tr[j] = Tr(x^j); the
         # trace form holds Tr(x^j x^k) = (C^j tr)[k]
@@ -288,8 +340,8 @@ class ExtField:
         self._trace_form = mul_x @ self._tr % p
         self._place = p ** np.arange(m, dtype=np.int64)
         self._digit_dtype = np.min_scalar_type(p - 1)
-        self.generator = self._find_generator()
         # caches filled on first use; the tables through _build_tables
+        self._generator = None
         self._exp_array = self._log_array = self._trace_array = None
         self._exp_at = self._log_at = self._trace_at = None
         self._digits_matrix = None
@@ -300,25 +352,24 @@ class ExtField:
     def _default_modulus(p: int, m: int) -> list[int]:
         if m == 1:
             return [0, 1]  # every monic linear polynomial is irreducible
-        # the distinct-degree test of is_irreducible, a chunk of candidates
-        # at a time in encoding order.  A polynomial of degree > 1 with a
-        # root in GF(p) is reducible: one product with the table of x^i
-        # (i = 0..m, x in GF(p)) rules most candidates out.  x^(p^m) mod f
-        # is row 0 of C_f^(p^m), C_f the companion matrix of f, so one
-        # stacked matrix power tests the rest; the survivors take the rank
-        # step in order.
+        # Rabin's test of is_irreducible, a chunk of candidates at a time
+        # in encoding order.  A polynomial of degree > 1 with a root in
+        # GF(p) is reducible: one product with the table of x^i (i = 0..m,
+        # x in GF(p)) rules most candidates out.  One stacked Frobenius
+        # orbit gives x^(p^k) mod f for the rest; those with x^(p^m) = x
+        # take the rank step in order.
         q = p**m
         powers = np.arange(p, dtype=np.int64) ** np.arange(m + 1, dtype=np.int64)[:, None] % p
-        x = np.eye(m, dtype=np.int64)[1]
         lo, size = 0, 8
         while lo < q:
             low = np.arange(lo, min(lo + size, q), dtype=np.int64)[:, None] // (
                 p ** np.arange(m, dtype=np.int64)) % p
             low = low[((low @ powers[:m] + powers[m]) % p).all(axis=1)]
             comps = _companion(low, p)
-            fixed = (_mat_pow(comps, q, p)[:, 0] == x).all(axis=1)
-            for coeffs, comp in zip(low[fixed].tolist(), comps[fixed]):
-                if _rank_step(comp, p):
+            orbits = _frobenius_orbit(comps, p)
+            fixed = (orbits[:, m] == orbits[:, 0]).all(axis=1)
+            for coeffs, comp, orbit in zip(low[fixed].tolist(), comps[fixed], orbits[fixed]):
+                if _rank_step(comp, orbit, p):
                     return coeffs + [1]
             lo, size = lo + size, 2 * size
         raise ReducibleModulusError(f"no irreducible polynomial found for ({p}, {m})")
@@ -421,6 +472,14 @@ class ExtField:
         rows = self._digit_rows(np.asarray(a, dtype=np.int64))
         return (rows @ self._mul_x.reshape(m, m * m)).reshape(
             rows.shape[:-1] + (m, m)) % self.p
+
+    @property
+    def generator(self) -> int:
+        """The smallest primitive element g, which the exp and log tables
+        and the g^k spellings are written in; found on first read."""
+        if self._generator is None:
+            self._generator = self._find_generator()
+        return self._generator
 
     def _find_generator(self) -> int:
         """Smallest primitive element: the first a with a^(n/l) != 1 for

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import time
 import pytest
 
 import qcode
+import qcode.cli as cli_mod
 import qcode.predictor as predictor_mod
 from qcode.cli import main, worker_count
 from qcode.counting import check_brute_cap, get_field
@@ -212,6 +214,75 @@ def test_flags_are_read_where_registered(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parser_state(parser):
+    """Every action and default of a parser and of its subparsers."""
+    def actions(p):
+        return ([(a.dest, tuple(a.option_strings), a.default, a.required,
+                  a.choices, a.type, a.help) for a in p._actions], dict(p._defaults))
+    return actions(parser), {name: actions(sp) for name, sp in _subparsers(parser).items()}
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    build = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or build())
+    cli_mod._shared_parser.cache_clear()
+    for argv in [("predict", "--p", "3", "--m", "4", *_FORM),
+                 ("analyze", "--p", "3", "--m", "2", "--coeffs", "1,0"),
+                 ("verify", "--p", "5", "--m", "3", *_FORM),
+                 ("predict", "--p", "5", "--m", "2", *_FORM)]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)
+    assert len(built) == 1
+    # build_parser still gives each caller a parser of its own
+    assert build() is not build() is not cli_mod._shared_parser()
+
+
+def test_failed_argv_leaves_the_shared_parser_as_it_was(capsys):
+    good = ("verify", "--p", "3", "--m", "4", *_FORM)
+    _, expected, _ = run_cli(capsys, *good, "--mode", "both")
+    state = _parser_state(cli_mod._shared_parser())
+    for bad in [("predict", "--p", "3", "--m", "4", "--alpha", "1"),  # no form
+                ("verify", *good[1:], "--mode", "naive", "--format", "csv"),
+                ("predict", *good[1:], "--mode", "naive"),  # unknown flag
+                ("verify", "--m", "4", *_FORM),  # --p missing
+                ("verify", *good[1:], "--mode", "fast"),  # bad choice
+                ("nope",)]:
+        try:
+            code = main(list(bad))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        assert code == 2, bad
+        capsys.readouterr()
+        # the next good argv parses from scratch: --mode falls back to both
+        assert run_cli(capsys, *good) == (0, expected, "")
+    assert _parser_state(cli_mod._shared_parser()) == state
+
+
+def test_dispatch_reaches_the_module_cmd_functions(capsys, monkeypatch):
+    assert main(["predict", "--p", "3", "--m", "4", *_FORM]) == 0
+    capsys.readouterr()
+    state = _parser_state(cli_mod._shared_parser())
+    names = list(_subparsers(cli_mod._shared_parser()))
+    assert names == ["analyze", "build", "predict", "verify", "lemmas", "paper-examples"]
+    for name in names:
+        seen = []
+        monkeypatch.setattr(cli_mod, "cmd_" + name.replace("-", "_"),
+                            lambda args: seen.append(args.command) or 7)
+        field = ["--p", "3", "--m", "2"] if name != "paper-examples" else []
+        assert main([name, *field]) == 7 and seen == [name]
+    assert _parser_state(cli_mod._shared_parser()) == state
 
 
 # inside the field-size cap, but the exhaustive routes would run for

@@ -684,6 +684,95 @@ def test_default_modulus_matches_the_irreducibility_scan():
         assert ExtField._default_modulus(p, m) == _scan_default_modulus(p, m), (p, m)
 
 
+# The stacked matrix-power test the Frobenius orbit replaced, kept as the
+# oracle: x^(p^m) = x mod f read as row 0 of C^(p^m), and the rank step on
+# C^(p^(m/l)) - C, each by binary powers of the companion matrix C.
+
+def _stacked_rank_step(comp, p):
+    m = len(comp)
+    return all(field_mod.rank(field_mod._mat_pow(comp, p ** (m // ell), p) - comp, p) == m
+               for ell in field_mod.prime_factors(m))
+
+
+def _stacked_is_irreducible(coeffs, p):
+    m = len(coeffs) - 1
+    comp = field_mod._companion(np.asarray(coeffs[:m], dtype=np.int64) % p, p)
+    return (np.array_equal(field_mod._mat_pow(comp, p**m, p), comp)
+            and _stacked_rank_step(comp, p))
+
+
+def _stacked_default_modulus(p, m):
+    if m == 1:
+        return [0, 1]
+    q = p**m
+    powers = np.arange(p, dtype=np.int64) ** np.arange(m + 1, dtype=np.int64)[:, None] % p
+    x = np.eye(m, dtype=np.int64)[1]
+    lo, size = 0, 8
+    while lo < q:
+        low = np.arange(lo, min(lo + size, q), dtype=np.int64)[:, None] // (
+            p ** np.arange(m, dtype=np.int64)) % p
+        low = low[((low @ powers[:m] + powers[m]) % p).all(axis=1)]
+        comps = field_mod._companion(low, p)
+        fixed = (field_mod._mat_pow(comps, q, p)[:, 0] == x).all(axis=1)
+        for coeffs, comp in zip(low[fixed].tolist(), comps[fixed]):
+            if _stacked_rank_step(comp, p):
+                return coeffs + [1]
+        lo, size = lo + size, 2 * size
+    raise AssertionError("no irreducible polynomial")
+
+
+# every (p, m) the field-size cap admits with p <= 19, and two past it
+STACKED_ORACLE_FIELDS = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19)
+                         for m in range(1, 12) if p**m <= field_mod._MAX_FIELD_SIZE]
+STACKED_ORACLE_FIELDS += [(3, 20), (7, 20)]
+
+
+def test_default_modulus_matches_the_stacked_power_oracle():
+    # through _default_modulus, so the two fields past the cap need no ExtField
+    for p, m in STACKED_ORACLE_FIELDS:
+        assert ExtField._default_modulus(p, m) == _stacked_default_modulus(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_is_irreducible_matches_the_stacked_power_oracle(p):
+    rng = random.Random(7919 * p)
+    verdicts = set()
+    for m in range(1, 9):
+        for _ in range(12):
+            coeffs = [rng.randrange(p) for _ in range(m)] + [1]
+            expected = _stacked_is_irreducible(coeffs, p)
+            assert is_irreducible(coeffs, p) == expected, coeffs
+            verdicts.add((m > 1, expected))
+    # both verdicts past degree 1, where the rank step can decide
+    assert verdicts >= {(True, True), (True, False)}
+    # squarefree products of distinct irreducibles whose degrees divide m
+    # (1 + 2 + 3 = 6, 2 + 2 = 4) pass x^(p^m) = x, so the rank step alone
+    # must refuse them
+    low = {d: [c for c in _monic(p, d) if _stacked_is_irreducible(c, p)][:2]
+           for d in (1, 2, 3)}
+    for factors in ([low[1][0], low[2][0], low[3][0]], low[2][:2]):
+        f = [1]
+        for g in factors:
+            f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) % p
+                 for k in range(len(f) + len(g) - 1)]
+        m = len(f) - 1
+        comp = field_mod._companion(np.asarray(f[:m], dtype=np.int64), p)
+        orbit = field_mod._frobenius_orbit(comp, p)
+        assert np.array_equal(orbit[m], orbit[0])
+        assert not is_irreducible(f, p) and not _stacked_is_irreducible(f, p)
+
+
+def test_frobenius_orbit_reads_the_stacked_powers_of_c():
+    # row k of the orbit is row 0 of C^(p^k), irreducible f or not
+    for p, coeffs in [(3, [2, 0, 1, 0, 0, 0, 0, 0, 1]), (5, [1, 1, 1, 1]),
+                      (7, [0, 0, 1, 2, 1]), (13, [12, 0, 1]), (199_999, [3, 1, 1])]:
+        m = len(coeffs) - 1
+        comp = field_mod._companion(np.asarray(coeffs[:m], dtype=np.int64), p)
+        orbit = field_mod._frobenius_orbit(comp, p)
+        for k in range(m + 1):
+            assert np.array_equal(orbit[k], field_mod._mat_pow(comp, p**k, p)[0]), (p, k)
+
+
 def test_field_holds_no_element_length_python_list():
     F = get_field(3, 7)
     for name, value in vars(F).items():
@@ -702,7 +791,7 @@ def test_table_buffers_are_read_only():
     assert F.mul(3, 3) == _oracle_mul(F, 3, 3)
 
 
-def test_predict_leaves_digit_matrix_unbuilt(capsys):
+def test_predict_leaves_digit_matrix_unbuilt(capsys, monkeypatch):
     import qcode.counting as counting_mod
     import qcode.quadform as quadform_mod
     from qcode.cli import main
@@ -717,6 +806,38 @@ def test_predict_leaves_digit_matrix_unbuilt(capsys):
     # and test_predict_builds_no_table_past_the_brute_cap can fail
     assert main(["build", *argv]) == 0
     assert F._digits_matrix is not None and not _tables_unbuilt(F)
+
+    # the generator is searched on its first read only.  Past the spot
+    # check (3^9), integer-spelled predict and analyze build no table and
+    # spell no g^k, so they never search; verify builds the code, whose
+    # tables are written in g, so it searches once
+    pin = next(d for d in GOLDEN_TABLES if (d["p"], d["m"]) == (3, 9))
+    searches = []
+    search = ExtField._find_generator
+    monkeypatch.setattr(ExtField, "_find_generator",
+                        lambda self: searches.append((self.p, self.m)) or search(self))
+    argv = ["--p", "3", "--m", "9", "--preset", "cor1:u=1", "--alpha", "1"]
+    counting_mod.get_field.cache_clear()
+    quadform_mod.analyze.cache_clear()
+    for command in ("predict", "analyze", "predict", "analyze"):
+        assert main([command, *argv]) == 0
+    F = get_field(3, 9)
+    assert searches == [] and F._generator is None and _tables_unbuilt(F)
+    assert main(["verify", *argv]) == 0
+    assert searches == [(3, 9)] and F.generator == pin["generator"]
+    assert not _tables_unbuilt(F)
+    # a g^k spelling, a read of .generator and a table build each search
+    # once on a fresh field, and find the pinned generator
+    counting_mod.get_field.cache_clear()
+    quadform_mod.analyze.cache_clear()
+    assert main(["predict", *argv[:-1], "g^3"]) == 0
+    F = get_field(3, 9)
+    assert _tables_unbuilt(F) and F._generator == pin["generator"]
+    for read in (lambda F: F.generator, lambda F: F._exp[1]):
+        F = ExtField(3, 9)
+        assert F._generator is None
+        assert read(F) == pin["generator"]
+    assert searches == [(3, 9)] * 4
     capsys.readouterr()
 
 
