@@ -47,6 +47,12 @@ evaluates each case once: phase_sum, unit_sum, level_count,
 _closed_histogram and _pencil_case (S4's terms and S5, and at alpha = 0
 S2's terms and S3).
 
+A branch a sweep's draws leave short is filled by a deterministic scan
+(_fill_missing_branches) of each form's parameters in a fixed order.  Every
+parameter set carries an integer key, read off the form's class or image
+tables, on which closed()'s branches are constant; so closed() runs once per
+form and key, and the witnesses come from a vectorised search of the keys.
+
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
   * id 9, odd rank with nonzero special value: the printed count carries
@@ -93,9 +99,9 @@ IDENTITY_IDS = (5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19)
 
 # the exhaustive routes refuse characteristics past BRUTE_MAX_P, since their
 # cost grows with p beyond q (the naive transform, field.hyperplane_counts,
-# does m matrix products of O(p^3 q) flops; the registry's oracles and branch
-# scans do Python work in p^2 to p^3 per draw); the field-size cap of
-# field.ExtField bounds q for every route
+# does m matrix products of O(p^3 q) flops; the registry's oracles do Python
+# work in p^2 to p^3 per draw); the field-size cap of field.ExtField bounds q
+# for every route
 BRUTE_MAX_P = 19
 
 
@@ -1026,12 +1032,6 @@ def analysis_pool(p: int, m: int, rng: random.Random, extra: int = 6
     return pool
 
 
-def _sample_alpha_in_image(an: FormAnalysis, rng: random.Random) -> int:
-    """alpha = -2 L(w) for a random w, with f(x_alpha) checked against
-    the class table (FormAnalysis.image_draw)."""
-    return an.image_draw(rng.randrange(an.ctx.q))
-
-
 def sample_params(lemma_id: int, pool, rng: random.Random) -> LemmaParams | None:
     """One random parameter set satisfying the lemma's preconditions.
 
@@ -1051,7 +1051,7 @@ def sample_params(lemma_id: int, pool, rng: random.Random) -> LemmaParams | None
     if lemma_id == 7:
         return LemmaParams(analysis=an, t=rng.randrange(1, p))
     if lemma_id in (8, 19):
-        alpha = _sample_alpha_in_image(an, rng)
+        alpha = an.image_draw(rng.randrange(q))
         if alpha == 0 or an.f_at_xb(alpha) != 0:
             return None
         t = rng.randrange(1, p) if lemma_id == 8 else None
@@ -1064,7 +1064,7 @@ def sample_params(lemma_id: int, pool, rng: random.Random) -> LemmaParams | None
         return LemmaParams(analysis=an, alpha=rng.randrange(q),
                            beta=rng.randrange(1, q))
     if lemma_id in (16, 17, 18):
-        alpha = _sample_alpha_in_image(an, rng)
+        alpha = an.image_draw(rng.randrange(q))
         if alpha == 0 or an.f_at_xb(alpha) == 0:
             return None
         t = rng.randrange(p) if lemma_id == 17 else None
@@ -1219,111 +1219,109 @@ def _run_check(rep: LemmaSweepReport, lemma_id: int, params: LemmaParams,
             rep.failures.append(res.to_json())
 
 
+# stream keys the branch fill compares at once: np.isin's transients grow
+# to about 13 bytes a key, and id 17's stream has p q keys
+_FILL_WINDOW = 1 << 16
+
+
 def _fill_missing_branches(rep: LemmaSweepReport, lemma_id: int,
                            pool, min_branch: int, memo: _ReadoutMemo) -> None:
-    """Deterministic scan for parameters hitting under-covered branches."""
+    """Deterministic scan for parameters hitting under-covered branches:
+    in each stream of _streams, in order, every parameter set whose
+    branches include one still below min_branch when the scan reaches it.
+    The branches are a function of the form and the stream's key, so
+    closed() runs once per (form, key), and each witness is found by
+    np.isin over the key array."""
 
     def missing() -> set:
         return {b for b in REQUIRED_BRANCHES[lemma_id]
                 if rep.branches.get(b, 0) < min_branch}
 
-    todo = missing()
-    if not todo:
+    wanted = missing()
+    if not wanted:
         return
     closed = _REGISTRY[lemma_id][0]
-    if lemma_id in (10, 11, 13, 14, 15):
-        scan = _class_scan(lemma_id, pool, missing)
-    else:
-        scan = _param_scan(lemma_id, pool)
-    labels_of = {}
-    for params in scan:
-        if lemma_id == 17:
-            # its labels depend on the form and on whether t = 0 alone, so
-            # closed() runs once per such key, not on every (alpha, t)
-            key = (params.analysis, params.t % params.analysis.ctx.p == 0)
-            if key not in labels_of:
-                labels_of[key] = {branch for branch, _, _ in closed(params)}
-            labels = labels_of[key]
-        else:
-            labels = {branch for branch, _, _ in closed(params)}
-        if not labels & todo:
-            continue
-        _run_check(rep, lemma_id, params, memo)
-        rep.trials += 1
-        todo = missing()
-        if not todo:
-            return
-
-
-def _class_scan(lemma_id: int, pool, missing):
-    """The beta stream of ids 10, 11 and 13-15, cut to the beta whose
-    branches include a missing one.
-
-    Every form, for ids 13-15 every alpha in steps of q // 48, and beta
-    in ascending order, as a plain scan would visit them.  The branches
-    of a check are a function of beta's class key (beta_classes, read off
-    the class tables the sweep has built; for ids 10 and 11 under
-    alpha = 0), so closed() runs once per key and form.
-    """
-    closed = _REGISTRY[lemma_id][0]
-    for an in pool:
-        q = an.ctx.q
-        labels_of = {}
-        alphas = [None] if lemma_id in (10, 11) else range(0, q, max(1, q // 48))
-        for alpha in alphas:
-            keys, cls, reps = an.beta_classes(alpha or 0)
-            for key, beta in zip(keys.tolist(), reps.tolist()):
-                if key not in labels_of:
-                    labels_of[key] = {branch for branch, _, _ in closed(
-                        LemmaParams(analysis=an, alpha=alpha, beta=beta))}
-            labels = [labels_of[key] for key in keys.tolist()]
+    form = None
+    for an, key, firsts, make in _streams(lemma_id, pool):
+        if an is not form:
+            form, labels_of = an, {}  # {key: branches} of this form's streams
+        for k, i in firsts.items():
+            if k not in labels_of:
+                labels_of[k] = {branch for branch, _, _ in closed(make(i))}
+        i = 0
+        while i < len(key):
+            hit = [k for k in firsts if labels_of[k] & wanted]
+            if not hit:
+                break
+            ahead = np.isin(key[i:i + _FILL_WINDOW], hit)
+            if not ahead.any():
+                i += _FILL_WINDOW
+                continue
+            i += int(ahead.argmax())
+            _run_check(rep, lemma_id, make(i), memo)
+            rep.trials += 1
             wanted = missing()
-            hit = [c for c, branches in enumerate(labels) if branches & wanted]
-            for beta in np.flatnonzero(np.isin(cls, hit)) + 1:
-                if labels[cls[beta - 1]] & wanted:
-                    yield LemmaParams(analysis=an, alpha=alpha, beta=int(beta))
-                    wanted = missing()
+            if not wanted:
+                return
+            i += 1
 
 
-def _param_scan(lemma_id: int, pool):
-    """Exhaustive-ish deterministic parameter stream for branch filling."""
+def _streams(lemma_id: int, pool):
+    """The branch fill's parameter streams in scan order, as (form, key,
+    firsts, make): make(i) is the i-th parameter set, key[i] an integer
+    that fixes its branches together with the form (a premise tested for
+    every id), and firsts[k] the first i with key k.  make reads this
+    generator's state, so it holds until the next stream is drawn.
+
+    Id 5 scans beta in GF(q), keyed by whether beta is in Im(L); id 9
+    alpha in GF(q), by f(x_alpha): outside Im(L), zero or nonzero; id 6
+    the (a, b, c) in GF(p)^3 with ac - b^2 or a nonzero, for the first
+    form's p, by whether ac - b^2 != 0; id 7 t in GF(p)*.  Ids 8 and 19
+    scan image_alphas(vanishing=True) and 16-18 image_alphas(vanishing=
+    False), each alpha with every t in GF(p)* for id 8 and in GF(p) for
+    id 17, by whether t = 0.  Ids 10 and 11 scan beta in GF(q)*, and
+    13-15 the same for every (q // 48)-th alpha, by the beta_classes key.
+    """
     if lemma_id == 6:
-        for an in pool[:1]:
-            p = an.ctx.p
-            for a in range(p):
-                for b in range(p):
-                    for c in range(p):
-                        if (a * c - b * b) % p == 0 and a % p == 0:
-                            continue
-                        yield LemmaParams(p=p, abc=(a, b, c))
+        p = pool[0].ctx.p
+        a, b, c = np.indices((p, p, p)).reshape(3, -1)
+        nondegenerate = (a * c - b * b) % p != 0
+        keep = nondegenerate | (a != 0)
+        abc = np.stack([a, b, c], axis=1)[keep]
+        key = nondegenerate[keep]
+        yield pool[0], key, _firsts(key), lambda i: LemmaParams(
+            p=p, abc=tuple(abc[i].tolist()))
         return
     for an in pool:
-        ctx = an.ctx
-        p, q = ctx.p, ctx.q
-        if lemma_id == 5:
-            for b in range(q):
-                yield LemmaParams(analysis=an, beta=b)
+        p, q = an.ctx.p, an.ctx.q
+        if lemma_id in (10, 11, 13, 14, 15):
+            for alpha in [None] if lemma_id < 13 else range(0, q, max(1, q // 48)):
+                keys, cls, reps = an.beta_classes(alpha or 0)
+                yield (an, keys[cls], dict(zip(keys.tolist(), (reps - 1).tolist())),
+                       lambda i: LemmaParams(analysis=an, alpha=alpha, beta=i + 1))
+        elif lemma_id in (5, 9):
+            fxb = an.solution_tables()[1]
+            key = fxb >= 0 if lemma_id == 5 else np.sign(fxb)
+            name = "beta" if lemma_id == 5 else "alpha"
+            yield an, key, _firsts(key), lambda i: LemmaParams(
+                analysis=an, **{name: i})
         elif lemma_id == 7:
-            for t in range(1, p):
-                yield LemmaParams(analysis=an, t=t)
-        elif lemma_id in (8, 19):
-            alphas, fw = an.image_tables()
-            for w in np.flatnonzero((alphas != 0) & (fw == 0)).tolist():
-                alpha = an.image_draw(w)
-                if lemma_id == 8:
-                    for t in range(1, p):
-                        yield LemmaParams(analysis=an, alpha=alpha, t=t)
-                else:
-                    yield LemmaParams(analysis=an, alpha=alpha)
-        elif lemma_id == 9:
-            for alpha in range(q):
-                yield LemmaParams(analysis=an, alpha=alpha)
-        elif lemma_id in (16, 17, 18):
-            alphas, fw = an.image_tables()
-            for w in np.flatnonzero((alphas != 0) & (fw != 0)).tolist():
-                alpha = an.image_draw(w)
-                if lemma_id == 17:
-                    for t in range(p):
-                        yield LemmaParams(analysis=an, alpha=alpha, t=t)
-                else:
-                    yield LemmaParams(analysis=an, alpha=alpha)
+            key = np.zeros(p - 1, dtype=np.int8)
+            yield an, key, {0: 0}, lambda i: LemmaParams(analysis=an, t=i + 1)
+        else:
+            alphas = an.image_alphas(vanishing=lemma_id in (8, 19))
+            ts = {8: range(1, p), 17: range(p)}.get(lemma_id, [None])
+            key = np.tile([t == 0 for t in ts], len(alphas))
+            yield an, key, _firsts(key), lambda i: LemmaParams(
+                analysis=an, alpha=int(alphas[i // len(ts)]), t=ts[i % len(ts)])
+
+
+def _firsts(key: np.ndarray) -> dict:
+    """{k: the first i with key[i] = k} for each value k of a key array
+    whose values span a short range."""
+    firsts = {}
+    for k in range(int(key.min(initial=0)), int(key.max(initial=0)) + 1):
+        at = key == k
+        if at.any():
+            firsts[k] = int(at.argmax())
+    return firsts

@@ -176,11 +176,12 @@ class FormAnalysis:
         registry sweep builds; once x_b exists, solve_xb reads it.
       * image_tables(): alpha(w) = -2 L(w) (int32 encodings, one
         digit_codes pass with lmat) and f(w) (int8, from f.values()), for
-        every w; built on the first draw of alpha in Im(L) (image_draw).
-        Since L(w) = -alpha/2, w is a solution x_alpha up to an element k
-        of Ker(L), and f(w + k) = f(w) because f(k) = Tr(L(k) k) = 0; so
-        f(w) is f(x_alpha), and image_draw checks the coefficient formula
-        against the class table's Gram formula.
+        every w; built on the first draw of alpha in Im(L) (image_draw,
+        or image_alphas for the branch fill).  Since L(w) = -alpha/2, w is
+        a solution x_alpha up to an element k of Ker(L), and f(w + k) =
+        f(w) because f(k) = Tr(L(k) k) = 0; so f(w) is f(x_alpha), and
+        image_draw and image_alphas check the coefficient formula against
+        the class table's Gram formula.
     """
 
     def __init__(self, f: QuadraticFunction):
@@ -450,6 +451,18 @@ class FormAnalysis:
                 f"f(x_alpha) disagrees at alpha={alpha}: "
                 f"class table {known}, f(w) = {fa} for w={w}")
         return alpha
+
+    def image_alphas(self, vanishing: bool) -> np.ndarray:
+        """alpha = -2 L(w) for every w, ascending, with alpha != 0 and
+        f(w) = 0 (vanishing) or f(w) != 0: each alpha in Im(L) whose
+        f(x_alpha) vanishes, or does not, once per such w.  image_draw's
+        check runs over all of them at once, before any is returned."""
+        alphas, fw = self.image_tables()
+        ws = np.flatnonzero((alphas != 0) & ((fw == 0) == vanishing))
+        bad = np.flatnonzero(self._class_tables()[0][alphas[ws]] != fw[ws])
+        if bad.size:
+            self.image_draw(int(ws[bad[0]]))  # raises on the first mismatch
+        return alphas[ws]
 
     def in_shifted_image(self, alpha: int, beta: int) -> int | None:
         """The unique z in GF(p)* with alpha - z*beta in Im(L), if any.

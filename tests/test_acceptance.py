@@ -187,6 +187,16 @@ def test_bench_lemma_sweep_input_matches_golden():
                                  ).read_bytes(), "bench lemma sweep drifted"
 
 
+def test_branch_fill_matches_golden():
+    """One draw per id, so the branch fill finds nearly every witness: the
+    fill's report, byte for byte, on three small fields."""
+    rep = lemma_sweep([(3, 4), (5, 3), (7, 2)], trials=1, seed=1, min_branch=3)
+    assert rep["all_equal"]
+    assert all(sub["trials"] >= 5 for sub in rep["lemmas"].values())
+    assert _sweep_bytes(rep) == (GOLDEN / "lemma_fill_t1_s1.json"
+                                 ).read_bytes(), "branch fill drifted"
+
+
 def test_criterion_5_algebraic_identities():
     primes = [p for p in range(3, 98) if is_prime(p)]
     for p in primes:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import time
 import weakref
@@ -39,6 +40,7 @@ from qcode.cyclotomic import (
 )
 from qcode.errors import (
     MissingParamError,
+    QCodeError,
     NonIntegralPredictionError,
     PreconditionViolatedError,
 )
@@ -335,6 +337,75 @@ def test_closed_forms_are_constant_on_beta_classes():
     assert outside
 
 
+# the fields on which the branch fill's streams are checked
+_FILL_FIELDS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]
+
+
+@pytest.mark.parametrize("lemma_id", (5, 6, 7, 8, 9, 16, 17, 18, 19))
+def test_fill_keys_fix_the_branches(lemma_id):
+    # the branch fill runs closed() once per form and key of each stream
+    # (_streams), so closed() must give every parameter set of a stream the
+    # branches of its key's first one; ids 10, 11 and 13-15 are keyed by
+    # beta_classes, whose premise the test above checks
+    rng = random.Random(44)
+    closed = counting._REGISTRY[lemma_id][0]
+
+    def branches(params):
+        return {branch for branch, _, _ in closed(params)}
+
+    checked = 0
+    for p, m in _FILL_FIELDS:
+        pool = analysis_pool(p, m, rng)
+        for an, key, firsts, make in counting._streams(lemma_id, pool):
+            keys = key.tolist()
+            assert firsts == {k: keys.index(k) for k in set(keys)}
+            want = {k: branches(make(i)) for k, i in firsts.items()}
+            for i, k in enumerate(keys):
+                assert branches(make(i)) == want[k], (lemma_id, an, i)
+            checked += len(keys)
+    assert checked >= 300  # 44 622 parameter sets over the nine ids
+
+
+def _plain_scan(lemma_id, pool):
+    """(form, parameters) of the branch fill one at a time, in its order,
+    with each image alpha drawn by image_draw."""
+    if lemma_id == 6:
+        p = pool[0].ctx.p
+        for a, b, c in itertools.product(range(p), repeat=3):
+            if (a * c - b * b) % p or a:
+                yield None, {"p": p, "abc": (a, b, c)}
+        return
+    for an in pool:
+        p, q = an.ctx.p, an.ctx.q
+        if lemma_id in (5, 9):
+            name = "beta" if lemma_id == 5 else "alpha"
+            yield from ((an, {name: b}) for b in range(q))
+        elif lemma_id == 7:
+            yield from ((an, {"t": t}) for t in range(1, p))
+        else:
+            alphas, fw = an.image_tables()
+            ts = {8: range(1, p), 17: range(p)}.get(lemma_id, [None])
+            for w in range(q):
+                if alphas[w] and (fw[w] == 0) == (lemma_id in (8, 19)):
+                    alpha = an.image_draw(w)
+                    yield from ((an, {"alpha": alpha, "t": t}) for t in ts)
+
+
+@pytest.mark.parametrize("lemma_id", (5, 6, 7, 8, 9, 16, 17, 18, 19))
+def test_fill_streams_visit_the_plain_scan_in_order(lemma_id):
+    rng = random.Random(45)
+    pool = [an for p, m in _FILL_FIELDS[:5]
+            for an in analysis_pool(p, m, rng, extra=2)]
+    got = []
+    for _, key, _, make in counting._streams(lemma_id, pool):
+        got += [make(i) for i in range(len(key))]
+    assert got == [LemmaParams(analysis=an, **kw)
+                   for an, kw in _plain_scan(lemma_id, pool)]
+    # encodings stay Python ints, which a report's JSON needs
+    assert all(type(v) is int for params in got
+               for v in (params.alpha, params.beta, params.t) if v is not None)
+
+
 def test_lemma_oracle_refuses_id_6_past_the_characteristic_cap():
     # id 6 carries p alone, no field; its p^2 brute loop is still capped
     t0 = time.perf_counter()
@@ -610,8 +681,9 @@ def test_closed_sides_of_ids_8_18_and_19_enumerate_nothing(monkeypatch):
     # closed histogram, never f over the field nor an enumerated one
     rng = random.Random(21)
     pool = analysis_pool(3, 4, rng) + analysis_pool(5, 3, rng)
-    draws = [(lemma_id, params) for lemma_id in (8, 18, 19)
-             for params in counting._param_scan(lemma_id, pool)]
+    draws = [(lemma_id, make(i)) for lemma_id in (8, 18, 19)
+             for _, key, _, make in counting._streams(lemma_id, pool)
+             for i in range(len(key))]
     for an in pool:
         an.solution_tables()
 
@@ -777,6 +849,35 @@ def test_image_draws_and_scans_call_neither_l_nor_the_solver(monkeypatch):
         scanned = sweep_one_lemma(lemma_id, pool, trials=0, seed=1)
         assert drawn.trials >= 40 and scanned.trials > 0
         assert drawn.all_equal and scanned.all_equal
+
+
+@pytest.mark.parametrize("lemma_id", (8, 16))
+def test_branch_fill_refuses_an_image_stream_that_disagrees(lemma_id):
+    """The fill checks f(w) against the class table's f(x_alpha) over a
+    form's whole alpha stream, as image_draw checks one draw: a corrupt
+    entry at the last alpha of the even-rank form, far past the three
+    checks the fill makes there, still stops it."""
+    F = get_field(3, 4)
+    pool = [counting.FormAnalysis(preset_trace_square_minus(F, 1)),
+            counting.FormAnalysis(preset_cor1(F, 1))]
+    assert [an.rank for an in pool] == [3, 4]
+    rep = sweep_one_lemma(lemma_id, pool, trials=0, seed=1)
+    alphas = pool[1].image_alphas(vanishing=lemma_id == 8)
+    assert rep.all_equal and rep.trials == 6 and len(alphas) >= 20
+    fxb = pool[1].solution_tables()[1]  # the f_at_xb memo, one entry per b
+    fxb[alphas[-1]] = (int(fxb[alphas[-1]]) + 1) % F.p
+    with pytest.raises(QCodeError, match="disagrees"):
+        sweep_one_lemma(lemma_id, pool, trials=0, seed=1)
+
+
+def test_branch_fill_windows_do_not_change_the_witnesses(monkeypatch):
+    # the fill searches each key array a window at a time; windows far
+    # shorter than the streams must find the same witnesses in order
+    grid = [(3, 4), (5, 3), (7, 2)]
+    want = lemma_sweep(grid, trials=1, seed=1)
+    for window in (1, 7):
+        monkeypatch.setattr(counting, "_FILL_WINDOW", window)
+        assert lemma_sweep(grid, trials=1, seed=1) == want
 
 
 def test_solving_draws_and_scans_never_run_the_solver(monkeypatch):
