@@ -151,10 +151,10 @@ def proportional_pairs(ds: DefiningSet) -> int:
 
 
 def weight_of(beta: int, ds: DefiningSet) -> int:
-    """Hamming weight of the codeword indexed by beta."""
+    """Hamming weight of the codeword indexed by beta: the nonzero
+    Tr(beta d), read off the log-order window of beta at log d."""
     ctx = ds.ctx
-    return int(np.count_nonzero(
-        ctx.trace_table()[[ctx.mul(beta, d) for d in ds.elements]]))
+    return int(np.count_nonzero(ctx.trace_mul_log(beta)[ctx._log[ds.indices]]))
 
 
 def _trace_dual(ds: DefiningSet) -> np.ndarray:

@@ -5,8 +5,8 @@ A CycNum stores p-1 integer numerators on the integral basis
 zeta^(p-1) eliminated through 1 + zeta + ... + zeta^(p-1) = 0.  The ring
 operations run on integers only; Fractions appear at the API edge (the
 constructor, coords, rational_value and scale).  Every identity in this
-package is checked by exact equality here; floating point appears only in
-the optional complex-embedding diagnostic.
+package is checked by exact equality here; no routine in this module
+uses floating point.
 
 The square root of p* = (-1)^((p-1)/2) p is *defined* as the prime-field
 Gauss sum sum_{c in GF(p)*} eta_bar(c) zeta^c, which fixes the branch
@@ -15,7 +15,6 @@ for odd half-powers of p*.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Integral
@@ -142,9 +141,6 @@ class CycNum:
     def __hash__(self):
         return hash((self.p, self.den, self.num))
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
@@ -164,11 +160,6 @@ class CycNum:
                 acc[a * e % p] += c
         top = acc[p - 1]
         return _new(p, [c - top for c in acc[: p - 1]], self.den)
-
-    def complex_value(self) -> complex:
-        """Numeric embedding zeta -> e^(2*pi*i/p); diagnostic only."""
-        zeta = cmath.exp(2j * cmath.pi / self.p)
-        return sum(n / self.den * zeta**k for k, n in enumerate(self.num))
 
     def to_text(self) -> str:
         den = self.den

@@ -13,18 +13,18 @@ ch. 2).  The modulus is tested in the same algebra: is_irreducible runs
 Rabin's test, reading x^(p^k) off the Frobenius orbit of x.  The
 generator is found on its first read.  The exp, log and trace tables
 are read-only arrays that a few batched numpy products over those
-matrices fill on the first bulk use (trace_table, trace_mul_log, a
-form's values or log_values, or a read of _exp or _log): exp and log in
-int32 and the traces in the digit dtype below, 9 bytes per element for
-p <= 255.
+matrices fill on the first bulk use (trace_mul_log, a form's values or
+log_values, or a read of _exp or _log): exp and log in int32 and the
+traces Tr(g^j), in log order and doubled, in the digit dtype below, 10
+bytes per element for p <= 255.
 Until then the scalar methods compute on digit rows; afterwards they
 read the tables through memoryviews.  Both paths return the same Python
 ints and raise the same errors.
 
 Every operation is a pure function of its arguments, but an ExtField is
-not immutable: the tables, the digit matrix and the log-order trace
-array are caches filled on first use.  The lemma pool's workers are
-processes, so no two threads fill one field's caches.
+not immutable: the tables and the digit matrix are caches filled on
+first use.  The lemma pool's workers are processes, so no two threads
+fill one field's caches.
 
 The bulk routes read the (q, m) digit matrix in the smallest unsigned
 dtype that holds p - 1 (uint8 for every p the characteristic cap
@@ -59,9 +59,11 @@ from .errors import (
 from .linalg import rank, rref
 
 # The one bound on q for every route.  Once built, the exp, log and trace
-# tables are two int32 arrays and one in the digit dtype, 9 bytes per
-# element for p <= 255 (about 14 at the construction peak); predict and
-# analyze build them only for the form spot check, which stops at 5^6.
+# tables are two int32 arrays and the doubled traces in the digit dtype,
+# 10 bytes per element for p <= 255 (about 14 at the construction peak at
+# 3^11 and 19^4; the fixed block transients make it 27 at 3^9); predict
+# and analyze build them only for the form spot check, which stops at
+# 5^6.
 # The cap keeps q at desk scale for the routes that build them and
 # enumerate GF(q) (covers 5^7, 7^6 and 3^11), below 2^31, so encodings and
 # logs fit in int32, and below 2^24, where hyperplane_counts' float32
@@ -269,22 +271,22 @@ class ExtField:
     every element as an integer and builds no table never searches.
 
     The exp, log and trace tables are built on the first bulk use
-    (trace_table, trace_mul_log, or a read of _exp, _log or
-    _trace_table), after which the scalar methods read them instead.
+    (trace_mul_log, or a read of _exp or _log), after which the scalar
+    methods read them instead.
     With B = isqrt(q-1) + 1, the rows of g^0..g^(B-1) come from repeated
     doubling, and every later block of B powers is those rows times a
     power of the matrix of multiplication by g^B.  One batched product
     forms about _BLOCK_ROWS rows at a time, from a stack of consecutive
     such powers, and the same product's reduced rows give the encodings
-    and the traces.  The tables are read-only: exp and log in
-    int32, since encodings and logs stay below q < 2^31, and the traces
-    in the digit dtype; the scalar methods return Python ints.  The (q, m)
-    digit matrix is built on the first digits_matrix() call, in the
-    smallest unsigned dtype that holds p - 1 (uint8 up to p = 251, m bytes
-    per element), and the doubled array of Tr(g^j), in the same dtype, on
-    the first trace_mul_log() call.  Products with digit rows go through
-    digit_product, digit_codes or digit_form, which widen them to float64
-    a block of rows at a time.
+    and the traces Tr(g^j), both in log order.  The tables are read-only:
+    exp and log in int32, since encodings and logs stay below q < 2^31,
+    and the traces doubled, so that every Tr(b g^j) is one window, in the
+    digit dtype: 10 bytes per element for p <= 255.  The scalar methods
+    return Python ints.  The (q, m) digit matrix is built on the first
+    digits_matrix() call, in the smallest unsigned dtype that holds p - 1
+    (uint8 up to p = 251, m bytes per element).  Products with digit rows
+    go through digit_product, digit_codes or digit_form, which widen them
+    to float64 a block of rows at a time.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -342,10 +344,9 @@ class ExtField:
         self._digit_dtype = np.min_scalar_type(p - 1)
         # caches filled on first use; the tables through _build_tables
         self._generator = None
-        self._exp_array = self._log_array = self._trace_array = None
+        self._exp_array = self._log_array = self._trace_powers = None
         self._exp_at = self._log_at = self._trace_at = None
         self._digits_matrix = None
-        self._trace_powers = None
         self._trace_form_inv = None
 
     @staticmethod
@@ -410,26 +411,30 @@ class ExtField:
         # unreduced trace, exact in float64 as above
         place_tr = np.column_stack([self._place, self._tr]).astype(np.float64)
         # encodings and logs stay below q <= _MAX_FIELD_SIZE < 2^31, and a
-        # trace is a digit
+        # trace is a digit; both are written in log order
         exp = np.empty(n, dtype=np.int32)
-        trace_table = np.zeros(q, dtype=self._digit_dtype)
+        traces = np.empty(n, dtype=self._digit_dtype)
         for start in range(0, n, group * width):
             block = np.matmul(base, powers.astype(np.float64)).reshape(-1, m)[:n - start]
             enc_tr = _mod_p(block, p) @ place_tr
-            enc = enc_tr[:, 0].astype(np.int32)
-            exp[start:start + len(enc)] = enc
-            trace_table[enc] = _mod_p(enc_tr[:, 1], p)
+            stop = start + len(enc_tr)
+            exp[start:stop] = enc_tr[:, 0]
+            traces[start:stop] = _mod_p(enc_tr[:, 1], p)
             powers = powers @ leap % p
         log = np.zeros(q, dtype=np.int32)
         log[exp] = np.arange(n, dtype=np.int32)
-        for table in (exp, log, trace_table):
+        # doubled only now, after log's arange transient is freed, so the
+        # copy does not raise the construction peak; Tr(g^k g^j) for
+        # j = 0..q-2 is then the window [k, k + q - 1)
+        traces = np.concatenate([traces, traces])
+        for table in (exp, log, traces):
             table.flags.writeable = False
-        self._exp_array, self._log_array, self._trace_array = exp, log, trace_table
+        self._exp_array, self._log_array, self._trace_powers = exp, log, traces
         # zero-copy views for the scalar methods: indexing one gives a
         # Python int, so no numpy scalar reaches callers or json.dumps
         self._exp_at = memoryview(exp)
         self._log_at = memoryview(log)
-        self._trace_at = memoryview(trace_table)
+        self._trace_at = memoryview(traces)
 
     @property
     def _exp(self) -> np.ndarray:
@@ -444,13 +449,6 @@ class ExtField:
         if self._log_array is None:
             self._build_tables()
         return self._log_array
-
-    @property
-    def _trace_table(self) -> np.ndarray:
-        """(q,) trace table; built on first read."""
-        if self._trace_array is None:
-            self._build_tables()
-        return self._trace_array
 
     def _trace_basis(self) -> list[int]:
         """Tr(x^j) for j = 0..m-1: the power sums of the modulus's roots,
@@ -584,9 +582,11 @@ class ExtField:
     # TypeError with the tables built comes from the arguments and is
     # re-raised.  The digit rows take an element as the tables index it
     # (_index), so both paths raise the same errors on a bad argument.
+    # The zero guards come first and take -q too, which both paths wrap to
+    # the element 0 but the log table reads as 0, the log of 1.
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
+        if a == 0 or b == 0 or a == -self.q or b == -self.q:
             return 0
         try:
             return self._exp_at[(self._log_at[a] + self._log_at[b]) % (self.q - 1)]
@@ -596,7 +596,7 @@ class ExtField:
         return self._element(self._row(a) @ self._mul_matrix(b) % self.p)
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if a == 0 or a == -self.q:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         try:
             return self._exp_at[-self._log_at[a] % (self.q - 1)]
@@ -606,7 +606,7 @@ class ExtField:
         return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
+        if a == 0 or a == -self.q:
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0 if e else 1
@@ -622,7 +622,7 @@ class ExtField:
         """x^(p^i) for 0 <= i < m."""
         if not 0 <= i < self.m:
             raise PreconditionViolatedError(f"frobenius index {i} outside [0, {self.m})")
-        if x == 0:
+        if x == 0 or x == -self.q:
             return 0
         try:
             return self._exp_at[self._log_at[x] * pow(self.p, i, self.q - 1) % (self.q - 1)]
@@ -632,16 +632,18 @@ class ExtField:
         return self._element(self._row(x) @ self._frob[i] % self.p)
 
     def trace(self, x: int) -> int:
+        if x == 0 or x == -self.q:
+            return 0
         try:
-            return self._trace_at[x]
+            return self._trace_at[self._log_at[x]]
         except TypeError:
-            if self._trace_at is not None:
+            if self._log_at is not None:
                 raise
         return int(self._row(x) @ self._tr % self.p)
 
     def eta(self, x: int) -> int:
         """Quadratic character of GF(q), extended by eta(0) = 0."""
-        if x == 0:
+        if x == 0 or x == -self.q:
             return 0
         try:
             return 1 if self._log_at[x] % 2 == 0 else -1
@@ -650,10 +652,6 @@ class ExtField:
                 raise
         # Euler's criterion: x^((q-1)/2) is 1 on squares, -1 otherwise
         return 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
-
-    def embed_scalar(self, t: int) -> int:
-        """GF(p) value as a field element (digit 0)."""
-        return t % self.p
 
     # -- bulk helpers for scan-heavy callers --------------------------------
 
@@ -669,11 +667,6 @@ class ExtField:
             self._digits_matrix = self._all_digit_rows()
             self._digits_matrix.flags.writeable = False
         return self._digits_matrix
-
-    def trace_table(self) -> np.ndarray:
-        """(q,) array of traces in the digit dtype; builds the tables on
-        first use."""
-        return self._trace_table
 
     def trace_mul_vector(self, b: int) -> np.ndarray:
         """(m,) int64 array t with Tr(b*x) = digits(x) . t  (mod p):
@@ -693,13 +686,6 @@ class ExtField:
             self._trace_form_inv = red[:, m:]
         return self._element(np.asarray(v, dtype=np.int64) @ self._trace_form_inv % self.p)
 
-    def trace_mul_all(self, b: int) -> np.ndarray:
-        """(q,) int64 array of Tr(b*x) for every element x, by a digit
-        product with trace_mul_vector(b).  No package route calls it: they
-        read Tr(b x) as a window of the log-order trace array
-        (trace_mul_log).  It stays as the tests' independent oracle."""
-        return self.digit_product(self.trace_mul_vector(b))
-
     def _products(self, mat, rows: np.ndarray):
         """(start, block, product) for each _BLOCK_ROWS rows of rows: the
         block widened to float64 and its product with mat.  Every such
@@ -715,16 +701,14 @@ class ExtField:
         """rows @ mat mod p.
 
         rows is an (n, m) array of digits in the digit dtype (by default
-        digits_matrix()) and mat a small (m,) vector or (m, k) matrix of
-        integers below p.  The product runs on _BLOCK_ROWS rows at a time
-        (_products), so no (n, m) wide array is made.  A matrix product
-        comes back as (n, k) in the digit dtype, m bytes per row for
-        k = m; a vector product as (n,) int64.
+        digits_matrix()) and mat a small (m, k) matrix of integers below p.
+        The product runs on _BLOCK_ROWS rows at a time (_products), so no
+        (n, m) wide array is made.  It comes back as (n, k) in the digit
+        dtype, m bytes per row for k = m.
         """
         if rows is None:
             rows = self.digits_matrix()
-        out = np.empty(rows.shape[:1] + np.shape(mat)[1:],
-                       dtype=self._digit_dtype if np.ndim(mat) == 2 else np.int64)
+        out = np.empty((len(rows), np.shape(mat)[1]), dtype=self._digit_dtype)
         for start, _, prod in self._products(mat, rows):
             out[start:start + len(prod)] = _mod_p(prod, self.p)
         return out
@@ -779,24 +763,16 @@ class ExtField:
         """(q-1,) array of Tr(b g^j), j = 0..q-2, in the digit dtype:
         Tr(b x) for every nonzero x, in log order.
 
-        For b = g^k it is the window [k, k + q - 1) of the doubled array of
-        Tr(g^j), built on the first call (2 bytes per element for p <= 255);
-        the window is a read-only view.  Widen it before arithmetic that
-        can pass the digit dtype, such as t p + t'.
+        For b = g^k it is the window [k, k + q - 1) of the doubled trace
+        table, a read-only view; the first call builds the tables.  Widen
+        it before arithmetic that can pass the digit dtype, such as
+        t p + t'.
         """
         n = self.q - 1
-        if b == 0:
+        if b == 0 or b == -self.q:
             return np.zeros(n, dtype=self._digit_dtype)
-        if self._trace_powers is None:
-            powers = self._trace_table[self._exp]
-            self._trace_powers = np.concatenate([powers, powers])
-            self._trace_powers.flags.writeable = False
-        start = self._log_at[b]
+        start = self._log[b]
         return self._trace_powers[start:start + n]
-
-    def pow_of_basis(self, j: int) -> int:
-        """Encoding of the basis element x^j."""
-        return self.p**j
 
     # -- text forms ----------------------------------------------------------
 

@@ -157,15 +157,13 @@ def _table_rows(an: FormAnalysis, case: CaseLabel) -> list[tuple[Fraction, Fract
     ]
 
 
-def predict_distribution(an: FormAnalysis, case: CaseLabel,
-                         allow_collapse: bool = False) -> dict[int, int]:
+def predict_distribution(an: FormAnalysis, case: CaseLabel) -> dict[int, int]:
     """Nonzero weights and multiplicities; duplicates merged, rows with
     zero multiplicity dropped before their weights are resolved.
 
     A row predicting weight 0 at positive multiplicity means the
     construction's dimension claim fails there (nonzero indices carry
-    the zero codeword); it raises DimensionCollapse unless the caller
-    asks for the raw index-weight multiset.
+    the zero codeword); it raises DimensionCollapseError.
     """
     if an.ctx.m < 2:
         raise PreconditionViolatedError("prediction tables need degree >= 2")
@@ -179,7 +177,7 @@ def predict_distribution(an: FormAnalysis, case: CaseLabel,
         w = _as_int(weight)
         if w < 0:
             raise NegativeMultiplicityError(f"negative weight {w}")
-        if w == 0 and not allow_collapse:
+        if w == 0:
             raise DimensionCollapseError(
                 f"{a} nonzero indices are predicted to carry the zero codeword")
         counts[w] = counts.get(w, 0) + a

@@ -229,7 +229,6 @@ class FormAnalysis:
         self.ker_basis = tuple((ker @ ctx._place).tolist())
         image, image_pivots, _ = rref(self.lmat.T, p)
         self.im_basis = tuple((image[:len(image_pivots)] @ ctx._place).tolist())
-        self._kernel_elements: tuple[int, ...] | None = None
         self._xb_table: np.ndarray | None = None
         self._f_xb_table: np.ndarray | None = None
         self._qx_table: np.ndarray | None = None
@@ -240,30 +239,6 @@ class FormAnalysis:
             self._spot_check()
 
     # -- the linearized companion map ---------------------------------------
-
-    def l_apply(self, x: int) -> int:
-        ctx = self.ctx
-        acc = 0
-        for i, c in enumerate(self.l_coeffs):
-            if c:
-                acc = ctx.add(acc, ctx.mul(c, ctx.frobenius(x, i)))
-        return acc
-
-    def kernel_elements(self) -> tuple[int, ...]:
-        """All of Ker(L), enumerated from the basis; cached."""
-        if self._kernel_elements is None:
-            ctx = self.ctx
-            elems = [0]
-            for b in self.ker_basis:
-                new = []
-                for e in elems:
-                    cur = e
-                    for _ in range(ctx.p - 1):
-                        cur = ctx.add(cur, b)
-                        new.append(cur)
-                elems.extend(new)
-            self._kernel_elements = tuple(sorted(elems))
-        return self._kernel_elements
 
     def in_image(self, b: int) -> bool:
         return self.f_at_xb(b) is not None

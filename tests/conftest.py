@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from oracles import embed_scalar, l_apply
+
 # allow running the suite from a fresh checkout without installing
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -10,16 +12,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 class BruteSolutions:
     """x_b, f(x_b) and z0 of a form by search over GF(q), as an oracle
     that reads neither FormAnalysis's solve matrix nor its tables: x_b is
-    the smallest x with l_apply(x) = -b/2, f(x_b) comes from f.evaluate,
+    the smallest x with L(x) = -b/2 (oracles.l_apply), f(x_b) comes from f.evaluate,
     and z0 is found by trying every z against the image set.  Meant for
     q <= 7^3."""
 
     def __init__(self, an):
         F = self.F = an.ctx
-        neg_half = F.neg(F.embed_scalar((F.p + 1) // 2))
+        neg_half = F.neg(embed_scalar(F, (F.p + 1) // 2))
         smallest = {}
         for x in F.elements():
-            smallest.setdefault(an.l_apply(x), x)
+            smallest.setdefault(l_apply(an, x), x)
         self._xb = [smallest.get(F.mul(neg_half, b)) for b in F.elements()]
         self._fxb = [None if x is None else an.f.evaluate(x) for x in self._xb]
 

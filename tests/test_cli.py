@@ -125,8 +125,8 @@ def test_verify_exit_codes(capsys, monkeypatch):
 
     real = predictor_mod.predict_distribution
 
-    def perturbed(an, case, allow_collapse=False):
-        rows = dict(real(an, case, allow_collapse))
+    def perturbed(an, case):
+        rows = dict(real(an, case))
         first = next(iter(rows))
         rows[first] += 3
         return rows

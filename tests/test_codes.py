@@ -26,6 +26,8 @@ from qcode.errors import (
 from qcode.field import ExtField
 from qcode.quadform import FormAnalysis, analyze, preset_cor1, preset_trace_square_minus
 
+from oracles import pow_of_basis, trace_table
+
 
 def example1_set():
     F = get_field(3, 4)
@@ -205,7 +207,7 @@ def test_trace_dual_coordinates_give_every_trace(p, m):
     # w(d) = digits(d) T with T the trace form, on every (beta, d), against
     # a field multiplication and the trace table
     F = get_field(p, m)
-    tr = F.trace_table()
+    tr = trace_table(F)
     digits = F.digits_matrix().astype(np.int64)
     dual = F.digit_product(F._trace_form).astype(np.int64)
     via_dual = digits @ dual.T % p
@@ -262,18 +264,18 @@ def test_build_route_peak_memory_per_element():
 def test_build_route_retained_bytes_per_element(p, m):
     # nbytes of what the field and the form's analysis keep after
     # defining_set and both weight routes, per element: int32 exp and log
-    # (4 + 4), the uint8 trace table (1) and its doubled log-order array
-    # (2), the uint8 digit matrix (m), uint8 log_values (1) and the class
-    # tables (int32 syndrome codes, int8 f(x_b) and Q(X(b)): 6).  Build
-    # keeps no x_b table.  Any one of them in int64 adds 3 bytes or more.
+    # (4 + 4), the doubled uint8 log-order traces (2), the uint8 digit
+    # matrix (m), uint8 log_values (1) and the class tables (int32
+    # syndrome codes, int8 f(x_b) and Q(X(b)): 6).  Build keeps no x_b
+    # table.  Any one of them in int64 adds 3 bytes or more.
     F = ExtField(p, m)
     f = preset_cor1(F, 1)
     an = FormAnalysis(f)
     weight_distribution(defining_set(an, 1), "both")
     assert an._xb_table is None
-    kept = (F._exp, F._log, F.trace_table(), F._trace_powers, F.digits_matrix(),
+    kept = (F._exp, F._log, F._trace_powers, F.digits_matrix(),
             f.log_values(), an._f_xb_table, an._qx_table, an._syn_table)
-    assert sum(table.nbytes for table in kept) <= (18 + m) * F.q
+    assert sum(table.nbytes for table in kept) <= (17 + m) * F.q
 
 
 def test_both_mode_raises_on_disagreement(monkeypatch):
@@ -401,7 +403,7 @@ def test_generator_matrix_rank_and_row_additivity():
     assert len(G) == 3 and len(G[0]) == 8
     # codeword of x^0 + x^1 is the row sum
     combined = [(a + b) % 3 for a, b in zip(G[0], G[1])]
-    beta = F.add(F.pow_of_basis(0), F.pow_of_basis(1))
+    beta = F.add(pow_of_basis(F, 0), pow_of_basis(F, 1))
     direct = [F.trace(F.mul(beta, d)) for d in ds.elements]
     assert combined == direct
 
@@ -412,7 +414,7 @@ def test_generator_matrix_rows_are_basis_codewords(p, m):
     F = get_field(p, m)
     ds = defining_set(analyze(preset_cor1(F, 1)), 1)
     assert generator_matrix(ds) == [
-        [F.trace(F.mul(F.pow_of_basis(j), d)) for d in ds.elements]
+        [F.trace(F.mul(pow_of_basis(F, j), d)) for d in ds.elements]
         for j in range(m)]
 
 

@@ -19,6 +19,8 @@ from qcode.cyclotomic import (
 from qcode.errors import NonUnitError, ZeroLeadCoefficientError
 from qcode.field import eta_bar
 
+from oracles import complex_value, is_zero
+
 
 def rational(p, v):
     return CycNum.from_rational(p, v)
@@ -33,7 +35,7 @@ def test_full_zeta_sum_vanishes():
         acc = CycNum.zero(p)
         for k in range(p):
             acc = acc + CycNum.zeta_pow(p, k)
-        assert acc.is_zero()
+        assert is_zero(acc)
 
 
 def test_zeta_times_zeta_inverse():
@@ -55,7 +57,7 @@ def test_mul_zeta_pow_is_multiplication_by_zeta_pow(p):
             got = x.mul_zeta_pow(k)
             want = x * CycNum.zeta_pow(p, k)
             assert (got.num, got.den) == (want.num, want.den), (p, k, x)
-    assert CycNum.zero(p).mul_zeta_pow(1).is_zero()
+    assert is_zero(CycNum.zero(p).mul_zeta_pow(1))
 
 
 def test_p3_gauss_square_by_hand():
@@ -182,9 +184,9 @@ def test_exp_sum_constant_phase():
 
 def test_exp_sum_additive_character_vanishes():
     F = get_field(3, 3)
-    assert exp_sum(F, F.trace).is_zero()
+    assert is_zero(exp_sum(F, F.trace))
     for beta in list(F.nonzero_elements())[::5]:
-        assert exp_sum(F, lambda x: F.trace(F.mul(beta, x))).is_zero()
+        assert is_zero(exp_sum(F, lambda x: F.trace(F.mul(beta, x))))
 
 
 def test_exp_sum_square_trace_gf9():
@@ -246,7 +248,7 @@ def test_complex_embedding_matches_floating_gauss():
     import cmath
 
     for p in (3, 7, 11):
-        g = gauss_sum_prime(p).complex_value()
+        g = complex_value(gauss_sum_prime(p))
         want = sum(eta_bar(c, p) * cmath.exp(2j * cmath.pi * c / p)
                    for c in range(1, p))
         assert abs(g - want) < 1e-9
