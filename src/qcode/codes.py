@@ -8,12 +8,13 @@ two independent routes.  The naive one counts the zeros of every
 codeword at once by the hyperplane-count transform of the indicator of
 D's trace-dual coordinates over the digit space GF(p)^m
 (field.hyperplane_counts: one float32 matrix product per digit axis,
-exact on these integer counts); it reads only D's digits and the trace
-form Tr(x^j x^k).  The analytic one evaluates the closed-form solution
-counters once per class of beta (FormAnalysis.beta_classes), at most
-p^2 + 1 times, since they see beta only through a few quadratic
-invariants.  "both" mode insists the routes agree before returning;
-validation then checks the first and second power moments.
+exact on these integer counts); it reads only the traces Tr(x^j d), as
+windows of the log-order trace array.  The analytic one evaluates the
+closed-form solution counters once per class of beta
+(FormAnalysis.beta_classes), at most p^2 + 1 times, since they see beta
+only through a few quadratic invariants.  "both" mode insists the
+routes agree before returning; validation then checks the first and
+second power moments.
 """
 
 from __future__ import annotations
@@ -158,12 +159,27 @@ def weight_of(beta: int, ds: DefiningSet) -> int:
 
 
 def _trace_dual(ds: DefiningSet) -> np.ndarray:
-    """(|D|, m) array in the digit dtype: row i is w(d_i) = digits(d_i) T,
-    with T the trace form, T[j, k] = Tr(x^j x^k), so w(d)_j = Tr(x^j d).
-    Column j is the codeword of the basis index x^j, and
-    Tr(beta d) = digits(beta) . w(d) (mod p) for every beta."""
+    """(|D|, m) array in the digit dtype: row i is w(d_i), with
+    w(d)_j = Tr(x^j d).  Column j is the codeword of the basis index x^j,
+    whose encoding is p^j: the log-order window of p^j read at log d.
+    Tr(beta d) = digits(beta) . w(d) (mod p) for every beta, since Tr is
+    GF(p)-linear."""
     ctx = ds.ctx
-    return ctx.digit_product(ctx._trace_form, ctx.digits_matrix()[ds.indices])
+    logs = ctx._log[ds.indices]
+    return np.stack([ctx.trace_mul_log(ctx.p**j)[logs] for j in range(ctx.m)],
+                    axis=1)
+
+
+def _dual_codes(ds: DefiningSet) -> np.ndarray:
+    """(|D|,) int64 encodings of the trace-dual coordinates (_trace_dual),
+    sum_j Tr(x^j d) p^j by Horner's rule, in int64 since the digit dtype
+    cannot hold them.  Only these outlive the call, so the naive route's
+    transform runs with no (|D|, m) array held."""
+    codes = np.zeros(ds.length, dtype=np.int64)
+    for column in _trace_dual(ds).T[::-1]:
+        codes *= ds.ctx.p
+        codes += column
+    return codes
 
 
 def _weights_naive(ds: DefiningSet) -> np.ndarray:
@@ -171,13 +187,14 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
     trace-dual coordinates w(d) of D (_trace_dual).
 
     The zeros of c_beta number #{d in D : digits(beta) . w(d) = 0}:
-    hyperplane_counts on the indicator of w(D) gives that count at
-    t = digits(beta), which is indexed by beta itself.  T is invertible
-    (the trace form is nondegenerate), so the indicator holds |D| ones.
+    hyperplane_counts on the indicator of w(D) (marked at the encodings
+    _dual_codes) gives that count at t = digits(beta), which is indexed
+    by beta itself.  w is injective (the trace form is nondegenerate), so
+    the indicator holds |D| ones.
     """
     ctx = ds.ctx
     member = np.zeros((1, ctx.q), dtype=bool)
-    member[0, ctx.digit_codes(ctx._trace_form, ctx.digits_matrix()[ds.indices])] = True
+    member[0, _dual_codes(ds)] = True
     zeros = hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
     return ds.length - zeros.astype(np.int64)
 

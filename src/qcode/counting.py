@@ -52,6 +52,8 @@ A branch a sweep's draws leave short is filled by a deterministic scan
 parameter set carries an integer key, read off the form's class or image
 tables, on which closed()'s branches are constant; so closed() runs once per
 form and key, and the witnesses come from a vectorised search of the keys.
+A required branch that no key of the pool reaches often enough stays
+short; the report notes it with its count and keeps all_equal as it is.
 
 Two printed-formula discrepancies are tracked explicitly rather than
 silently fixed (see the registry notes):
@@ -1158,6 +1160,11 @@ def sweep_one_lemma(lemma_id: int, pool_all, trials: int, seed: int,
         draws += 1
     rep.trials = draws
     _fill_missing_branches(rep, lemma_id, pool_all, min_branch, memo)
+    for branch in sorted(REQUIRED_BRANCHES[lemma_id]):
+        hits = rep.branches.get(branch, 0)
+        if hits < min_branch:
+            rep.notes.append(f"required branch {branch} reached {hits} of "
+                             f"{min_branch} checks; the branch fill found no more")
     if not rep.trials:
         rep.notes.append("no parameters were drawn, so nothing was checked")
     return rep
@@ -1169,7 +1176,8 @@ def lemma_sweep(field_specs, trials: int, seed: int,
 
     field_specs is a list of (p, m) pairs.  After `trials` random draws
     per identity, reachable branches still below `min_branch` hits are
-    filled by a deterministic scan.  Fully deterministic for a fixed
+    filled by a deterministic scan; each required branch the scan leaves
+    short gets a note with its count.  Fully deterministic for a fixed
     seed, with or without workers.
     """
     ids = tuple(lemma_ids) if lemma_ids else IDENTITY_IDS

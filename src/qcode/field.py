@@ -22,21 +22,23 @@ read the tables through memoryviews.  Both paths return the same Python
 ints and raise the same errors.
 
 Every operation is a pure function of its arguments, but an ExtField is
-not immutable: the tables and the digit matrix are caches filled on
-first use.  The lemma pool's workers are processes, so no two threads
-fill one field's caches.
+not immutable: the tables are caches filled on first use.  The lemma
+pool's workers are processes, so no two threads fill one field's
+caches.
 
-The bulk routes read the (q, m) digit matrix in the smallest unsigned
-dtype that holds p - 1 (uint8 for every p the characteristic cap
-counting.BRUTE_MAX_P admits), m bytes per element.  digit_product,
+Digits are held in the smallest unsigned dtype that holds p - 1 (uint8
+for every p the characteristic cap counting.BRUTE_MAX_P admits).
 digit_codes (the encodings of the reduced products) and digit_form (the
-quadratic form of every row, and optionally codes from the same product)
-multiply it, or any narrow digit rows, by a small matrix in float64
-blocks of _BLOCK_ROWS rows, exact since every sum stays below 2^53, and
-reduce mod p by a floor division (_mod_p); so no (q, m) wide array is
-made.  A GF(p)-linear functional of x is Tr(c x) for one element c
-(trace_dual), so the bulk routes read it as a window of the log-order
-trace array (trace_mul_log) instead of a digit product.
+quadratic form of every element, and optionally codes from the same
+product) make the digits of every element as a transient (q, m) array,
+_all_digit_rows, multiply it by a small matrix in float64 blocks of
+_BLOCK_ROWS rows, exact since every sum stays below 2^53, reduce mod p
+by a floor division (_mod_p) and drop it; so no (q, m) array is kept
+and no wide one is made.  A GF(p)-linear functional of x is Tr(c x) for
+one element c (trace_dual), so the bulk routes read it as a window of
+the log-order trace array (trace_mul_log) instead of a digit product;
+the codes' trace-dual coordinates Tr(x^j d) are the windows of
+c = x^j.
 
 hyperplane_counts is the exact transform over the digit space GF(p)^m
 that counts a stack of weighted point sets on every hyperplane
@@ -74,9 +76,9 @@ from .linalg import rank, rref
 _MAX_FIELD_SIZE = 200_000
 
 # rows per float64 block of every whole-field product (the table fill,
-# digit_product, digit_codes and digit_form): 16 KB per column of a block,
-# under 200 KB for the m <= 11 digit columns the field-size cap admits,
-# whatever q is; blocks of 8192 rows ran about twice as slow
+# digit_codes and digit_form): 16 KB per column of a block, under 200 KB
+# for the m <= 11 digit columns the field-size cap admits, whatever q is;
+# blocks of 8192 rows ran about twice as slow
 _BLOCK_ROWS = 1 << 11
 
 
@@ -282,11 +284,10 @@ class ExtField:
     exp and log in int32, since encodings and logs stay below q < 2^31,
     and the traces doubled, so that every Tr(b g^j) is one window, in the
     digit dtype: 10 bytes per element for p <= 255.  The scalar methods
-    return Python ints.  The (q, m) digit matrix is built on the first
-    digits_matrix() call, in the smallest unsigned dtype that holds p - 1
-    (uint8 up to p = 251, m bytes per element).  Products with digit rows
-    go through digit_product, digit_codes or digit_form, which widen them
-    to float64 a block of rows at a time.
+    return Python ints.  No (q, m) digit array is kept: digit_codes and
+    digit_form make one for their call, in the smallest unsigned dtype
+    that holds p - 1 (uint8 up to p = 251), and widen it to float64 a
+    block of rows at a time.
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -346,7 +347,6 @@ class ExtField:
         self._generator = None
         self._exp_array = self._log_array = self._trace_powers = None
         self._exp_at = self._log_at = self._trace_at = None
-        self._digits_matrix = None
         self._trace_form_inv = None
 
     @staticmethod
@@ -655,19 +655,6 @@ class ExtField:
 
     # -- bulk helpers for scan-heavy callers --------------------------------
 
-    def digits_matrix(self) -> np.ndarray:
-        """(q, m) read-only array in the smallest unsigned dtype that holds
-        p - 1 (uint8 for p <= 251): row x holds the digits of element x.
-
-        Built on the first call; most commands never read it.  Multiply it
-        through digit_product, digit_codes or digit_form, not with @, which
-        would cast all of it to a wide dtype first.
-        """
-        if self._digits_matrix is None:
-            self._digits_matrix = self._all_digit_rows()
-            self._digits_matrix.flags.writeable = False
-        return self._digits_matrix
-
     def trace_mul_vector(self, b: int) -> np.ndarray:
         """(m,) int64 array t with Tr(b*x) = digits(x) . t  (mod p):
         t_j = Tr(b x^j) = sum_k digit_k(b) Tr(x^k x^j), a row of the
@@ -697,22 +684,6 @@ class ExtField:
             block = rows[start:start + _BLOCK_ROWS].astype(np.float64)
             yield start, block, block @ mat
 
-    def digit_product(self, mat, rows: np.ndarray | None = None) -> np.ndarray:
-        """rows @ mat mod p.
-
-        rows is an (n, m) array of digits in the digit dtype (by default
-        digits_matrix()) and mat a small (m, k) matrix of integers below p.
-        The product runs on _BLOCK_ROWS rows at a time (_products), so no
-        (n, m) wide array is made.  It comes back as (n, k) in the digit
-        dtype, m bytes per row for k = m.
-        """
-        if rows is None:
-            rows = self.digits_matrix()
-        out = np.empty((len(rows), np.shape(mat)[1]), dtype=self._digit_dtype)
-        for start, _, prod in self._products(mat, rows):
-            out[start:start + len(prod)] = _mod_p(prod, self.p)
-        return out
-
     def _encode(self, prod: np.ndarray) -> np.ndarray:
         """Encodings of the rows of a float64 product block mod p: the row
         sums of the reduced block times the place values p^j."""
@@ -720,31 +691,30 @@ class ExtField:
         red *= self._place[:red.shape[1]].astype(np.float64)
         return red.sum(axis=1)
 
-    def digit_codes(self, mat, rows: np.ndarray | None = None) -> np.ndarray:
-        """(n,) int64 array of the encodings of the rows of rows @ mat mod
-        p (by default rows = digits_matrix()), for an (m, k) matrix mat of
-        integers below p and k <= m: one pass of _products, so no (n, k)
-        array is made."""
-        if rows is None:
-            rows = self.digits_matrix()
+    def digit_codes(self, mat) -> np.ndarray:
+        """(q,) int64 array of the encodings of digits(x) mat mod p for every
+        element x, for an (m, k) matrix mat of integers below p and k <= m:
+        one pass of _products over a transient _all_digit_rows(), so no
+        (q, k) array is made."""
+        rows = self._all_digit_rows()
         out = np.empty(len(rows), dtype=np.int64)
         for start, _, prod in self._products(mat, rows):
             out[start:start + len(prod)] = self._encode(prod)
         return out
 
-    def digit_form(self, gram, rows: np.ndarray | None = None, codes=None):
-        """(n,) int64 array of r G r^T mod p for each row r of rows (by
-        default digits_matrix()), G a symmetric m x m matrix of integers
-        below p: the row sums of each block times its product with G
-        (_products), reduced once.  A row sum is below m^2 p^3, under
-        2^53 - p at the field-size cap, so it is exact in float64.
+    def digit_form(self, gram, codes=None):
+        """(q,) int64 array of r G r^T mod p for the digit row r of every
+        element, G a symmetric m x m matrix of integers below p: the row
+        sums of each block times its product with G (_products, over a
+        transient _all_digit_rows()), reduced once.  A row sum is below
+        m^2 p^3, under 2^53 - p at the field-size cap, so it is exact in
+        float64.
 
         Given an (m, k) matrix codes, the same block products with
-        [G | codes] also give digit_codes(codes, rows), and the result is
-        the pair (forms, encodings).
+        [G | codes] also give digit_codes(codes), and the result is the
+        pair (forms, encodings).
         """
-        if rows is None:
-            rows = self.digits_matrix()
+        rows = self._all_digit_rows()
         m = self.m
         out = np.empty(len(rows), dtype=np.int64)
         # with no code columns every encoding is 0

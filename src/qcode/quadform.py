@@ -8,7 +8,7 @@ two preset families Tr(u x^2) and Tr(x^2) - (Tr(vx))^2 / Tr(v^2).
 
 The per-form tables over GF(q) are split by reader.  The class tables
 (f(x_b), Q(X(b)) and the syndrome codes) come from one pass over the
-field's digit matrix and are all that the beta classes of build's
+digits of every element and are all that the beta classes of build's
 analytic route read; the x_b encodings, which only the registry sweeps
 read in bulk, are built on the first solution_tables() call.  The beta
 classes take every beta-dependent GF(p)-linear term as a window of the
@@ -302,7 +302,7 @@ class FormAnalysis:
 
         Q(X(b)) = digits(b) M digits(b)^T with M = S G S^T, and the
         syndrome is digits(b) Y, so both come from one digit_form pass
-        over the field's digit matrix with [M | Y] (Y has no column at
+        over the digits of every b with [M | Y] (Y has no column at
         full rank, where every code is 0).  These are what beta_classes,
         f_at_xb, _syndrome and image_draw read.
         """
@@ -321,7 +321,7 @@ class FormAnalysis:
         in GF(q).
 
         fxb is a class table (_class_tables).  xb is built on the first
-        call, by one digit_codes pass of the field's digit matrix with S;
+        call, by one digit_codes pass over the digits of every b with S;
         once it exists, solve_xb reads it.  Only the registry sweeps read
         x_b for many b, so build's route never makes it.
         """
@@ -402,7 +402,7 @@ class FormAnalysis:
     def image_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, fw): alpha[w] = -2 L(w) as an int32 encoding and
         fw[w] = f(w) as int8, for every w in GF(q); built on the first
-        call from lmat on the field's digit matrix and from f.values(),
+        call from lmat, by one digit_codes pass, and from f.values(),
         the coefficient formula rather than the Gram matrix."""
         if self._image_alpha is None:
             ctx = self.ctx
@@ -485,9 +485,7 @@ class FormAnalysis:
         is _check_bilinear, at every field size."""
         ctx = self.ctx
         fv = self.f.values()
-        # a transient digit array: predict must leave ctx.digits_matrix() unbuilt
-        digits = ctx._all_digit_rows()
-        bad = np.flatnonzero(ctx.digit_form(self.gram, digits) != fv)
+        bad = np.flatnonzero(ctx.digit_form(self.gram) != fv)
         if bad.size:
             raise QCodeError(
                 f"matrix does not reproduce the form at x={int(bad[0])}")

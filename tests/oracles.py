@@ -19,9 +19,9 @@ def embed_scalar(F, t):
 
 def trace_mul_all(F, b):
     """(q,) int64 array of Tr(b x) for every element x, in encoding order:
-    a digit product of every element's digits with the trace-form row of
-    b, with no exp, log or trace table."""
-    return F.digit_product(F.trace_mul_vector(b)[:, None])[:, 0].astype(np.int64)
+    every element's digits times the trace-form row of b, with no exp,
+    log or trace table."""
+    return F._all_digit_rows().astype(np.int64) @ F.trace_mul_vector(b) % F.p
 
 
 def trace_table(F):

@@ -254,34 +254,29 @@ def _check_structural(an, ds, wd):
     assert gf_rank(generator_matrix(ds), q_char) == an.ctx.m
 
 
+# qcode build argv of the paper's examples 1-10
+EXAMPLE_BUILDS = {
+    1: ["build", "--p", "3", "--m", "4", "--preset", "cor1:u=1", "--alpha", "1"],
+    2: ["build", "--p", "3", "--m", "6", "--preset", "cor1:u=1", "--alpha", "1"],
+    3: ["build", "--p", "3", "--m", "5", "--preset", "cor1:u=1", "--alpha", "1"],
+    4: ["build", "--p", "3", "--m", "3", "--preset", "cor1:u=1", "--alpha", "1"],
+    5: ["build", "--p", "3", "--m", "5", "--modulus", "1,2,0,0,0,1",
+        "--preset", "trmv:v=1", "--alpha", "g^2"],
+    6: ["build", "--p", "3", "--m", "5", "--modulus", "1,2,0,0,0,1",
+        "--preset", "trmv:v=1", "--alpha", "g^3"],
+    7: ["build", "--p", "3", "--m", "4", "--modulus", "2,0,0,2,1",
+        "--preset", "trmv:v=1", "--alpha", "g^5"],
+    8: ["build", "--p", "3", "--m", "4", "--modulus", "2,0,0,2,1",
+        "--preset", "trmv:v=1", "--alpha", "g^13"],
+    9: ["build", "--p", "3", "--m", "5", "--preset", "trmv:v=1", "--alpha", "1"],
+    10: ["build", "--p", "3", "--m", "4", "--preset", "trmv:v=1", "--alpha", "1"],
+}
+
+
 def test_criterion_7_determinism_and_golden_outputs(tmp_path):
-    configs = {
-        "example_01_build.json": ["build", "--p", "3", "--m", "4",
-                                  "--preset", "cor1:u=1", "--alpha", "1"],
-        "example_02_build.json": ["build", "--p", "3", "--m", "6",
-                                  "--preset", "cor1:u=1", "--alpha", "1"],
-        "example_03_build.json": ["build", "--p", "3", "--m", "5",
-                                  "--preset", "cor1:u=1", "--alpha", "1"],
-        "example_04_build.json": ["build", "--p", "3", "--m", "3",
-                                  "--preset", "cor1:u=1", "--alpha", "1"],
-        "example_05_build.json": ["build", "--p", "3", "--m", "5",
-                                  "--modulus", "1,2,0,0,0,1",
-                                  "--preset", "trmv:v=1", "--alpha", "g^2"],
-        "example_06_build.json": ["build", "--p", "3", "--m", "5",
-                                  "--modulus", "1,2,0,0,0,1",
-                                  "--preset", "trmv:v=1", "--alpha", "g^3"],
-        "example_07_build.json": ["build", "--p", "3", "--m", "4",
-                                  "--modulus", "2,0,0,2,1",
-                                  "--preset", "trmv:v=1", "--alpha", "g^5"],
-        "example_08_build.json": ["build", "--p", "3", "--m", "4",
-                                  "--modulus", "2,0,0,2,1",
-                                  "--preset", "trmv:v=1", "--alpha", "g^13"],
-        "example_09_build.json": ["build", "--p", "3", "--m", "5",
-                                  "--preset", "trmv:v=1", "--alpha", "1"],
-        "example_10_build.json": ["build", "--p", "3", "--m", "4",
-                                  "--preset", "trmv:v=1", "--alpha", "1"],
-        "paper_examples.json": ["paper-examples"],
-    }
+    configs = {f"example_{ex:02d}_build.json": argv
+               for ex, argv in EXAMPLE_BUILDS.items()}
+    configs["paper_examples.json"] = ["paper-examples"]
     for name, argv in configs.items():
         first = tmp_path / f"first_{name}"
         second = tmp_path / f"second_{name}"
@@ -293,3 +288,13 @@ def test_criterion_7_determinism_and_golden_outputs(tmp_path):
         json.loads(blob.decode("utf-8"))
     print(f"ACCEPTANCE 7: PASS - {len(configs)} outputs byte-identical "
           f"across runs and equal to the committed golden files")
+
+
+def test_build_csv_matches_golden(tmp_path):
+    # the generator matrix rows Tr(x^j d), byte for byte, at the default
+    # modulus (example 1) and at given moduli (examples 5 and 7)
+    for ex in (1, 5, 7):
+        out = tmp_path / f"example_{ex:02d}.csv"
+        assert main(EXAMPLE_BUILDS[ex] + ["--format", "csv", "--out", str(out)]) == 0
+        golden = GOLDEN / f"example_{ex:02d}_build.csv"
+        assert out.read_bytes() == golden.read_bytes(), f"example {ex} csv drifted"

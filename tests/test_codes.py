@@ -204,14 +204,17 @@ def test_naive_transform_matches_weight_of():
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2), (3, 5)])
 def test_trace_dual_coordinates_give_every_trace(p, m):
     # the naive route's identity Tr(beta d) = digits(beta) . w(d) (mod p),
-    # w(d) = digits(d) T with T the trace form, on every (beta, d), against
-    # a field multiplication and the trace table
+    # w(d) = _trace_dual's row of d, on every (beta, d) with d != 0 (a set
+    # holding every nonzero element), against a field multiplication and
+    # the trace table
     F = get_field(p, m)
     tr = trace_table(F)
-    digits = F.digits_matrix().astype(np.int64)
-    dual = F.digit_product(F._trace_form).astype(np.int64)
-    via_dual = digits @ dual.T % p
-    direct = [[tr[F.mul(b, d)] for d in F.elements()] for b in F.elements()]
+    ds = codes_mod.DefiningSet(analyze(preset_cor1(F, 1)), 0, np.arange(1, F.q))
+    dual = codes_mod._trace_dual(ds)
+    assert dual.dtype == F._digit_dtype and dual.shape == (F.q - 1, m)
+    digits = np.array([F.digits(b) for b in F.elements()], dtype=np.int64)
+    via_dual = digits @ dual.astype(np.int64).T % p
+    direct = [[tr[F.mul(b, d)] for d in F.nonzero_elements()] for b in F.elements()]
     assert via_dual.tolist() == direct
 
 
@@ -221,7 +224,7 @@ def test_weight_routes_and_pairs_at_the_largest_brute_p():
     # and the proportional pairs against a count by field multiplication
     p, m = BRUTE_MAX_P, 2
     F = get_field(p, m)
-    assert F.digits_matrix().dtype == np.uint8
+    assert F.trace_mul_log(1).dtype == np.uint8
     rng = random.Random(19)
     checked = 0
     for f in small_forms(F):
@@ -264,18 +267,18 @@ def test_build_route_peak_memory_per_element():
 def test_build_route_retained_bytes_per_element(p, m):
     # nbytes of what the field and the form's analysis keep after
     # defining_set and both weight routes, per element: int32 exp and log
-    # (4 + 4), the doubled uint8 log-order traces (2), the uint8 digit
-    # matrix (m), uint8 log_values (1) and the class tables (int32
-    # syndrome codes, int8 f(x_b) and Q(X(b)): 6).  Build keeps no x_b
-    # table.  Any one of them in int64 adds 3 bytes or more.
+    # (4 + 4), the doubled uint8 log-order traces (2), uint8 log_values
+    # (1) and the class tables (int32 syndrome codes, int8 f(x_b) and
+    # Q(X(b)): 6).  Build keeps no x_b table and no digit array.  Any one
+    # of them in int64 adds 3 bytes or more.
     F = ExtField(p, m)
     f = preset_cor1(F, 1)
     an = FormAnalysis(f)
     weight_distribution(defining_set(an, 1), "both")
     assert an._xb_table is None
-    kept = (F._exp, F._log, F._trace_powers, F.digits_matrix(),
+    kept = (F._exp, F._log, F._trace_powers,
             f.log_values(), an._f_xb_table, an._qx_table, an._syn_table)
-    assert sum(table.nbytes for table in kept) <= (17 + m) * F.q
+    assert sum(table.nbytes for table in kept) <= 17 * F.q
 
 
 def test_both_mode_raises_on_disagreement(monkeypatch):

@@ -834,6 +834,26 @@ def test_sweep_covers_required_branches():
     assert rep["all_equal"]
 
 
+def test_sweep_notes_required_branches_the_fill_cannot_reach():
+    # at 3^3 no form reaches I:en:zz of ids 14 and 15: each report names
+    # the branch with its count, and every id notes exactly its required
+    # branches left below min_branch; all_equal still holds
+    rep = lemma_sweep([(3, 3)], trials=20, seed=1, min_branch=3)
+    assert rep["all_equal"]
+    for lemma_id in ("14", "15"):
+        sub = rep["lemmas"][lemma_id]
+        assert "I:en:zz" not in sub["branches"]
+        assert ("required branch I:en:zz reached 0 of 3 checks; "
+                "the branch fill found no more") in sub["notes"]
+    for lemma_id, sub in rep["lemmas"].items():
+        short = {f"{b} reached {sub['branches'].get(b, 0)}"
+                 for b in REQUIRED_BRANCHES[int(lemma_id)]
+                 if sub["branches"].get(b, 0) < 3}
+        noted = {note.removeprefix("required branch ").split(" of ")[0]
+                 for note in sub["notes"] if note.startswith("required branch ")}
+        assert noted == short, lemma_id
+
+
 def test_image_draws_and_scans_call_neither_l_nor_the_solver(monkeypatch):
     """Ids 8 and 16-19 read alpha in Im(L) and f(x_alpha) off the per-form
     tables, in random draws and in the branch-fill scan alike."""

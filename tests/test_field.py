@@ -471,7 +471,7 @@ def test_newton_trace_basis_equals_frobenius_sum(p, m, modulus):
 @pytest.mark.parametrize("p,m,modulus", [f for f in TABLE_FIELDS if f[0] != 199999])
 def test_digit_matrix_and_trace_table_match_scalar_forms(p, m, modulus):
     F = get_field(p, m, modulus)
-    dm = F.digits_matrix()
+    dm = F._all_digit_rows()
     assert dm.shape == (F.q, m)
     assert all(tuple(dm[x].tolist()) == F.digits(x) for x in F.elements())
     assert trace_table(F).tolist() == [_frobenius_trace(F, x) for x in F.elements()]
@@ -484,21 +484,16 @@ def test_digit_matrix_is_narrow_and_digit_products_are_exact(p, m, dtype):
     # the smallest unsigned dtype that holds p - 1; the blocked products
     # against the same products on an int64 copy (3^9 spans ten blocks)
     F = get_field(p, m)
-    dm = F.digits_matrix()
+    dm = F._all_digit_rows()
     assert dm.dtype == dtype and dm.shape == (F.q, m)
     wide = _digit_vectors(p, m)
     assert np.array_equal(dm, wide)
     rng = np.random.default_rng(F.q)
-    rows = dm[rng.integers(0, F.q, size=100)]
-    for k in (1, m, m + 2):
+    for k in (1, m):
         mat = rng.integers(0, p, size=(m, k))
-        got = F.digit_product(mat)
-        assert got.dtype == dtype and np.array_equal(got, wide @ mat % p)
-        assert np.array_equal(F.digit_product(mat, rows),
-                              rows.astype(np.int64) @ mat % p)
-    vec = rng.integers(0, p, size=m)
-    got = F.digit_product(vec[:, None])[:, 0]
-    assert got.dtype == dtype and np.array_equal(got, wide @ vec % p)
+        got = F.digit_codes(mat)
+        want = (wide @ mat % p) @ p ** np.arange(k)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
     gram = rng.integers(0, p, size=(m, m))
     gram = (gram + gram.T) % p
     form = F.digit_form(gram)
@@ -508,30 +503,30 @@ def test_digit_matrix_is_narrow_and_digit_products_are_exact(p, m, dtype):
 
 @pytest.mark.parametrize("p,m", [(3, 9), (7, 4), (65537, 1), (199999, 1)])
 def test_digit_codes_and_form_codes_are_exact(p, m):
-    # the float64 block products against Python-int arithmetic on random
-    # digit rows (all p - 1 in the first, the largest products), and 3^9
-    # spans several blocks; digit_form with codes gives both in one pass
+    # the float64 block products against Python-int arithmetic on the
+    # digits of every element (all p - 1 at q - 1, the largest products),
+    # and 3^9 spans ten blocks; digit_form with codes gives both in one
+    # pass
     F = get_field(p, m)
     rng = np.random.default_rng(p + m)
-    n = 3 * field_mod._BLOCK_ROWS + 5 if m > 1 else 300
-    rows = rng.integers(0, p, size=(n, m)).astype(F._digit_dtype)
-    rows[0] = p - 1
+    n = F.q
     k = max(1, m - 2)
     mat = rng.integers(0, p, size=(m, k))
     mat[0] = p - 1
     gram = rng.integers(0, p, size=(m, m))
     gram = (gram + gram.T) % p
     gram[0, 0] = p - 1
-    ints = rows.astype(object)
+    ints = _digit_vectors(p, m).astype(object)
+    assert ints[-1].tolist() == [p - 1] * m
     want_codes = [sum(int(c) * p**j for j, c in enumerate(r)) for r in ints @ mat % p]
     want_form = [int(v) for v in np.einsum("ij,jk,ik->i", ints, gram.astype(object), ints) % p]
-    codes = F.digit_codes(mat, rows)
+    codes = F.digit_codes(mat)
     assert codes.dtype == np.int64 and codes.tolist() == want_codes
-    form = F.digit_form(gram, rows)
+    form = F.digit_form(gram)
     assert form.dtype == np.int64 and form.tolist() == want_form
-    both = F.digit_form(gram, rows, codes=mat)
+    both = F.digit_form(gram, codes=mat)
     assert [a.tolist() for a in both] == [want_form, want_codes]
-    assert F.digit_form(gram, rows, codes=mat[:, :0])[1].tolist() == [0] * n
+    assert F.digit_form(gram, codes=mat[:, :0])[1].tolist() == [0] * n
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 5), (5, 3), (7, 4), (19, 2), (3, 11)])
@@ -674,7 +669,7 @@ def test_predict_builds_no_table_past_the_brute_cap(p, m, capsys):
         assert main(["analyze", *argv]) == 0
     F = get_field(p, m)
     assert _tables_unbuilt(F)
-    assert F._digits_matrix is None and F._trace_powers is None
+    assert F._trace_powers is None
     capsys.readouterr()
 
 
@@ -794,7 +789,7 @@ def test_field_holds_no_element_length_python_list():
 
 def test_table_buffers_are_read_only():
     F = get_field(3, 4)
-    for table in (F._exp, F._log, F._trace_powers, F.digits_matrix()):
+    for table in (F._exp, F._log, F._trace_powers):
         with pytest.raises(ValueError):
             table[1] = 0
     for view in (F._exp_at, F._log_at, F._trace_at):
@@ -813,11 +808,10 @@ def test_predict_leaves_digit_matrix_unbuilt(capsys, monkeypatch):
     argv = ["--p", "3", "--m", "5", "--preset", "cor1:u=1", "--alpha", "1"]
     assert main(["predict", *argv]) == 0
     F = get_field(3, 5)
-    assert F._digits_matrix is None
-    # control: build reads the matrix and the tables, so the check above
-    # and test_predict_builds_no_table_past_the_brute_cap can fail
+    # control: build reads the tables, so the check in
+    # test_predict_builds_no_table_past_the_brute_cap can fail
     assert main(["build", *argv]) == 0
-    assert F._digits_matrix is not None and not _tables_unbuilt(F)
+    assert not _tables_unbuilt(F)
 
     # the generator is searched on its first read only.  Past the spot
     # check (3^9), integer-spelled predict and analyze build no table and
