@@ -35,6 +35,7 @@ from .counting import IDENTITY_IDS, get_field, lemma_sweep
 from .errors import QCodeError
 from .field import eta_bar, parse_modulus
 from .predictor import (
+    check_prediction,
     classify,
     paper_examples,
     predict_distribution,
@@ -177,6 +178,7 @@ def cmd_predict(args) -> int:
     case = classify(an, alpha)
     n = predict_length(an, case)
     rows = predict_distribution(an, case)
+    check_prediction(an, alpha, n, rows)
     payload = {
         "case": case.to_json(),
         "predicted": {

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolatedError,
     QCodeError,
 )
-from .field import hyperplane_counts
+from .field import horner, hyperplane_counts
 from .linalg import rank as gf_rank
 from .quadform import FormAnalysis
 
@@ -170,31 +170,19 @@ def _trace_dual(ds: DefiningSet) -> np.ndarray:
                     axis=1)
 
 
-def _dual_codes(ds: DefiningSet) -> np.ndarray:
-    """(|D|,) int64 encodings of the trace-dual coordinates (_trace_dual),
-    sum_j Tr(x^j d) p^j by Horner's rule, in int64 since the digit dtype
-    cannot hold them.  Only these outlive the call, so the naive route's
-    transform runs with no (|D|, m) array held."""
-    codes = np.zeros(ds.length, dtype=np.int64)
-    for column in _trace_dual(ds).T[::-1]:
-        codes *= ds.ctx.p
-        codes += column
-    return codes
-
-
 def _weights_naive(ds: DefiningSet) -> np.ndarray:
     """Weights of all q codewords from exact hyperplane counts, on the
     trace-dual coordinates w(d) of D (_trace_dual).
 
     The zeros of c_beta number #{d in D : digits(beta) . w(d) = 0}:
-    hyperplane_counts on the indicator of w(D) (marked at the encodings
-    _dual_codes) gives that count at t = digits(beta), which is indexed
-    by beta itself.  w is injective (the trace form is nondegenerate), so
-    the indicator holds |D| ones.
+    hyperplane_counts on the indicator of w(D), marked at the encodings
+    sum_j w(d)_j p^j (field.horner), gives that count at t = digits(beta),
+    which is indexed by beta itself.  w is injective (the trace form is
+    nondegenerate), so the indicator holds |D| ones.
     """
     ctx = ds.ctx
     member = np.zeros((1, ctx.q), dtype=bool)
-    member[0, _dual_codes(ds)] = True
+    member[0, horner(_trace_dual(ds).T, ctx.p, ds.length)] = True
     zeros = hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
     return ds.length - zeros.astype(np.int64)
 

@@ -27,17 +27,15 @@ pool's workers are processes, so no two threads fill one field's
 caches.
 
 Digits are held in the smallest unsigned dtype that holds p - 1 (uint8
-for every p the characteristic cap counting.BRUTE_MAX_P admits).
-digit_codes (the encodings of the reduced products) and digit_form (the
-quadratic form of every element, and optionally codes from the same
-product) make the digits of every element as a transient (q, m) array,
-_all_digit_rows, multiply it by a small matrix in float64 blocks of
-_BLOCK_ROWS rows, exact since every sum stays below 2^53, reduce mod p
-by a floor division (_mod_p) and drop it; so no (q, m) array is kept
-and no wide one is made.  A GF(p)-linear functional of x is Tr(c x) for
-one element c (trace_dual), so the bulk routes read it as a window of
-the log-order trace array (trace_mul_log) instead of a digit product;
-the codes' trace-dual coordinates Tr(x^j d) are the windows of
+for every p the characteristic cap counting.BRUTE_MAX_P admits).  A
+GF(p)-linear functional of x is Tr(c x) for one element c (trace_dual;
+Lidl-Niederreiter, Thm 2.24), so every whole-field digit product is read
+off windows of the log-order trace array (trace_mul_log): digit_codes
+(the encodings of digits(x) mat mod p) sums the windows of mat's columns
+by Horner's rule (horner), and digit_form (the quadratic form
+digits(x) G digits(x)^T of every element) sums the products of the
+windows of the unit columns and of G's columns.  No (q, m) array is
+made.  The codes' trace-dual coordinates Tr(x^j d) are the windows of
 c = x^j.
 
 hyperplane_counts is the exact transform over the digit space GF(p)^m
@@ -75,24 +73,35 @@ from .linalg import rank, rref
 # counting.check_brute_cap adds a cap on p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
-# rows per float64 block of every whole-field product (the table fill,
-# digit_codes and digit_form): 16 KB per column of a block, under 200 KB
-# for the m <= 11 digit columns the field-size cap admits, whatever q is;
-# blocks of 8192 rows ran about twice as slow
+# rows per float64 block of the table fill: 16 KB per column of a block,
+# under 200 KB for the m <= 11 digit columns the field-size cap admits,
+# whatever q is; blocks of 8192 rows ran about twice as slow
 _BLOCK_ROWS = 1 << 11
 
 
 def _mod_p(block: np.ndarray, p: int) -> np.ndarray:
-    """block mod p in place, for a float64 array of non-negative integers
-    x < 2^53 - p: x - p floor(x / p).  For x = k p + r, x / p is k exactly
-    when r = 0, and otherwise lies at least 1/p away from an integer,
-    more than the rounding error (k + 1) 2^-53 since (k + 1) p < 2^53; so
-    the floor is k.  Several times faster than int64 %."""
+    """block mod p in place, for a float64 block of the table fill holding
+    non-negative integers x < 2^53 - p: x - p floor(x / p).  For
+    x = k p + r, x / p is k exactly when r = 0, and otherwise lies at
+    least 1/p away from an integer, more than the rounding error
+    (k + 1) 2^-53 since (k + 1) p < 2^53; so the floor is k.  Several
+    times faster than int64 %."""
     quot = block / p
     np.floor(quot, out=quot)
     quot *= p
     block -= quot
     return block
+
+
+def horner(columns, p: int, size: int) -> np.ndarray:
+    """(size,) int32 array of sum_j columns[j] p^j by Horner's rule, for a
+    sequence of digit columns of length size, lowest digit first: the
+    encodings of the digit rows they form, below q < 2^31."""
+    out = np.zeros(size, dtype=np.int32)
+    for column in columns[::-1]:
+        out *= p
+        out += column
+    return out
 
 
 def is_prime(n: int) -> bool:
@@ -283,11 +292,11 @@ class ExtField:
     and the traces Tr(g^j), both in log order.  The tables are read-only:
     exp and log in int32, since encodings and logs stay below q < 2^31,
     and the traces doubled, so that every Tr(b g^j) is one window, in the
-    digit dtype: 10 bytes per element for p <= 255.  The scalar methods
-    return Python ints.  No (q, m) digit array is kept: digit_codes and
-    digit_form make one for their call, in the smallest unsigned dtype
-    that holds p - 1 (uint8 up to p = 251), and widen it to float64 a
-    block of rows at a time.
+    digit dtype (uint8 up to p = 251): 10 bytes per element for p <= 255.
+    The scalar methods return Python ints.  No (q, m) digit array is made:
+    digit_codes and digit_form read every digit product as a window of
+    the trace array (_windows) and scatter their result to encoding order
+    once through the exp table (_scatter).
     """
 
     def __init__(self, p: int, m: int, modulus: list[int] | None = None):
@@ -501,22 +510,10 @@ class ExtField:
 
     def _digit_rows(self, vals: np.ndarray) -> np.ndarray:
         """int64 array of shape vals.shape + (m,): the digits of each value.
-        For the few rows of the scalar methods; every element's digits
-        come from _all_digit_rows."""
+        For the few rows of the scalar methods; the whole-field routes
+        read digits as trace windows (_windows)."""
         rows = vals[..., None] // self._place
         rows %= self.p  # in place: a second (len, m) temporary raises peak RSS
-        return rows
-
-    def _all_digit_rows(self) -> np.ndarray:
-        """(q, m) array in the digit dtype: the digits of every element.
-        Digit j of x = (a p + d) p^j + c, c < p^j, is d, so column j is
-        0..p-1 broadcast over the axes of a and c: one narrow write per
-        column, with no transient."""
-        p, m = self.p, self.m
-        rows = np.empty((self.q, m), dtype=self._digit_dtype)
-        digit = np.arange(p, dtype=self._digit_dtype)[:, None]
-        for j in range(m):
-            rows.reshape(p ** (m - 1 - j), p, p**j, m)[:, :, :, j] = digit
         return rows
 
     def _row(self, x: int) -> np.ndarray:
@@ -663,71 +660,66 @@ class ExtField:
 
     def trace_dual(self, v) -> int:
         """The element c with Tr(c x) = digits(x) . v (mod p) for every x,
-        for an (m,) vector v of integers: trace_mul_vector(c) =
-        digits(c) T = v, T the trace form, which is invertible (the trace
-        form of GF(q) over GF(p) is nondegenerate), so digits(c) = v T^-1.
-        T^-1 is the right block of rref([T | I]), cached."""
+        for an (m,) vector v of integers (_trace_duals)."""
+        return self._trace_duals(np.asarray(v)[:, None])[0]
+
+    def _trace_duals(self, mat) -> list[int]:
+        """The elements c_j with Tr(c_j x) = digits(x) . mat[:, j] (mod p)
+        for every x, for an (m, k) matrix mat of integers:
+        trace_mul_vector(c) = digits(c) T, T the trace form, which is
+        invertible (the trace form of GF(q) over GF(p) is nondegenerate),
+        so the digit rows of every c_j are mat^T T^-1, one product.  T^-1
+        is the right block of rref([T | I]), cached."""
         if self._trace_form_inv is None:
             m = self.m
             red = rref(np.hstack([self._trace_form, np.eye(m, dtype=np.int64)]), self.p)[0]
             self._trace_form_inv = red[:, m:]
-        return self._element(np.asarray(v, dtype=np.int64) @ self._trace_form_inv % self.p)
+        rows = np.asarray(mat, dtype=np.int64).T @ self._trace_form_inv % self.p
+        return (rows @ self._place).tolist()
 
-    def _products(self, mat, rows: np.ndarray):
-        """(start, block, product) for each _BLOCK_ROWS rows of rows: the
-        block widened to float64 and its product with mat.  Every such
-        product is exact in float64 (a sum of m products of digits and
-        matrix entries below p, under 2^53 at the field-size cap), and
-        BLAS runs it several times faster than an int64 product."""
-        mat = np.asarray(mat, dtype=np.float64)
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS].astype(np.float64)
-            yield start, block, block @ mat
+    def _windows(self, mat) -> list[np.ndarray]:
+        """trace_mul_log(c_j) for each column j of an (m, k) integer matrix
+        mat, c_j = trace_dual(mat[:, j]): window j at log x is column j of
+        digits(x) mat mod p, a read-only view unless c_j = 0."""
+        return [self.trace_mul_log(c) for c in self._trace_duals(mat)]
 
-    def _encode(self, prod: np.ndarray) -> np.ndarray:
-        """Encodings of the rows of a float64 product block mod p: the row
-        sums of the reduced block times the place values p^j."""
-        red = _mod_p(prod, self.p)
-        red *= self._place[:red.shape[1]].astype(np.float64)
-        return red.sum(axis=1)
+    def _scatter(self, log_order: np.ndarray) -> np.ndarray:
+        """(q,) int64 array holding log_order[j] at g^j and 0 at 0."""
+        out = np.zeros(self.q, dtype=np.int64)
+        out[self._exp] = log_order
+        return out
 
     def digit_codes(self, mat) -> np.ndarray:
         """(q,) int64 array of the encodings of digits(x) mat mod p for every
-        element x, for an (m, k) matrix mat of integers below p and k <= m:
-        one pass of _products over a transient _all_digit_rows(), so no
-        (q, k) array is made."""
-        rows = self._all_digit_rows()
-        out = np.empty(len(rows), dtype=np.int64)
-        for start, _, prod in self._products(mat, rows):
-            out[start:start + len(prod)] = self._encode(prod)
-        return out
+        element x, for an (m, k) matrix mat of integers and k <= m: column
+        j is the log-order window of c_j = trace_dual(mat[:, j])
+        (_windows), so the encodings are their horner sum, scattered to
+        encoding order once."""
+        return self._scatter(horner(self._windows(mat), self.p, self.q - 1))
 
     def digit_form(self, gram, codes=None):
         """(q,) int64 array of r G r^T mod p for the digit row r of every
-        element, G a symmetric m x m matrix of integers below p: the row
-        sums of each block times its product with G (_products, over a
-        transient _all_digit_rows()), reduced once.  A row sum is below
-        m^2 p^3, under 2^53 - p at the field-size cap, so it is exact in
-        float64.
+        element, G an m x m matrix of integers.  r G r^T is
+        sum_j r_j (r G)_j, and both factors are log-order windows
+        (_windows): r_j of the column e_j, (r G)_j of column j of G.  The m
+        products of the windows sum in the smallest unsigned dtype that
+        holds m (p - 1)^2, are reduced mod p once and scattered to
+        encoding order.
 
-        Given an (m, k) matrix codes, the same block products with
-        [G | codes] also give digit_codes(codes), and the result is the
-        pair (forms, encodings).
+        Given an (m, k) matrix codes, the result is the pair
+        (forms, digit_codes(codes)).
         """
-        rows = self._all_digit_rows()
         m = self.m
-        out = np.empty(len(rows), dtype=np.int64)
-        # with no code columns every encoding is 0
-        enc = np.zeros(len(rows), dtype=np.int64)
-        mat = gram if codes is None else np.hstack([gram, codes])
-        for start, block, prod in self._products(mat, rows):
-            stop = start + len(prod)
-            if prod.shape[1] > m:
-                enc[start:stop] = self._encode(prod[:, m:])
-            quad = prod[:, :m]
-            quad *= block
-            out[start:stop] = _mod_p(quad.sum(axis=1), self.p)
-        return out if codes is None else (out, enc)
+        wide = np.min_scalar_type(m * (self.p - 1) ** 2)
+        acc = np.zeros(self.q - 1, dtype=wide)
+        term = np.empty_like(acc)
+        for digit, lin in zip(self._windows(np.eye(m, dtype=np.int64)),
+                              self._windows(gram)):
+            np.multiply(digit, lin, out=term, dtype=wide)
+            acc += term
+        acc %= self.p
+        forms = self._scatter(acc)
+        return forms if codes is None else (forms, self.digit_codes(codes))
 
     def trace_mul_log(self, b: int) -> np.ndarray:
         """(q-1,) array of Tr(b g^j), j = 0..q-2, in the digit dtype:

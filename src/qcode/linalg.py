@@ -4,9 +4,10 @@ One Gauss-Jordan elimination, rref, gives every rank, solve, kernel,
 image and sign in the package.  Every matrix here has at most m rows,
 m <= 11 under the field-size cap (m x m or m x 2m, and the m x n
 generator matrix), so its loop runs on Python ints, which beats
-per-pivot numpy calls at these sizes; whole-field work multiplies the
-digit rows by a form's solve matrix (quadform.FormAnalysis) with numpy
-instead.
+per-pivot numpy calls at these sizes.  Whole-field work makes no
+elimination: it reads each column of a form's solve matrix
+(quadform.FormAnalysis) as a window of the field's trace array
+(field.ExtField.digit_form and digit_codes).
 """
 
 from __future__ import annotations

@@ -25,7 +25,13 @@ from .codes import (
     parse_enumerator,
     weight_distribution,
 )
-from .counting import _as_int, analysis_pool, get_field, root_count_closed
+from .counting import (
+    _as_int,
+    analysis_pool,
+    get_field,
+    predict_hyperplane_root_count,
+    root_count_closed,
+)
 from .errors import (
     DegenerateFormError,
     DimensionCollapseError,
@@ -182,6 +188,16 @@ def predict_distribution(an: FormAnalysis, case: CaseLabel) -> dict[int, int]:
                 f"{a} nonzero indices are predicted to carry the zero codeword")
         counts[w] = counts.get(w, 0) + a
     return dict(sorted(counts.items()))
+
+
+def check_prediction(an: FormAnalysis, alpha: int, n: int, rows: dict[int, int]) -> None:
+    """WeightDistribution.validate on a predicted length n and rows, with
+    no field table built.  Its second moment reads the proportional pairs
+    (p - 2)(N(alpha, alpha) - 1)/2 by the closed-form count: lambda d lies
+    in D for some lambda != 1 iff f(d) = Tr(alpha d) = 0."""
+    p = an.ctx.p
+    pairs = (p - 2) * (predict_hyperplane_root_count(an, alpha, alpha) - 1) // 2
+    WeightDistribution(n, an.ctx.m, {0: 1, **rows}).validate(p, pairs)
 
 
 @dataclass

@@ -92,9 +92,7 @@ class QuadraticFunction:
         """(q,) int64 array of f(x) for every element, indexed by encoding:
         log_values() scattered to the encodings g^k, a new array on each
         call, so a form retains only the log-order array."""
-        out = np.zeros(self.ctx.q, dtype=np.int64)
-        out[self.ctx._exp] = self.log_values()
-        return out
+        return self.ctx._scatter(self.log_values())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuadraticFunction)
@@ -166,22 +164,24 @@ class FormAnalysis:
     Per-form tables over every b in GF(q), which the analyze and predict
     paths never build:
       * the class tables (_class_tables): Q(X(b)) and f(x_b) (int8, -1
-        outside Im(L)) and the syndrome codes (int32), from one digit_form
-        pass with [M | Y], M = S G S^T; built by beta_classes, which
+        outside Im(L)) and the syndrome codes (int32), from digit_form
+        with M = S G S^T and codes Y; built by beta_classes, which
         build's analytic route and the branch-fill scans read, or when a
         registry sweep starts.  Once they exist, f_at_xb, in_image and
         in_shifted_image read them.
       * solution_tables(): the class tables' f(x_b) and x_b = solve_xb(b)
-        (int32 encodings, one digit_codes pass with S), which only a
-        registry sweep builds; once x_b exists, solve_xb reads it.
-      * image_tables(): alpha(w) = -2 L(w) (int32 encodings, one
-        digit_codes pass with lmat) and f(w) (int8, from f.values()), for
-        every w; built on the first draw of alpha in Im(L) (image_draw,
-        or image_alphas for the branch fill).  Since L(w) = -alpha/2, w is
-        a solution x_alpha up to an element k of Ker(L), and f(w + k) =
-        f(w) because f(k) = Tr(L(k) k) = 0; so f(w) is f(x_alpha), and
-        image_draw and image_alphas check the coefficient formula against
-        the class table's Gram formula.
+        (int32 encodings, digit_codes of S), which only a registry sweep
+        builds; once x_b exists, solve_xb reads it.
+      * image_tables(): alpha(w) = -2 L(w) (int32 encodings, digit_codes
+        of lmat) and f(w) (int8, from f.values()), for every w; built on
+        the first draw of alpha in Im(L) (image_draw, or image_alphas for
+        the branch fill).  Since L(w) = -alpha/2, w is a solution x_alpha
+        up to an element k of Ker(L), and f(w + k) = f(w) because
+        f(k) = Tr(L(k) k) = 0; so f(w) is f(x_alpha), and image_draw and
+        image_alphas check the coefficient formula against the class
+        table's Gram formula.
+    digit_form and digit_codes read every digit product off the field's
+    log-order trace array, so no table makes a (q, m) array.
     """
 
     def __init__(self, f: QuadraticFunction):
@@ -301,10 +301,10 @@ class FormAnalysis:
         b is in Im(L)); and fxb = qx with -1 at b outside Im(L).
 
         Q(X(b)) = digits(b) M digits(b)^T with M = S G S^T, and the
-        syndrome is digits(b) Y, so both come from one digit_form pass
-        over the digits of every b with [M | Y] (Y has no column at
-        full rank, where every code is 0).  These are what beta_classes,
-        f_at_xb, _syndrome and image_draw read.
+        syndrome is digits(b) Y, so both come from digit_form with M and
+        codes Y (no column at full rank, where every code is 0), which reads
+        every digit product off the field's trace windows.  These are what
+        beta_classes, f_at_xb, _syndrome and image_draw read.
         """
         if self._f_xb_table is None:
             qx, syn = self.ctx.digit_form(self._class_gram,
@@ -321,7 +321,7 @@ class FormAnalysis:
         in GF(q).
 
         fxb is a class table (_class_tables).  xb is built on the first
-        call, by one digit_codes pass over the digits of every b with S;
+        call, as digit_codes(S), the trace windows of S's columns;
         once it exists, solve_xb reads it.  Only the registry sweeps read
         x_b for many b, so build's route never makes it.
         """
@@ -365,13 +365,11 @@ class FormAnalysis:
         p = ctx.p
         fxb, qx, syn = self._class_tables()
         outside = p * p
-        # lin[beta] = Tr(c beta), scattered from log order (beta = g^j);
-        # lin[0] is never read
-        lin = np.empty(ctx.q, dtype=np.int64)
+        # Tr(c beta) at every nonzero beta, scattered from log order
+        # (ExtField._scatter)
         fa = int(fxb[alpha])
         if fa >= 0:
-            lin[ctx._exp] = ctx.trace_mul_log(self.solve_xb(alpha))
-            key = lin[1:]
+            key = ctx._scatter(ctx.trace_mul_log(self.solve_xb(alpha)))[1:]
             fx = fxb[1:].astype(np.int64)  # z p + f' passes the int8 range past p = 11
             fx *= p
             key += fx
@@ -386,8 +384,8 @@ class FormAnalysis:
                 pow(w, -1, p) for w in range(1, p)]
             z0 = lookup[syn[1:]]
             v = ctx._row(alpha) @ self._class_gram % p
-            lin[ctx._exp] = ctx.trace_mul_log(ctx.trace_dual(v))
-            fprime = (int(qx[alpha]) - 2 * z0 * lin[1:] + z0 * z0 * qx[1:]) % p
+            lin = ctx._scatter(ctx.trace_mul_log(ctx.trace_dual(v)))[1:]
+            fprime = (int(qx[alpha]) - 2 * z0 * lin + z0 * z0 * qx[1:]) % p
             key = np.where(z0 > 0, z0 * p + fprime, outside)
         # every key is below (p + 1)(p^2 + 1), so a dense table of first
         # occurrences gives the sorted keys and reps without sorting q keys
@@ -402,7 +400,7 @@ class FormAnalysis:
     def image_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, fw): alpha[w] = -2 L(w) as an int32 encoding and
         fw[w] = f(w) as int8, for every w in GF(q); built on the first
-        call from lmat, by one digit_codes pass, and from f.values(),
+        call from lmat, by digit_codes, and from f.values(),
         the coefficient formula rather than the Gram matrix."""
         if self._image_alpha is None:
             ctx = self.ctx

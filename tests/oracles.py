@@ -19,9 +19,11 @@ def embed_scalar(F, t):
 
 def trace_mul_all(F, b):
     """(q,) int64 array of Tr(b x) for every element x, in encoding order:
-    every element's digits times the trace-form row of b, with no exp,
-    log or trace table."""
-    return F._all_digit_rows().astype(np.int64) @ F.trace_mul_vector(b) % F.p
+    every element's digits, read by integer division, times the
+    trace-form row of b, with no exp, log or trace table."""
+    x = np.arange(F.q, dtype=np.int64)[:, None]
+    digits = x // F.p ** np.arange(F.m, dtype=np.int64) % F.p
+    return digits @ F.trace_mul_vector(b) % F.p
 
 
 def trace_table(F):

@@ -197,6 +197,16 @@ def test_branch_fill_matches_golden():
                                  ).read_bytes(), "branch fill drifted"
 
 
+def test_lemmas_at_3_8_match_golden(capsys):
+    """qcode lemmas stdout, byte for byte, on one field of 6 561 elements:
+    it reads the spot check, the class, solution and image tables and the
+    branch fill of every form in the pool."""
+    argv = ["lemmas", "--p", "3", "--m", "8", "--trials", "1", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (
+        GOLDEN / "lemmas_p3_m8_t1_s1.json").read_bytes(), "lemmas at 3^8 drifted"
+
+
 def test_criterion_5_algebraic_identities():
     primes = [p for p in range(3, 98) if is_prime(p)]
     for p in primes:

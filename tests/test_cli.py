@@ -114,6 +114,25 @@ def test_predict_matches_build(capsys):
     assert pred["weight_distribution"] == built["weight_distribution"]
 
 
+def test_predict_refuses_a_table_that_fails_its_moments(capsys, monkeypatch):
+    # p - 1 codewords moved from one table row to another keep the total
+    # and the divisibility by p - 1, but break the first power moment:
+    # predict exits 2 on the JSON error channel and prints no table
+    argv = ("predict", "--p", "3", "--m", "4", "--preset", "cor1:u=1", "--alpha", "1")
+    assert run_cli(capsys, *argv)[0] == 0
+    real = predictor_mod._table_rows
+
+    def moved(an, case):
+        (w0, a0), (w1, a1), *rest = real(an, case)
+        shift = an.ctx.p - 1
+        return [(w0, a0 - shift), (w1, a1 + shift), *rest]
+
+    monkeypatch.setattr(predictor_mod, "_table_rows", moved)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "first power moment fails"}
+
+
 def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--p", "3", "--m", "4",
                            "--preset", "cor1:u=1", "--alpha", "1")

@@ -470,9 +470,12 @@ def test_newton_trace_basis_equals_frobenius_sum(p, m, modulus):
 # the oracle trace on each of GF(199999)'s elements is too slow for this suite
 @pytest.mark.parametrize("p,m,modulus", [f for f in TABLE_FIELDS if f[0] != 199999])
 def test_digit_matrix_and_trace_table_match_scalar_forms(p, m, modulus):
+    # the digit matrix is digit_codes of the unit columns
     F = get_field(p, m, modulus)
-    dm = F._all_digit_rows()
+    eye = np.eye(m, dtype=np.int64)
+    dm = np.stack([F.digit_codes(eye[:, [j]]) for j in range(m)], axis=1)
     assert dm.shape == (F.q, m)
+    assert np.array_equal(F.digit_codes(eye), np.arange(F.q))
     assert all(tuple(dm[x].tolist()) == F.digits(x) for x in F.elements())
     assert trace_table(F).tolist() == [_frobenius_trace(F, x) for x in F.elements()]
 
@@ -481,13 +484,12 @@ def test_digit_matrix_and_trace_table_match_scalar_forms(p, m, modulus):
                                        (251, 2, np.uint8), (257, 2, np.uint16),
                                        (65537, 1, np.uint32)])
 def test_digit_matrix_is_narrow_and_digit_products_are_exact(p, m, dtype):
-    # the smallest unsigned dtype that holds p - 1; the blocked products
-    # against the same products on an int64 copy (3^9 spans ten blocks)
+    # the trace windows that the digit products read are in the smallest
+    # unsigned dtype that holds p - 1; the products against the same
+    # products on int64 digit vectors
     F = get_field(p, m)
-    dm = F._all_digit_rows()
-    assert dm.dtype == dtype and dm.shape == (F.q, m)
+    assert F.trace_mul_log(1).dtype == dtype
     wide = _digit_vectors(p, m)
-    assert np.array_equal(dm, wide)
     rng = np.random.default_rng(F.q)
     for k in (1, m):
         mat = rng.integers(0, p, size=(m, k))
@@ -501,12 +503,12 @@ def test_digit_matrix_is_narrow_and_digit_products_are_exact(p, m, dtype):
     assert np.array_equal(form, np.einsum("ij,jk,ik->i", wide, gram, wide) % p)
 
 
-@pytest.mark.parametrize("p,m", [(3, 9), (7, 4), (65537, 1), (199999, 1)])
+@pytest.mark.parametrize("p,m", [(3, 9), (7, 4), (19, 3), (257, 2), (65537, 1),
+                                 (199999, 1)])
 def test_digit_codes_and_form_codes_are_exact(p, m):
-    # the float64 block products against Python-int arithmetic on the
-    # digits of every element (all p - 1 at q - 1, the largest products),
-    # and 3^9 spans ten blocks; digit_form with codes gives both in one
-    # pass
+    # the window products against Python-int arithmetic on the digits of
+    # every element (all p - 1 at q - 1, the largest products); digit_form
+    # with codes gives both
     F = get_field(p, m)
     rng = np.random.default_rng(p + m)
     n = F.q
