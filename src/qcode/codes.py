@@ -158,16 +158,15 @@ def weight_of(beta: int, ds: DefiningSet) -> int:
     return int(np.count_nonzero(ctx.trace_mul_log(beta)[ctx._log[ds.indices]]))
 
 
-def _trace_dual(ds: DefiningSet) -> np.ndarray:
-    """(|D|, m) array in the digit dtype: row i is w(d_i), with
-    w(d)_j = Tr(x^j d).  Column j is the codeword of the basis index x^j,
-    whose encoding is p^j: the log-order window of p^j read at log d.
-    Tr(beta d) = digits(beta) . w(d) (mod p) for every beta, since Tr is
-    GF(p)-linear."""
+def _trace_dual(ds: DefiningSet) -> list[np.ndarray]:
+    """The m columns w_j, in the digit dtype, of D's trace-dual
+    coordinates w(d), with w(d)_j = Tr(x^j d).  Column j is the codeword
+    of the basis index x^j, whose encoding is p^j: the log-order window of
+    p^j read at log d.  Tr(beta d) = digits(beta) . w(d) (mod p) for every
+    beta, since Tr is GF(p)-linear."""
     ctx = ds.ctx
     logs = ctx._log[ds.indices]
-    return np.stack([ctx.trace_mul_log(ctx.p**j)[logs] for j in range(ctx.m)],
-                    axis=1)
+    return [ctx.trace_mul_log(ctx.p**j)[logs] for j in range(ctx.m)]
 
 
 def _weights_naive(ds: DefiningSet) -> np.ndarray:
@@ -182,7 +181,7 @@ def _weights_naive(ds: DefiningSet) -> np.ndarray:
     """
     ctx = ds.ctx
     member = np.zeros((1, ctx.q), dtype=bool)
-    member[0, horner(_trace_dual(ds).T, ctx.p, ds.length)] = True
+    member[0, horner(_trace_dual(ds), ctx.p, ds.length)] = True
     zeros = hyperplane_counts(ctx.p, ctx.m, member)[0, :, 0]
     return ds.length - zeros.astype(np.int64)
 
@@ -270,7 +269,7 @@ def generator_matrix(ds: DefiningSet) -> list[list[int]]:
     Every codeword is the digit-combination of these rows; the rank over
     GF(p) must be m (checked).
     """
-    rows = _trace_dual(ds).T
+    rows = np.stack(_trace_dual(ds))
     if gf_rank(rows, ds.ctx.p) != ds.ctx.m:
         raise DimensionCollapseError("generator matrix is rank-deficient")
     return rows.tolist()

@@ -12,11 +12,13 @@ rows (the regular representation; Lidl-Niederreiter, Finite Fields,
 ch. 2).  The modulus is tested in the same algebra: is_irreducible runs
 Rabin's test, reading x^(p^k) off the Frobenius orbit of x.  The
 generator is found on its first read.  The exp, log and trace tables
-are read-only arrays that a few batched numpy products over those
-matrices fill on the first bulk use (trace_mul_log, a form's values or
-log_values, or a read of _exp or _log): exp and log in int32 and the
-traces Tr(g^j), in log order and doubled, in the digit dtype below, 10
-bytes per element for p <= 255.
+are read-only arrays filled on the first bulk use (trace_mul_log, a
+form's values or log_values, or a read of _exp or _log) from the trace
+sequence Tr(g^j) alone: it is a linear recurring sequence, so it doubles
+by sums of its own windows, and exp is the horner sum of its windows at
+the logs of the trace-dual basis.  exp and log are int32 and the traces,
+in log order and doubled, are in the digit dtype below: 10 bytes per
+element for p <= 255.
 Until then the scalar methods compute on digit rows; afterwards they
 read the tables through memoryviews.  Both paths return the same Python
 ints and raise the same errors.
@@ -45,7 +47,6 @@ digits(x) . t = s at once; the naive weight route of codes reads it.
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -60,8 +61,9 @@ from .linalg import rank, rref
 
 # The one bound on q for every route.  Once built, the exp, log and trace
 # tables are two int32 arrays and the doubled traces in the digit dtype,
-# 10 bytes per element for p <= 255 (about 14 at the construction peak at
-# 3^11 and 19^4; the fixed block transients make it 27 at 3^9); predict
+# 10 bytes per element for p <= 255 (about 11 at the construction peak at
+# 3^11 and 19^4, where the int32 codes of the trace windows set it, and 16
+# at 3^9 and 7^5, where the log scatter's fixed blocks weigh more); predict
 # and analyze build them only for the form spot check, which stops at
 # 5^6.
 # The cap keeps q at desk scale for the routes that build them and
@@ -73,24 +75,9 @@ from .linalg import rank, rref
 # counting.check_brute_cap adds a cap on p for the exhaustive routes.
 _MAX_FIELD_SIZE = 200_000
 
-# rows per float64 block of the table fill: 16 KB per column of a block,
-# under 200 KB for the m <= 11 digit columns the field-size cap admits,
-# whatever q is; blocks of 8192 rows ran about twice as slow
-_BLOCK_ROWS = 1 << 11
-
-
-def _mod_p(block: np.ndarray, p: int) -> np.ndarray:
-    """block mod p in place, for a float64 block of the table fill holding
-    non-negative integers x < 2^53 - p: x - p floor(x / p).  For
-    x = k p + r, x / p is k exactly when r = 0, and otherwise lies at
-    least 1/p away from an integer, more than the rounding error
-    (k + 1) 2^-53 since (k + 1) p < 2^53; so the floor is k.  Several
-    times faster than int64 %."""
-    quot = block / p
-    np.floor(quot, out=quot)
-    quot *= p
-    block -= quot
-    return block
+# logs per block of the log table's scatter (a whole-field arange would
+# add 4 bytes per element to the construction peak)
+_SCATTER_ROWS = 1 << 13
 
 
 def horner(columns, p: int, size: int) -> np.ndarray:
@@ -284,14 +271,14 @@ class ExtField:
     The exp, log and trace tables are built on the first bulk use
     (trace_mul_log, or a read of _exp or _log), after which the scalar
     methods read them instead.
-    With B = isqrt(q-1) + 1, the rows of g^0..g^(B-1) come from repeated
-    doubling, and every later block of B powers is those rows times a
-    power of the matrix of multiplication by g^B.  One batched product
-    forms about _BLOCK_ROWS rows at a time, from a stack of consecutive
-    such powers, and the same product's reduced rows give the encodings
-    and the traces Tr(g^j), both in log order.  The tables are read-only:
-    exp and log in int32, since encodings and logs stay below q < 2^31,
-    and the traces doubled, so that every Tr(b g^j) is one window, in the
+    The digit rows of the first 2m or more powers g^j give the first
+    traces Tr(g^j), and the rest follow by doubling the linear recurring
+    sequence.  Each log-order window of m traces is a GF(p)-linear image
+    of g^j, so the windows locate the logs of the trace-dual basis, and
+    the windows at those logs are the digits of every g^j: exp is their
+    horner sum, and log is exp scattered.  The tables are read-only: exp
+    and log in int32, since encodings and logs stay below q < 2^31, and
+    the traces doubled, so that every Tr(b g^j) is one window, in the
     digit dtype (uint8 up to p = 251): 10 bytes per element for p <= 255.
     The scalar methods return Python ints.  No (q, m) digit array is made:
     digit_codes and digit_form read every digit product as a window of
@@ -389,53 +376,51 @@ class ExtField:
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
         n = q - 1
-        mul_g = self._mul_matrix(self.generator)
-        # y -> y g^width is GF(p)-linear on digit rows, so block s of the
-        # exp table is the first block g^0..g^(width-1) times step^s, with
-        # step the m x m matrix of that map; transients stay
-        # O(_BLOCK_ROWS m).
-        # The first block comes from doubling: rows of g^0..g^(2^k - 1)
-        # times the matrix of g^(2^k) are the rows of the next 2^k powers.
-        width = math.isqrt(n) + 1
+        # digit rows of g^0..g^(k-1), k >= 2m, by doubling: the rows times
+        # the matrix of g^(2^i) are the rows of the next 2^i powers
         rows = np.zeros((1, m), dtype=np.int64)
         rows[0, 0] = 1
-        double = mul_g
-        while len(rows) < width:
-            rows = np.vstack([rows, rows @ double % p])
-            double = double @ double % p
-        # float64 products are exact (an entry is a sum of m products of
-        # digits below p, under 2^53 at the field-size cap) and run several
-        # times faster than int64 ones
-        base = rows[:width].astype(np.float64)
-        step = _mat_pow(mul_g, width, p)
-        # one batched product forms `group` blocks of width powers at once,
-        # from the stack of step^s, s = 0..group-1, which step^group advances
-        group = max(1, min(_BLOCK_ROWS // width, -(-n // width)))
-        powers = np.empty((group, m, m), dtype=np.int64)
-        powers[0] = np.eye(m, dtype=np.int64)
-        for s in range(1, group):
-            powers[s] = powers[s - 1] @ step % p
-        leap = powers[-1] @ step % p
-        # a reduced digit row times [place | tr] gives the encoding and the
-        # unreduced trace, exact in float64 as above
-        place_tr = np.column_stack([self._place, self._tr]).astype(np.float64)
-        # encodings and logs stay below q <= _MAX_FIELD_SIZE < 2^31, and a
-        # trace is a digit; both are written in log order
-        exp = np.empty(n, dtype=np.int32)
-        traces = np.empty(n, dtype=self._digit_dtype)
-        for start in range(0, n, group * width):
-            block = np.matmul(base, powers.astype(np.float64)).reshape(-1, m)[:n - start]
-            enc_tr = _mod_p(block, p) @ place_tr
-            stop = start + len(enc_tr)
-            exp[start:stop] = enc_tr[:, 0]
-            traces[start:stop] = _mod_p(enc_tr[:, 1], p)
-            powers = powers @ leap % p
+        power = self._mul_matrix(self.generator)
+        while len(rows) < 2 * m:
+            rows = np.vstack([rows, rows @ power % p])
+            power = power @ power % p
+        # t_j = Tr(g^j) is a linear recurring sequence (Lidl-Niederreiter,
+        # Finite Fields, Thm 8.24): with g^k = sum_i a_i g^i (i < m), a the
+        # digits of g^k (row 0 of power) times the inverse of rows[:m],
+        # t_(j+k) = sum_i a_i t_(j+i).  Each step writes the next k traces
+        # from m windows of the first k + m - 1 (_sum_products, as
+        # digit_form sums its windows), whose last m - 1 come first, from
+        # t_0..t_(2m-2), and squares power.  The traces are doubled, so that
+        # Tr(g^k g^j), j = 0..q-2, is the window [k, k + q - 1).
+        basis_inv = rref(np.hstack([rows[:m], np.eye(m, dtype=np.int64)]), p)[0][:, m:]
+        traces = np.empty(2 * n, dtype=self._digit_dtype)
+        k = len(rows)  # below 4m, so at most q - 1 for p >= 3
+        traces[:k] = rows @ self._tr % p
+        head = traces[np.add.outer(np.arange(m - 1), np.arange(m))].astype(np.int64)
+        while k < n:
+            a = power[0] @ basis_inv % p
+            traces[k:k + m - 1] = head @ a % p
+            size = min(k, n - k)
+            traces[k:k + size] = self._sum_products(
+                ((traces[i:i + size], a_i) for i, a_i in enumerate(a.tolist())), size)
+            k += size
+            power = power @ power % p
+        traces[n:] = traces[:n]
+        # The window of the traces at log c, sigma(c) = (Tr(c g^i)), i < m,
+        # is a GF(p)-linear bijection.  For the trace-dual basis c_k
+        # (Tr(c_k x) is digit k of x) it is column k of rows[:m], and the
+        # window from log c_k on is digit k of every g^j.  So the horner
+        # codes of the windows at offsets 0..m-1 locate each log c_k, and
+        # exp is the horner sum of the windows at those logs.  Encodings
+        # and logs stay below q <= _MAX_FIELD_SIZE < 2^31: int32 holds both.
+        codes = horner([traces[i:i + n] for i in range(m)], p, n)
+        starts = [int((codes == c).argmax()) for c in horner(rows[:m], p, m).tolist()]
+        del codes
+        exp = horner([traces[s:s + n] for s in starts], p, n)
         log = np.zeros(q, dtype=np.int32)
-        log[exp] = np.arange(n, dtype=np.int32)
-        # doubled only now, after log's arange transient is freed, so the
-        # copy does not raise the construction peak; Tr(g^k g^j) for
-        # j = 0..q-2 is then the window [k, k + q - 1)
-        traces = np.concatenate([traces, traces])
+        for start in range(0, n, _SCATTER_ROWS):
+            stop = min(start + _SCATTER_ROWS, n)
+            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
         for table in (exp, log, traces):
             table.flags.writeable = False
         self._exp_array, self._log_array, self._trace_powers = exp, log, traces
@@ -518,7 +503,7 @@ class ExtField:
 
     def _row(self, x: int) -> np.ndarray:
         """(m,) int64 digits of one element."""
-        return np.array(self.digits(self._index(x)), dtype=np.int64)
+        return self._digit_rows(np.asarray(self._index(x), dtype=np.int64))
 
     def _index(self, x) -> int:
         """x as the tables would index it: TypeError for a non-integer,
@@ -702,24 +687,28 @@ class ExtField:
         element, G an m x m matrix of integers.  r G r^T is
         sum_j r_j (r G)_j, and both factors are log-order windows
         (_windows): r_j of the column e_j, (r G)_j of column j of G.  The m
-        products of the windows sum in the smallest unsigned dtype that
-        holds m (p - 1)^2, are reduced mod p once and scattered to
-        encoding order.
+        products of the windows are summed mod p (_sum_products) and
+        scattered to encoding order.
 
         Given an (m, k) matrix codes, the result is the pair
         (forms, digit_codes(codes)).
         """
-        m = self.m
-        wide = np.min_scalar_type(m * (self.p - 1) ** 2)
-        acc = np.zeros(self.q - 1, dtype=wide)
+        pairs = zip(self._windows(np.eye(self.m, dtype=np.int64)), self._windows(gram))
+        forms = self._scatter(self._sum_products(pairs, self.q - 1))
+        return forms if codes is None else (forms, self.digit_codes(codes))
+
+    def _sum_products(self, pairs, size: int) -> np.ndarray:
+        """(size,) array of sum x y mod p over at most m pairs (x, y) of
+        digit windows of length size or digits, summed in the smallest
+        unsigned dtype that holds m (p - 1)^2 and reduced mod p once."""
+        wide = np.min_scalar_type(self.m * (self.p - 1) ** 2)
+        acc = np.zeros(size, dtype=wide)
         term = np.empty_like(acc)
-        for digit, lin in zip(self._windows(np.eye(m, dtype=np.int64)),
-                              self._windows(gram)):
-            np.multiply(digit, lin, out=term, dtype=wide)
+        for x, y in pairs:
+            np.multiply(x, y, out=term, dtype=wide)
             acc += term
         acc %= self.p
-        forms = self._scatter(acc)
-        return forms if codes is None else (forms, self.digit_codes(codes))
+        return acc
 
     def trace_mul_log(self, b: int) -> np.ndarray:
         """(q-1,) array of Tr(b g^j), j = 0..q-2, in the digit dtype:

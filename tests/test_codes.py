@@ -204,13 +204,13 @@ def test_naive_transform_matches_weight_of():
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2), (3, 5)])
 def test_trace_dual_coordinates_give_every_trace(p, m):
     # the naive route's identity Tr(beta d) = digits(beta) . w(d) (mod p),
-    # w(d) = _trace_dual's row of d, on every (beta, d) with d != 0 (a set
-    # holding every nonzero element), against a field multiplication and
-    # the trace table
+    # w(d) = the row of d across _trace_dual's m columns, on every (beta, d)
+    # with d != 0 (a set holding every nonzero element), against a field
+    # multiplication and the trace table
     F = get_field(p, m)
     tr = trace_table(F)
     ds = codes_mod.DefiningSet(analyze(preset_cor1(F, 1)), 0, np.arange(1, F.q))
-    dual = codes_mod._trace_dual(ds)
+    dual = np.stack(codes_mod._trace_dual(ds), axis=1)
     assert dual.dtype == F._digit_dtype and dual.shape == (F.q - 1, m)
     digits = np.array([F.digits(b) for b in F.elements()], dtype=np.int64)
     via_dual = digits @ dual.astype(np.int64).T % p

@@ -1,8 +1,8 @@
 import hashlib
 import json
-import math
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,20 +410,18 @@ def test_tables_follow_generator_recurrence_sampled_bench_sizes(p, m):
     _check_table_steps(F, [0, F.q - 2])
 
 
-@pytest.mark.parametrize("p,m,short", [(3, 1, False), (19, 1, True), (3, 11, True)])
-def test_blocked_tables_follow_the_generator_recurrence_everywhere(p, m, short):
-    # every entry of the batched fill against the per-element recurrence
-    # exp[0] = 1, exp[k + 1] = exp[k] g, with multiplication by g on digit
-    # rows built from the oracle product (one _oracle_mul per basis
-    # element), so by induction exp[k] = g^k; log inverts exp, and every
-    # trace is digits(x) . (Tr(x^j)) with the Frobenius-sum trace.  3^1 is
-    # one block of two rows; at 19^1 and 3^11, q - 1 is not a multiple of
-    # the rows one batched product forms, so the last block is short.
+@pytest.mark.parametrize("p,m", [(3, 1), (19, 1), (3, 11), (257, 2), (65537, 1)])
+def test_blocked_tables_follow_the_generator_recurrence_everywhere(p, m):
+    # every entry of the trace-recurrence fill against the per-element
+    # recurrence exp[0] = 1, exp[k + 1] = exp[k] g, with multiplication by
+    # g on digit rows built from the oracle product (one _oracle_mul per
+    # basis element), so by induction exp[k] = g^k; log inverts exp, and
+    # every trace is digits(x) . (Tr(x^j)) with the Frobenius-sum trace.
+    # 3^1 takes no doubling step, the last one is short at 19^1 and 3^11,
+    # and 257^2 and 65537^1 have uint16 and uint32 digits and the widest
+    # accumulators (uint32 and uint64).
     F = ExtField(p, m)
     n = F.q - 1
-    width = math.isqrt(n) + 1
-    group = max(1, min(field_mod._BLOCK_ROWS // width, -(-n // width)))
-    assert (n % (group * width) != 0) == short
     place = p ** np.arange(m, dtype=np.int64)
     mul_g = np.array([F.digits(_oracle_mul(F, p**j, F.generator)) for j in range(m)])
     tr = np.array([_frobenius_trace(F, p**j) for j in range(m)])
@@ -433,6 +431,27 @@ def test_blocked_tables_follow_the_generator_recurrence_everywhere(p, m, short):
     assert np.array_equal(F._log[exp], np.arange(n)) and F._log[0] == 0
     digits = np.arange(F.q, dtype=np.int64)[:, None] // place % p
     assert np.array_equal(trace_table(F), digits @ tr % p)
+
+
+@pytest.mark.parametrize("p,m,bound", [(3, 9, 16.5), (3, 11, 11.5), (7, 5, 17.5),
+                                       (19, 4, 11.5)])
+def test_table_construction_peak_memory_per_element(p, m, bound):
+    # tracemalloc peak of _build_tables per element, generator already
+    # read: the tables keep 10 bytes (int32 exp and log, the doubled uint8
+    # traces), and the fill adds the horner codes of the trace windows
+    # (int32) and fixed-size transients.  The float64 block fill peaked at
+    # 27.4, 14.8, 24.1 and 14.3; a whole-field int32 arange for the log
+    # scatter adds 4 and fails every bound.
+    F = ExtField(p, m)
+    F.generator
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        F._build_tables()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / F.q < bound
 
 
 @pytest.mark.parametrize("p,m,modulus", [(3, 1, None), (3, 2, None), (3, 3, None),
